@@ -73,9 +73,6 @@ class DeriveLDyn:
     pass
 
 
-Dynamics = (TensorBy, DeriveDyn, AdjLDyn, PointingDyn, DeriveLDyn)
-
-
 def apply_dynamics(dyn, e: SpeciesExpr) -> SpeciesExpr:
     if isinstance(dyn, TensorBy):
         return Cauchy(dyn.a, e)
@@ -363,16 +360,3 @@ def terminal_counts(
             )
         return CountSeq(tuple(out))
     raise TypeError(f"not a dynamics: {dyn!r}")
-
-
-def machine_to_json(m) -> dict:
-    from .transforms import nat_to_json
-
-    return {
-        "dynamics": repr(m.dynamics),
-        "state": repr(m.state),
-        "output": repr(m.output),
-        "horizon": m.horizon,
-        "d": nat_to_json(m.d),
-        "s": nat_to_json(m.s),
-    }

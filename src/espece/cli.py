@@ -596,14 +596,29 @@ def _cmd_solve(args, out):
     _emit(args, "solve", {"op": args.op}, args.upto, payload, "\n".join(lines), out)
 
 
+def _parse_counts(text: str):
+    """A comma-separated list of nonnegative integers, as for --seq."""
+    vals, offset = [], 0
+    for piece in text.split(","):
+        item = piece.strip()
+        try:
+            if not item.isdecimal():
+                raise ValueError(item)
+            vals.append(int(item))  # ValueError beyond int()'s digit limit
+        except ValueError:
+            start = offset + len(piece) - len(piece.lstrip())
+            raise ParseError(f"expected a nonnegative integer, found {item!r}", start) from None
+        offset += len(piece) + 1
+    return tuple(vals)
+
+
 def _cmd_fixcheck(args, out):
     D = parse_operator(args.op)
     if args.expr:
         e = parse_expr(args.expr)
         x = counting.count_seq(e, args.upto + D.max_order)
     elif args.seq:
-        vals = tuple(int(v.strip()) for v in args.seq.split(","))
-        x = counting.CountSeq(vals)
+        x = counting.CountSeq(_parse_counts(args.seq))
     else:
         raise ParseError("fixcheck needs --expr or --seq", 0)
     order = diffeq.fixpoint_check(D, x, args.upto)
@@ -619,8 +634,21 @@ def _cmd_fixcheck(args, out):
     )
 
 
+def _nat(text: str) -> int:
+    """argparse type of horizons, degrees and iteration caps."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # usage errors exit 2 with a one-line message, like parse errors
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="espece",
         description="Exact species calculator: counts, structures, equivariant "
         "maps, machine terminals, and differential fixpoints.",
@@ -629,10 +657,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, upto=True):
         if upto:
-            p.add_argument("--upto", type=int, default=5, help="horizon (default 5)")
+            p.add_argument("--upto", type=_nat, default=5, help="horizon (default 5)")
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         p.add_argument("--limit", type=int, default=100000, help="enumeration cap")
-        p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+        p.add_argument("--max-iter", type=_nat, default=None, dest="max_iter")
         p.add_argument("--seed", type=int, default=None, help="reserved; unused")
 
     p = sub.add_parser("coeffs", help="counting sequence of an expression")
@@ -647,13 +675,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all structures at one degree")
     p.add_argument("expr")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_nat, required=True)
     common(p, upto=False)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("orbits", help="orbit decomposition at one degree")
     p.add_argument("expr")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_nat, required=True)
     common(p, upto=False)
     p.set_defaults(fn=_cmd_orbits)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import DegreeMismatch, HorizonExhausted, InnerNotPositive
-from .species import SpeciesExpr, cardinality
+from .species import SpeciesExpr, binomial_convolution, counts_upto
 
 AT_LEAST_HORIZON = "at-least-horizon"
 NO_CONTACT = "none"
@@ -80,27 +80,15 @@ class EgfSeq:
 
 def count_seq(e: SpeciesExpr, N: int) -> CountSeq:
     """Counts of e at degrees 0..N by the exact recurrences."""
-    return CountSeq(tuple(cardinality(e, n) for n in range(N + 1)))
+    return CountSeq(counts_upto(e, N))
 
 
 def egf(e: SpeciesExpr, N: int) -> EgfSeq:
-    return EgfSeq(
-        tuple(Fraction(cardinality(e, n), math.factorial(n)) for n in range(N + 1))
-    )
+    return egf_of_counts(count_seq(e, N))
 
 
 def egf_of_counts(c: CountSeq) -> EgfSeq:
     return EgfSeq(tuple(Fraction(v, math.factorial(n)) for n, v in enumerate(c.coeffs)))
-
-
-def counts_of_egf(g: EgfSeq) -> CountSeq:
-    vals = []
-    for n, q in enumerate(g.coeffs):
-        v = q * math.factorial(n)
-        if v.denominator != 1 or v < 0:
-            raise ValueError(f"EGF coefficient {q} at degree {n} is not a count/n!")
-        vals.append(int(v))
-    return CountSeq(tuple(vals))
 
 
 def seq_sum(a: CountSeq, b: CountSeq) -> CountSeq:
@@ -116,12 +104,7 @@ def seq_hadamard(a: CountSeq, b: CountSeq) -> CountSeq:
 def seq_cauchy(a: CountSeq, b: CountSeq) -> CountSeq:
     """Binomial convolution, the counting shadow of the Cauchy product."""
     h = min(a.horizon, b.horizon)
-    return CountSeq(
-        tuple(
-            sum(math.comb(n, k) * a[k] * b[n - k] for k in range(n + 1))
-            for n in range(h + 1)
-        )
-    )
+    return CountSeq(tuple(binomial_convolution(a.coeffs, b.coeffs, 0, h + 1)))
 
 
 def seq_derive(a: CountSeq) -> CountSeq:

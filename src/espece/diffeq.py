@@ -9,7 +9,6 @@ per-degree stabilization.  Divergence is a verdict, never an exception.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -21,7 +20,7 @@ from .counting import (
     detect_convergence,
 )
 from .errors import HorizonExhausted
-from .species import SpeciesExpr, require_valid
+from .species import SpeciesExpr, binomial_convolution, require_valid
 
 
 @dataclass(frozen=True)
@@ -60,15 +59,14 @@ def apply_operator(D: DiffOperator, x: CountSeq, minimum_horizon: int = 0) -> Co
         raise HorizonExhausted(
             f"horizon {x.horizon} leaves only {out_h} after order {D.max_order}"
         )
-    coeff_counts = [(count_seq(a, out_h), order) for a, order in D.terms]
-    const_counts = count_seq(D.constant, out_h) if D.constant is not None else None
-    vals = []
-    for n in range(out_h + 1):
-        total = const_counts[n] if const_counts is not None else 0
-        for a, order in coeff_counts:
-            total += sum(math.comb(n, k) * a[k] * x[order + n - k] for k in range(n + 1))
-        vals.append(total)
-    return CountSeq(tuple(vals))
+    if D.constant is not None:
+        vals = count_seq(D.constant, out_h).coeffs
+    else:
+        vals = (0,) * (out_h + 1)
+    for a, order in D.terms:
+        row = binomial_convolution(count_seq(a, out_h).coeffs, x.coeffs[order:], 0, out_h + 1)
+        vals = tuple(u + v for u, v in zip(vals, row))
+    return CountSeq(vals)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from typing import Dict, Tuple
 
 from .errors import (
@@ -62,60 +62,90 @@ class SpeciesExpr:
         return Substitute(self, other)
 
 
-@dataclass(frozen=True)
-class Zero(SpeciesExpr):
+# Live nodes by (class, fields).  Weak values: a node leaves the table when
+# nothing else holds it, so the table never needs clearing.
+_NODES = weakref.WeakValueDictionary()
+
+
+class _Interned(type):
+    """Hash-consing (Filliatre & Conchon, 2006): constructing a node equal
+    to a live one returns that node, so equality is identity and a node's
+    hash is computed once, from its children's stored hashes."""
+
+    def __call__(cls, *args, **kwargs):
+        node = super().__call__(*args, **kwargs)
+        key = (cls, *vars(node).values())
+        live = _NODES.get(key)
+        if live is not None:
+            return live
+        object.__setattr__(node, "_hash", hash(key))
+        _NODES[key] = node
+        return node
+
+
+class _Node(SpeciesExpr, metaclass=_Interned):
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # copies and unpickled nodes go through the intern table as well
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Zero(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class One(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class One(_Node):
     """The Cauchy unit y[0]: one structure on the empty label set."""
 
 
-@dataclass(frozen=True)
-class X(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class X(_Node):
     """The singleton species y[1]."""
 
 
-@dataclass(frozen=True)
-class Representable(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class Representable(_Node):
     """y[k]: the k! bijections {1..k} -> A when |A| = k, nothing else."""
 
     k: int
 
 
-@dataclass(frozen=True)
-class Exp(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class Exp(_Node):
     """One structure (the label set itself) at every degree."""
 
 
-@dataclass(frozen=True)
-class ExpPlus(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class ExpPlus(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Lin(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class Lin(_Node):
     """Linear orders; the regular (free transitive) action at each degree."""
 
 
-@dataclass(frozen=True)
-class LinPlus(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class LinPlus(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Cyc(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class Cyc(_Node):
     """Oriented cycles; empty at degree 0 by convention."""
 
 
-@dataclass(frozen=True)
-class Perm(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class Perm(_Node):
     """Permutations of the label set, acted on by conjugation."""
 
 
-@dataclass(frozen=True)
-class Subsets(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class Subsets(_Node):
     pass
 
 
@@ -146,6 +176,7 @@ class Table(SpeciesExpr):
         )
         digest = hashlib.sha1(repr(normal).encode()).hexdigest()[:16]
         self.key = f"{self.name}:{digest}"
+        self._hash = hash(("Table", self.key))
         _TABLE_REGISTRY[self.key] = self
 
     @property
@@ -156,81 +187,81 @@ class Table(SpeciesExpr):
         return isinstance(other, Table) and self.key == other.key
 
     def __hash__(self):
-        return hash(("Table", self.key))
+        return self._hash
 
     def __repr__(self):
         return f"Table({self.name!r}, max_degree={self.max_degree})"
 
 
-@dataclass(frozen=True)
-class Sum(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class Sum(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
 
 
-@dataclass(frozen=True)
-class Hadamard(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class Hadamard(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
 
 
-@dataclass(frozen=True)
-class Cauchy(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class Cauchy(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
 
 
-@dataclass(frozen=True)
-class Substitute(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class Substitute(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
 
 
-@dataclass(frozen=True)
-class Derive(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class Derive(_Node):
     f: SpeciesExpr
 
 
-@dataclass(frozen=True)
-class Pointing(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class Pointing(_Node):
     """A chosen label plus a derivative structure on its complement."""
 
     f: SpeciesExpr
 
 
-@dataclass(frozen=True)
-class AdjL(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class AdjL(_Node):
     """Left adjoint of the derivative: a chosen label plus a structure
     on its complement."""
 
     f: SpeciesExpr
 
 
-@dataclass(frozen=True)
-class AdjR(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class AdjR(_Node):
     """Right adjoint of the derivative: one structure on each label's
     complement."""
 
     f: SpeciesExpr
 
 
-@dataclass(frozen=True)
-class DeriveL(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class DeriveL(_Node):
     """The composite derivative-after-left-adjoint."""
 
     f: SpeciesExpr
 
 
-@dataclass(frozen=True)
-class TruncLeft(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class TruncLeft(_Node):
     """Kill every degree above the cutoff."""
 
     f: SpeciesExpr
     cutoff: int
 
 
-@dataclass(frozen=True)
-class TruncRight(SpeciesExpr):
+@dataclass(frozen=True, eq=False)
+class TruncRight(_Node):
     """Replace every degree above the cutoff by a singleton."""
 
     f: SpeciesExpr
@@ -256,38 +287,53 @@ _VALIDATED: set = set()
 
 
 def validate(e: SpeciesExpr) -> Tuple[Diagnostic, ...]:
-    """Structured diagnostics; an empty tuple means the expression is ok."""
+    """Structured diagnostics; an empty tuple means the expression is ok.
+
+    The tree is walked with an explicit stack, so nesting depth is not
+    bounded by the recursion limit, and every valid subexpression is
+    remembered for later calls.
+    """
     diags: list = []
-    _validate(e, "root", diags)
-    if not diags:
-        _VALIDATED.add(e)
+    stack = [(e, "root", None)]
+    while stack:
+        node, path, mark = stack.pop()
+        if mark is not None:
+            # every child is done: mark holds the diagnostic counts from
+            # before the node's own checks and from before its children
+            first, before = mark
+            if isinstance(node, Substitute) and len(diags) == before:
+                _validate_inner(node, path, diags)
+            if len(diags) == first:
+                _VALIDATED.add(node)
+            continue
+        if node in _VALIDATED:
+            continue
+        first = len(diags)
+        if isinstance(node, Representable) and node.k < 0:
+            diags.append(Diagnostic("NegativeDegree", path, f"Y({node.k})"))
+        if isinstance(node, (TruncLeft, TruncRight)) and node.cutoff < 0:
+            diags.append(Diagnostic("NegativeCutoff", path, f"cutoff {node.cutoff}"))
+        if isinstance(node, Table):
+            _validate_table(node, path, diags)
+        stack.append((node, path, (first, len(diags))))
+        kids = children(node)
+        for i in reversed(range(len(kids))):
+            stack.append((kids[i], f"{path}.{i}", None))
     return tuple(diags)
 
 
-def _validate(e, path, diags):
-    if e in _VALIDATED:
-        return
-    if isinstance(e, Representable) and e.k < 0:
-        diags.append(Diagnostic("NegativeDegree", path, f"Y({e.k})"))
-    if isinstance(e, (TruncLeft, TruncRight)) and e.cutoff < 0:
-        diags.append(Diagnostic("NegativeCutoff", path, f"cutoff {e.cutoff}"))
-    if isinstance(e, Table):
-        _validate_table(e, path, diags)
-    before = len(diags)
-    for i, child in enumerate(children(e)):
-        _validate(child, f"{path}.{i}", diags)
-    if isinstance(e, Substitute) and len(diags) == before:
-        try:
-            if _card(e.g, 0) != 0:
-                diags.append(
-                    Diagnostic(
-                        "InnerNotPositive",
-                        path,
-                        "substitution requires the inner species to be empty at degree 0",
-                    )
+def _validate_inner(e: Substitute, path, diags):
+    try:
+        if _card(e.g, 0) != 0:
+            diags.append(
+                Diagnostic(
+                    "InnerNotPositive",
+                    path,
+                    "substitution requires the inner species to be empty at degree 0",
                 )
-        except BudgetExceeded as exc:
-            diags.append(Diagnostic("BudgetExceeded", path, str(exc)))
+            )
+    except BudgetExceeded as exc:
+        diags.append(Diagnostic("BudgetExceeded", path, str(exc)))
 
 
 def _validate_table(e: Table, path, diags):
@@ -323,109 +369,203 @@ def require_valid(e: SpeciesExpr) -> None:
 # Exact cardinalities (the counting recurrences)
 
 
+# node -> [|e[0]|, ..., |e[h]|]; a sequence is only ever extended
 _COUNT_CACHE: dict = {}
+# inner species g -> rows of its partial Bell triangle, B(m, k) at [k][m]
+_BELL_CACHE: dict = {}
 
 
-def _integer_partitions(n: int):
-    def gen(n, maxpart):
-        if n == 0:
-            yield ()
-            return
-        for p in range(min(n, maxpart), 0, -1):
-            for rest in gen(n - p, p):
-                yield (p,) + rest
+def binomial_convolution(a, b, start: int, stop: int) -> list:
+    """Entries start..stop-1 of c_n = sum_k C(n, k) a_k b_(n-k).
 
-    return gen(n, n)
-
-
-def _subst_count(f, g, n) -> int:
-    total = 0
-    for lam in _integer_partitions(n):
-        fk = _card(f, len(lam))
-        if fk == 0:
-            continue
-        ways = math.factorial(n)
-        for part in lam:
-            ways //= math.factorial(part)
-        for mult in Counter(lam).values():
-            ways //= math.factorial(mult)
-        prod = fk * ways
-        for part in lam:
-            prod *= _card(g, part)
-            if prod == 0:
+    The counting shadow of the Cauchy product.  ``a`` and ``b`` are plain
+    sequences with at least ``stop`` entries; zero coefficients of either
+    are skipped.
+    """
+    support = [(k, v) for k, v in enumerate(a[:stop]) if v]
+    out = []
+    for n in range(start, stop):
+        total = 0
+        for k, v in support:
+            if k > n:
                 break
-        total += prod
-    return total
+            w = b[n - k]
+            if w:
+                total += math.comb(n, k) * v * w
+        out.append(total)
+    return out
 
 
-def _card(e, n: int) -> int:
-    key = (e, n)
-    hit = _COUNT_CACHE.get(key)
-    if hit is not None:
-        return hit
+def _fill_bell_row(rows, j: int, top: int, gs, support) -> None:
+    """Extend row j of a partial Bell triangle through degree ``top``.
+
+    B(m, j) = sum_i C(m-1, i-1) g_i B(m-i, j-1) (Bergeron, Labelle and
+    Leroux 1998, section 1.4); it reads g only at sizes up to m - j + 1.
+    """
+    while len(rows) <= j:
+        rows.append([0] * len(rows))  # B(m, k) = 0 for m < k
+    row = rows[j]
+    if j == 1:  # B(m, 1) = g_m
+        row.extend(gs[len(row) : top + 1])
+        return
+    prev = rows[j - 1]
+    for m in range(len(row), top + 1):
+        total = 0
+        for i in support:
+            if i > m - j + 1:
+                break
+            total += math.comb(m - 1, i - 1) * gs[i] * prev[m - i]
+        row.append(total)
+
+
+def _substitute_counts(g, fs, gs, start: int, stop: int) -> list:
+    """Counts of f o g at degrees start..stop-1: sum_k f_k B(n, k).
+
+    Only the k with f_k != 0 are summed, and B(n, k) reads g at sizes
+    1..n-k+1, so g is consulted exactly where the sum over integer
+    partitions consulted it.
+    """
+    rows = _BELL_CACHE.setdefault(g, [[1]])
+    ks = [k for k in range(1, stop) if fs[k]]
+    support = [i for i in range(1, len(gs)) if gs[i]]
+    out = []
+    for n in range(start, stop):
+        used = [k for k in ks if k <= n]
+        if n == 0 or not used:
+            out.append(fs[0] if n == 0 else 0)
+            continue
+        for j in range(1, used[-1] + 1):
+            _fill_bell_row(rows, j, n - max(j, used[0]) + j, gs, support)
+        out.append(sum(fs[k] * rows[k][n] for k in used))
+    return out
+
+
+def _reads(e, N: int):
+    """(child, horizon) pairs that the counts of e at degrees 0..N read."""
+    if isinstance(e, (Sum, Hadamard, Cauchy, Pointing, DeriveL)):
+        return tuple((c, N) for c in children(e))
+    if isinstance(e, Substitute):
+        fs = _COUNT_CACHE.get(e.f, ())
+        if len(fs) <= N:
+            return ((e.f, N),)
+        kmin = next((k for k in range(1, N + 1) if fs[k]), None)
+        if kmin is None:
+            return ((e.f, N),)
+        return ((e.f, N), (e.g, N - kmin + 1))
+    if isinstance(e, Derive):
+        return ((e.f, N + 1),)
+    if isinstance(e, (AdjL, AdjR)):
+        return ((e.f, N - 1),)
+    if isinstance(e, (TruncLeft, TruncRight)):
+        return ((e.f, min(N, e.cutoff)),)
+    return ()
+
+
+def _count_at(e, n: int, f=None, g=None) -> int:
+    """|e[n]| from the counts f (and g) of e's children."""
     if isinstance(e, Zero):
-        v = 0
-    elif isinstance(e, One):
-        v = 1 if n == 0 else 0
-    elif isinstance(e, X):
-        v = 1 if n == 1 else 0
-    elif isinstance(e, Representable):
-        v = math.factorial(e.k) if n == e.k else 0
-    elif isinstance(e, Exp):
-        v = 1
-    elif isinstance(e, ExpPlus):
-        v = 1 if n >= 1 else 0
-    elif isinstance(e, Lin):
-        v = math.factorial(n)
-    elif isinstance(e, LinPlus):
-        v = math.factorial(n) if n >= 1 else 0
-    elif isinstance(e, Cyc):
-        v = math.factorial(n - 1) if n >= 1 else 0
-    elif isinstance(e, Perm):
-        v = math.factorial(n)
-    elif isinstance(e, Subsets):
-        v = 2 ** n
-    elif isinstance(e, Table):
+        return 0
+    if isinstance(e, One):
+        return 1 if n == 0 else 0
+    if isinstance(e, X):
+        return 1 if n == 1 else 0
+    if isinstance(e, Representable):
+        return math.factorial(e.k) if n == e.k else 0
+    if isinstance(e, Exp):
+        return 1
+    if isinstance(e, ExpPlus):
+        return 1 if n >= 1 else 0
+    if isinstance(e, (Lin, Perm)):
+        return math.factorial(n)
+    if isinstance(e, LinPlus):
+        return math.factorial(n) if n >= 1 else 0
+    if isinstance(e, Cyc):
+        return math.factorial(n - 1) if n >= 1 else 0
+    if isinstance(e, Subsets):
+        return 2 ** n
+    if isinstance(e, Table):
         if n > e.max_degree:
             raise BudgetExceeded(
                 f"table {e.name!r} holds degrees 0..{e.max_degree}, degree {n} requested"
             )
-        v = len(e.atoms[n])
-    elif isinstance(e, Sum):
-        v = _card(e.f, n) + _card(e.g, n)
-    elif isinstance(e, Hadamard):
-        v = _card(e.f, n) * _card(e.g, n)
-    elif isinstance(e, Cauchy):
-        v = sum(
-            math.comb(n, k) * _card(e.f, k) * _card(e.g, n - k)
-            for k in range(n + 1)
-        )
+        return len(e.atoms[n])
+    if isinstance(e, Sum):
+        return f[n] + g[n]
+    if isinstance(e, Hadamard):
+        return f[n] * g[n]
+    if isinstance(e, Derive):
+        return f[n + 1]
+    if isinstance(e, Pointing):
+        return n * f[n]
+    if isinstance(e, AdjL):
+        return n * f[n - 1] if n >= 1 else 0
+    if isinstance(e, AdjR):
+        return f[n - 1] ** n if n >= 1 else 1
+    if isinstance(e, DeriveL):
+        return (n + 1) * f[n]
+    if isinstance(e, TruncLeft):
+        return f[n] if n <= e.cutoff else 0
+    if isinstance(e, TruncRight):
+        return f[n] if n <= e.cutoff else 1
+    raise TypeError(f"not a species expression: {e!r}")
+
+
+def _extend(e, seq: list, N: int) -> None:
+    """Append the counts of e at degrees len(seq)..N; its reads are ready."""
+    kids = [_COUNT_CACHE.get(c, ()) for c in children(e)]
+    if isinstance(e, Cauchy):
+        seq.extend(binomial_convolution(*kids, len(seq), N + 1))
     elif isinstance(e, Substitute):
-        v = _subst_count(e.f, e.g, n)
-    elif isinstance(e, Derive):
-        v = _card(e.f, n + 1)
-    elif isinstance(e, Pointing):
-        v = n * _card(e.f, n)
-    elif isinstance(e, AdjL):
-        v = n * _card(e.f, n - 1) if n >= 1 else 0
-    elif isinstance(e, AdjR):
-        v = _card(e.f, n - 1) ** n if n >= 1 else 1
-    elif isinstance(e, DeriveL):
-        v = (n + 1) * _card(e.f, n)
-    elif isinstance(e, TruncLeft):
-        v = _card(e.f, n) if n <= e.cutoff else 0
-    elif isinstance(e, TruncRight):
-        v = _card(e.f, n) if n <= e.cutoff else 1
+        seq.extend(_substitute_counts(e.g, *kids, len(seq), N + 1))
     else:
-        raise TypeError(f"not a species expression: {e!r}")
-    _COUNT_CACHE[key] = v
-    return v
+        for n in range(len(seq), N + 1):
+            seq.append(_count_at(e, n, *kids))
+
+
+def _counts(e, N: int) -> list:
+    """The cached counts of e, extended through degree N.
+
+    Nodes are evaluated in an explicit post-order, so nesting depth is not
+    bounded by the recursion limit, and each node is counted once per
+    degree.  Children are evaluated only through the degrees that e reads
+    at 0..N, so a Table raises BudgetExceeded exactly when one of those
+    lies beyond it.
+    """
+    seq = _COUNT_CACHE.get(e)
+    if seq is not None and len(seq) > N:
+        return seq
+    stack = [(e, N)]
+    while stack:
+        node, n = stack[-1]
+        seq = _COUNT_CACHE.setdefault(node, [])
+        if len(seq) > n:
+            stack.pop()
+            continue
+        missing = [(c, m) for c, m in _reads(node, n) if len(_COUNT_CACHE.get(c, ())) <= m]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        _extend(node, seq, n)
+    return _COUNT_CACHE[e]
+
+
+def _card(e, n: int) -> int:
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
+    return _counts(e, n)[n]
 
 
 def cardinality(e: SpeciesExpr, n: int) -> int:
     """|e[n]|, computed by exact recurrences (no enumeration)."""
     require_valid(e)
     return _card(e, n)
+
+
+def counts_upto(e: SpeciesExpr, N: int) -> Tuple[int, ...]:
+    """(|e[0]|, ..., |e[N]|) by the exact recurrences, validating e once."""
+    require_valid(e)
+    return tuple(_counts(e, N)[: N + 1])
 
 
 def degree_budget(e: SpeciesExpr, n: int) -> int:
@@ -767,6 +907,7 @@ def as_table(e: SpeciesExpr, max_degree: int, name: str | None = None) -> Table:
 def clear_caches() -> None:
     """Drop all memoized enumerations and counts (mainly for tests)."""
     _COUNT_CACHE.clear()
+    _BELL_CACHE.clear()
     _ENUM_CACHE.clear()
     _DEGREE_CACHE.clear()
     _VALIDATED.clear()

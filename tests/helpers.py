@@ -1,14 +1,61 @@
 """Independent oracles used across the test suite.
 
-These deliberately avoid the library's orbit-stabilizer and
-integer-partition routes: equivariant maps are found by backtracking
-over raw assignments checked against every group element, and
-substitution counts are summed over explicitly generated set partitions.
+These deliberately avoid the library's orbit-stabilizer and Bell
+triangle routes: equivariant maps are found by backtracking over raw
+assignments checked against every group element, and substitution counts
+are summed over explicitly generated set partitions or over integer
+partitions.
 """
 
 import itertools
+import math
+from collections import Counter
 
+from espece import (
+    AdjR,
+    Cauchy,
+    Cyc,
+    Derive,
+    DeriveL,
+    Exp,
+    ExpPlus,
+    Hadamard,
+    Lin,
+    LinPlus,
+    One,
+    Perm,
+    Pointing,
+    Representable,
+    Subsets,
+    Substitute,
+    Sum,
+    X,
+)
 from espece.groups import all_permutations
+
+GOLDEN_EXPRS = (
+    One(),
+    X(),
+    Exp(),
+    ExpPlus(),
+    Lin(),
+    LinPlus(),
+    Cyc(),
+    Perm(),
+    Subsets(),
+    Representable(2),
+    Sum(Lin(), Cyc()),
+    Cauchy(Lin(), Lin()),
+    Hadamard(Exp(), Lin()),
+    Substitute(Exp(), Cyc()),
+    Substitute(Lin(), Cyc()),
+    Derive(Lin()),
+    Derive(Cyc()),
+    Derive(Subsets()),
+    Pointing(Lin()),
+    AdjR(Exp()),
+    DeriveL(Exp()),
+)
 
 
 def brute_equivariant_maps(src, tgt, perms=None):
@@ -90,4 +137,46 @@ def substitution_count_oracle(f_counts, g_counts, n):
         for block in part:
             term *= g_counts[len(block)]
         total += term
+    return total
+
+
+def integer_partitions(n):
+    """Partitions of n as nonincreasing tuples, largest first part first."""
+
+    def gen(n, maxpart):
+        if n == 0:
+            yield ()
+            return
+        for p in range(min(n, maxpart), 0, -1):
+            for rest in gen(n - p, p):
+                yield (p,) + rest
+
+    return gen(n, n)
+
+
+def integer_partition_substitution_count(f_counts, g_counts, n):
+    """|(f o g)[n]| summed over integer partitions of n.
+
+    Each partition with k parts counts the set partitions of that block
+    type times f_k and one g-structure per block.  It reads f_k only for
+    partitions with k parts, skips the partition when f_k is 0, reads g
+    at the parts largest first and stops at the first zero, so indexing
+    short count tuples shows which degrees it consults.
+    """
+    total = 0
+    for lam in integer_partitions(n):
+        fk = f_counts[len(lam)]
+        if fk == 0:
+            continue
+        ways = math.factorial(n)
+        for part in lam:
+            ways //= math.factorial(part)
+        for mult in Counter(lam).values():
+            ways //= math.factorial(mult)
+        prod = fk * ways
+        for part in lam:
+            prod *= g_counts[part]
+            if prod == 0:
+                break
+        total += prod
     return total

@@ -16,11 +16,9 @@ from espece import (
     Cauchy,
     Cyc,
     Derive,
-    DeriveL,
     DiffOperator,
     Exp,
     ExpPlus,
-    Hadamard,
     Lin,
     LinPlus,
     One,
@@ -53,31 +51,7 @@ from espece import (
 from espece.counting import egf_of_counts
 from espece.groups import count_equivariant_maps, generators
 from espece.transforms import DEFAULT_FAMILY
-from helpers import brute_equivariant_count
-
-GOLDEN_EXPRS = (
-    One(),
-    X(),
-    Exp(),
-    ExpPlus(),
-    Lin(),
-    LinPlus(),
-    Cyc(),
-    Perm(),
-    Subsets(),
-    Representable(2),
-    Sum(Lin(), Cyc()),
-    Cauchy(Lin(), Lin()),
-    Hadamard(Exp(), Lin()),
-    Substitute(Exp(), Cyc()),
-    Substitute(Lin(), Cyc()),
-    Derive(Lin()),
-    Derive(Cyc()),
-    Derive(Subsets()),
-    Pointing(Lin()),
-    AdjR(Exp()),
-    DeriveL(Exp()),
-)
+from helpers import GOLDEN_EXPRS, brute_equivariant_count
 
 
 def _report(n, label):

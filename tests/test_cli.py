@@ -274,6 +274,34 @@ def test_exit_codes():
     assert code == 1  # enumeration above the cap is a domain error
 
 
+def test_numeric_flags_reject_negative_values(capsys):
+    cases = (
+        ("coeffs", "E", "--upto", "-1"),
+        ("coeffs", "E", "--upto", "four"),
+        ("solve", "--op", "1:0 + X:0", "--max-iter", "-5"),
+        ("orbits", "P", "--degree", "-2"),
+        ("enumerate", "C", "--degree", "1.5"),
+    )
+    for argv in cases:
+        code, out = run(*argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and "nonnegative integer" in err, err
+
+
+def test_fixcheck_malformed_seq_is_parse_error(capsys):
+    for seq, offset in (("1,a", 2), ("1, -1", 3), ("1,,2", 2), ("2.5", 0)):
+        code, out = run("fixcheck", "--op", "1:1", "--seq", seq)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), seq
+        assert err.startswith("parse error:") and f"at offset {offset}" in err, err
+
+
+def test_deep_sum_counts_without_recursion():
+    code, out = run("coeffs", "+".join(["X"] * 1500), "--upto", "3")
+    assert (code, out) == (0, "0, 1500, 0, 0\n")
+
+
 # --- machine-readable output --------------------------------------------------
 
 

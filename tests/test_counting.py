@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,10 +19,14 @@ from espece import (
     LinPlus,
     Perm,
     Pointing,
+    Representable,
     Subsets,
     Substitute,
     Sum,
+    TruncLeft,
     X,
+    Zero,
+    as_table,
     cardinality,
     contact_order,
     count_seq,
@@ -33,8 +38,12 @@ from espece import (
     seq_sum,
 )
 from espece.counting import EgfSeq, egf_of_counts, seq_hadamard
-from espece.errors import HorizonExhausted, InnerNotPositive
-from helpers import substitution_count_oracle
+from espece.errors import BudgetExceeded, HorizonExhausted, InnerNotPositive
+from helpers import (
+    GOLDEN_EXPRS,
+    integer_partition_substitution_count,
+    substitution_count_oracle,
+)
 
 FAMILY = (X(), Exp(), Lin(), Cyc(), Subsets())
 
@@ -118,6 +127,72 @@ def test_substitution_against_set_partition_oracle():
         gc = count_seq(g, 5)
         for n in range(6):
             assert cardinality(Substitute(f, g), n) == substitution_count_oracle(fc, gc, n)
+
+
+def test_bell_route_against_set_partition_oracle():
+    inners = [g for g in GOLDEN_EXPRS if cardinality(g, 0) == 0]
+    assert len(inners) >= 5
+    for f in GOLDEN_EXPRS:
+        fc = count_seq(f, 8)
+        for g in inners:
+            gc = count_seq(g, 8)
+            got = count_seq(Substitute(f, g), 8)
+            for n in range(9):
+                assert got[n] == substitution_count_oracle(fc, gc, n), (f, g, n)
+
+
+def test_bell_route_against_integer_partition_route():
+    pairs = (
+        (Lin(), Cyc()),
+        (Cyc(), LinPlus()),
+        (Cauchy(X(), X()), ExpPlus()),
+        (Subsets(), Cauchy(X(), Exp())),
+        (Representable(3), Sum(X(), Representable(2))),
+    )
+    for f, g in pairs:
+        fc, gc = count_seq(f, 20), count_seq(g, 20)
+        expected = tuple(integer_partition_substitution_count(fc, gc, n) for n in range(21))
+        assert count_seq(Substitute(f, g), 20).coeffs == expected, (f, g)
+
+
+def test_substitution_closed_forms():
+    # sets of cycles are permutations; sets of nonempty sets are set partitions
+    assert count_seq(Substitute(Exp(), Cyc()), 100).coeffs == tuple(
+        math.factorial(n) for n in range(101)
+    )
+    bell = [1]
+    for n in range(40):
+        bell.append(sum(math.comb(n, k) * bell[k] for k in range(n + 1)))
+    assert count_seq(Substitute(Exp(), ExpPlus()), 40).coeffs == tuple(bell)
+
+
+def test_substitution_table_budget_matches_partition_route():
+    # the integer-partition route indexes the table's counts only where it
+    # consults them, so an IndexError marks a degree the table lacks
+    table = as_table(Cyc(), 3)
+    table_counts = tuple(cardinality(table, n) for n in range(4))
+    outers = (
+        Exp(),
+        X(),
+        Zero(),
+        Cauchy(X(), X()),
+        Representable(3),
+        TruncLeft(Exp(), 1),
+        Sum(Representable(2), Representable(4)),
+    )
+    raised = set()
+    for f in outers:
+        fc = count_seq(f, 8)
+        for n in range(9):
+            try:
+                expected = integer_partition_substitution_count(fc, table_counts, n)
+            except IndexError:
+                raised.add((f, n))
+                with pytest.raises(BudgetExceeded):
+                    cardinality(Substitute(f, table), n)
+            else:
+                assert cardinality(Substitute(f, table), n) == expected, (f, n)
+    assert (Exp(), 4) in raised and (Cauchy(X(), X()), 4) not in raised
 
 
 def test_leibniz_rule_at_counting_level():

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from espece import (
@@ -37,6 +40,7 @@ from espece.errors import (
     InvalidExpr,
     StructureNotOfExpr,
 )
+from espece import species
 from espece.groups import Permutation, generators
 from espece.species import Table, fresh_star
 
@@ -323,3 +327,37 @@ def test_act_structure_matches_table_action():
     assert sorted(len(o.points) for o in orbits(data.action)) == sorted(
         len(o.points) for o in orbits(ref.action)
     )
+
+
+# --- interning and caches --------------------------------------------------
+
+
+def test_nodes_are_interned():
+    def chain(k):
+        e = X()
+        for _ in range(k):
+            e = Sum(e, X())
+        return e
+
+    deep = chain(5000)
+    assert chain(5000) is deep
+    assert cardinality(deep, 1) == 5001
+    assert Sum(as_table(Cyc(), 2), X()) is Sum(as_table(Cyc(), 2), X())
+    e = Substitute(Exp(), Cauchy(X(), TruncLeft(Lin(), 2)))
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_clear_caches_empties_every_counting_cache():
+    cardinality(Substitute(Exp(), Cyc()), 6)
+    enumerate_degree(Substitute(Exp(), as_table(Cyc(), 3)), 3)
+    caches = (
+        species._COUNT_CACHE,
+        species._BELL_CACHE,
+        species._VALIDATED,
+        species._ENUM_CACHE,
+        species._DEGREE_CACHE,
+    )
+    assert all(caches)
+    species.clear_caches()
+    assert not any(caches)
