@@ -193,12 +193,14 @@ def check_morphism(f: NatTrans, m1: MealyAutomaton, m2: MealyAutomaton) -> bool:
 # Terminal counts and internal-hom counts
 
 
-def _certified_product(factor_at, start: int, window: int, what: str) -> int:
+def _certified_product(factor_at, start: int, window: int, what) -> int:
     """Product of factor_at(n) for n >= start, certified effectively finite.
 
     A zero factor short-circuits the product to zero.  Otherwise every
     factor in the trailing stretch of the probe window must equal one,
     else the tail cannot be certified and DivergentProduct is raised.
+    ``what()`` labels that error; it is called only when raising, since
+    the label formats the whole expression.
     """
     total = 1
     last_nonone = start - 1
@@ -210,9 +212,9 @@ def _certified_product(factor_at, start: int, window: int, what: str) -> int:
             total *= f
             last_nonone = n
             if total > PRODUCT_BOUND:
-                raise DivergentProduct(f"{what}: partial product exceeds {PRODUCT_BOUND}")
+                raise DivergentProduct(f"{what()}: partial product exceeds {PRODUCT_BOUND}")
     if last_nonone > start + window - 5:
-        raise DivergentProduct(f"{what}: factors still nontrivial at the probe horizon")
+        raise DivergentProduct(f"{what()}: factors still nontrivial at the probe horizon")
     return total
 
 
@@ -250,7 +252,9 @@ def hom_day_counts(
             tgt = _restricted_action(g, k, m)
             return count_equivariant_maps(src, tgt)
 
-        out.append(_certified_product(factor, 0, window, f"hom({f!r},{g!r}) degree {k}"))
+        out.append(
+            _certified_product(factor, 0, window, lambda k=k: f"hom({f!r},{g!r}) degree {k}")
+        )
     return CountSeq(tuple(out))
 
 
@@ -302,7 +306,7 @@ def terminal_counts(
                     lambda n, k=k: cardinality(B, k + n),
                     start,
                     window,
-                    f"terminal(adjL,{B!r}) degree {k}",
+                    lambda k=k: f"terminal(adjL,{B!r}) degree {k}",
                 )
             )
         return CountSeq(tuple(out))
@@ -355,7 +359,7 @@ def terminal_counts(
                     lambda n, k=k: factor_seq(n)[k],
                     start,
                     window,
-                    f"terminal(tensor,{B!r}) degree {k}",
+                    lambda k=k: f"terminal(tensor,{B!r}) degree {k}",
                 )
             )
         return CountSeq(tuple(out))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Tuple
 
 from .errors import (
@@ -22,6 +23,10 @@ from .errors import (
 
 # 8! = 40320 permutations; anything past this is no longer desk scale.
 MAX_DEGREE = 8
+
+# degree -> S_n as a generator walk (see _symmetric_table); at most
+# MAX_DEGREE + 1 entries, since each is built from all_permutations.
+_SYMMETRIC_TABLES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -61,15 +66,16 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def cycle_type(self) -> Tuple[int, ...]:
+        images = self.images
         seen = set()
         lens = []
-        for start in range(1, len(self.images) + 1):
+        for start in range(1, len(images) + 1):
             if start in seen:
                 continue
             k, size = start, 0
             while k not in seen:
                 seen.add(k)
-                k = self(k)
+                k = images[k - 1]
                 size += 1
             lens.append(size)
         return tuple(sorted(lens, reverse=True))
@@ -98,6 +104,43 @@ def generators(n: int) -> Tuple[Permutation, ...]:
     return (swap, cycle)
 
 
+def _symmetric_table(n: int):
+    """S_n listed so that each element is one generator after an earlier one.
+
+    Returns ``(perms, layers)``: ``perms[0]`` is the identity, and the
+    elements after it come in breadth-first layers of ``(parent, j)``
+    pairs, where the next element is ``generators(n)[j] * perms[parent]``.
+    For a left action, sigma.x = g.(tau.x), so walking the layers maps a
+    point under every element with one array lookup each.  Built from
+    ``all_permutations``, so it obeys the same degree cap.
+    """
+    table = _SYMMETRIC_TABLES.get(n)
+    if table is not None:
+        return table
+    by_images = {p.images: p for p in all_permutations(n)}
+    gens = [g.images for g in generators(n)]
+    order = [Permutation.identity(n).images]
+    seen = set(order)
+    layers = []
+    start = 0
+    while start < len(order):
+        layer = []
+        stop = len(order)
+        for parent in range(start, stop):
+            for j, g in enumerate(gens):
+                sigma = tuple(g[v - 1] for v in order[parent])
+                if sigma not in seen:
+                    seen.add(sigma)
+                    order.append(sigma)
+                    layer.append((parent, j))
+        if layer:
+            layers.append(tuple(layer))
+        start = stop
+    table = (tuple(by_images[s] for s in order), tuple(layers))
+    _SYMMETRIC_TABLES[n] = table
+    return table
+
+
 @dataclass(frozen=True)
 class SubgroupElements:
     """A subgroup of S_n listed by its elements."""
@@ -114,6 +157,7 @@ class SubgroupElements:
             return False
         return all(a * b in els and a.inverse() in els for a in els for b in els)
 
+    @cached_property
     def cycle_type_multiset(self) -> Tuple[Tuple[int, ...], ...]:
         """Multiset of member cycle types; a conjugacy invariant."""
         return tuple(sorted(p.cycle_type() for p in self.elements))
@@ -122,28 +166,35 @@ class SubgroupElements:
 class FiniteAction:
     """A left S_n-action on a finite set of points.
 
-    ``points`` is kept sorted; ``act`` must satisfy the usual identity and
-    composition laws (checked in tests, not on every call).
+    ``points`` is kept sorted and ``index`` numbers them in that order;
+    ``act`` must satisfy the usual identity and composition laws (checked
+    in tests, not on every call).  The group algorithms read the action
+    through ``generator_images`` only, so they relabel each point once
+    per generator of S_n and then work on integers.
     """
 
     def __init__(self, degree: int, points, act: Callable):
         self.degree = degree
         self.points = tuple(sorted(points))
-        self._point_set = frozenset(self.points)
+        self.index = {x: i for i, x in enumerate(self.points)}
         self._act = act
-        self._memo: dict = {}
+        self._generator_images = None
 
     def __contains__(self, x) -> bool:
-        return x in self._point_set
+        return x in self.index
 
     def act(self, sigma: Permutation, x):
-        key = (sigma.images, x)
-        try:
-            return self._memo[key]
-        except KeyError:
-            y = self._act(sigma, x)
-            self._memo[key] = y
-            return y
+        return self._act(sigma, x)
+
+    def generator_images(self) -> Tuple[Tuple[int, ...], ...]:
+        """For each of ``generators(degree)``, the point indices it maps to."""
+        if self._generator_images is None:
+            index = self.index
+            self._generator_images = tuple(
+                tuple(index[self.act(g, x)] for x in self.points)
+                for g in generators(self.degree)
+            )
+        return self._generator_images
 
 
 @dataclass(frozen=True)
@@ -154,32 +205,40 @@ class Orbit:
 
 def orbits(a: FiniteAction) -> Tuple[Orbit, ...]:
     """Partition of the points into orbits, least point first in each."""
-    gens = generators(a.degree)
-    remaining = set(a.points)
+    gens = a.generator_images()
+    seen = [False] * len(a.points)
     out = []
-    for x in a.points:  # sorted, so each new orbit's seed is its least point
-        if x not in remaining:
+    for i in range(len(a.points)):  # sorted, so each new orbit's seed is its least point
+        if seen[i]:
             continue
-        orbit = {x}
-        frontier = [x]
+        seen[i] = True
+        orbit = [i]
+        frontier = [i]
         while frontier:
             y = frontier.pop()
             for g in gens:
-                z = a.act(g, y)
-                if z not in orbit:
-                    orbit.add(z)
+                z = g[y]
+                if not seen[z]:
+                    seen[z] = True
+                    orbit.append(z)
                     frontier.append(z)
-        remaining -= orbit
-        pts = tuple(sorted(orbit))
+        orbit.sort()
+        pts = tuple(a.points[j] for j in orbit)
         out.append(Orbit(pts[0], pts))
     return tuple(out)
 
 
 def stabilizer(a: FiniteAction, x) -> SubgroupElements:
-    """All permutations fixing x, by direct scan of S_n."""
+    """All permutations fixing x, by one walk of the S_n table."""
     if x not in a:
         raise PointNotInAction(repr(x))
-    els = frozenset(s for s in all_permutations(a.degree) if a.act(s, x) == x)
+    perms, layers = _symmetric_table(a.degree)
+    gens = a.generator_images()
+    i = a.index[x]
+    images = [i]  # images[t] = perms[t].x, as a point index
+    for layer in layers:
+        images += [gens[j][images[parent]] for parent, j in layer]
+    els = frozenset(p for p, y in zip(perms, images) if y == i)
     return SubgroupElements(a.degree, els)
 
 
@@ -187,8 +246,9 @@ def fixed_points(H: SubgroupElements, a: FiniteAction) -> Tuple:
     """Points of ``a`` fixed by every element of H."""
     if H.degree != a.degree:
         raise DegreeMismatch(f"{H.degree} vs {a.degree}")
-    gens = [s for s in H.elements if s.images != Permutation.identity(H.degree).images]
-    return tuple(x for x in a.points if all(a.act(s, x) == x for s in gens))
+    identity = Permutation.identity(H.degree)
+    moving = [s for s in H.elements if s != identity]
+    return tuple(x for x in a.points if all(a.act(s, x) == x for s in moving))
 
 
 def count_equivariant_maps(src: FiniteAction, tgt: FiniteAction) -> int:
@@ -208,19 +268,26 @@ def count_equivariant_maps(src: FiniteAction, tgt: FiniteAction) -> int:
     return total
 
 
-def _transversal(a: FiniteAction, rep) -> dict:
-    """For each point of rep's orbit, one permutation carrying rep to it."""
-    gens = generators(a.degree)
-    out = {rep: Permutation.identity(a.degree)}
-    frontier = [rep]
+def _transversal(a: FiniteAction, rep):
+    """rep's orbit in discovery order, as (point, parent, generator) indices.
+
+    Each point is generators(n)[generator] applied to its parent, so an
+    equivariant map fixed at rep extends along the same steps.
+    """
+    gens = a.generator_images()
+    start = a.index[rep]
+    seen = {start}
+    steps = []
+    frontier = [start]
     while frontier:
         y = frontier.pop()
-        for g in gens:
-            z = a.act(g, y)
-            if z not in out:
-                out[z] = g * out[y]
+        for j, g in enumerate(gens):
+            z = g[y]
+            if z not in seen:
+                seen.add(z)
+                steps.append((z, y, j))
                 frontier.append(z)
-    return out
+    return start, steps
 
 
 def enumerate_equivariant_maps(src: FiniteAction, tgt: FiniteAction, limit: int):
@@ -235,20 +302,19 @@ def enumerate_equivariant_maps(src: FiniteAction, tgt: FiniteAction, limit: int)
     reps = [o.representative for o in orbs]
     choices = [fixed_points(stabilizer(src, r), tgt) for r in reps]
     transversals = [_transversal(src, r) for r in reps]
+    tgt_gens = tgt.generator_images()
     maps = []
     for picked in itertools.product(*choices):
         f = {}
-        for rep, target, trans in zip(reps, picked, transversals):
-            for point, sigma in trans.items():
-                f[point] = tgt.act(sigma, target)
+        for (start, steps), target in zip(transversals, picked):
+            image = {start: tgt.index[target]}
+            for z, y, j in steps:
+                image[z] = tgt_gens[j][image[y]]
+            for z, t in image.items():
+                f[src.points[z]] = tgt.points[t]
         maps.append(f)
     assert len(maps) == count
     return tuple(maps)
-
-
-def _conjugate_set(sigma: Permutation, H: frozenset) -> frozenset:
-    inv = sigma.inverse()
-    return frozenset(sigma * h * inv for h in H)
 
 
 def subgroups_conjugate(H: SubgroupElements, K: SubgroupElements) -> bool:
@@ -256,15 +322,23 @@ def subgroups_conjugate(H: SubgroupElements, K: SubgroupElements) -> bool:
         raise DegreeMismatch(f"{H.degree} vs {K.degree}")
     if len(H) != len(K):
         return False
-    if H.cycle_type_multiset() != K.cycle_type_multiset():
+    if H.cycle_type_multiset != K.cycle_type_multiset:
         return False
     if H.elements == K.elements:
         return True
-    kset = K.elements
-    inv_cache = {}
-    for sigma in all_permutations(H.degree):
-        inv = inv_cache.setdefault(sigma.images, sigma.inverse())
-        if all((sigma * h * inv) in kset for h in H.elements):
+    n = H.degree
+    identity = Permutation.identity(n)
+    kset = {k.images for k in K.elements}
+    # one-line images padded at index 0, so 1-based labels index directly
+    hs = [(0,) + h.images for h in H.elements if h != identity]
+    inv = [0] * (n + 1)
+    for sigma in _symmetric_table(n)[0]:
+        s = (0,) + sigma.images
+        for i in range(1, n + 1):
+            inv[s[i]] = i
+        labels = inv[1:]  # sigma^-1 of 1..n
+        # (sigma h sigma^-1)(i) = sigma(h(sigma^-1(i)))
+        if all(tuple([s[h[j]] for j in labels]) in kset for h in hs):
             return True
     return False
 
@@ -281,7 +355,7 @@ def action_signature(a: FiniteAction):
     """
     sig = []
     for orb, stab in _orbit_stabilizers(a):
-        sig.append((len(orb.points), len(stab), stab.cycle_type_multiset()))
+        sig.append((len(orb.points), len(stab), stab.cycle_type_multiset))
     return tuple(sorted(sig))
 
 
@@ -299,7 +373,7 @@ def actions_isomorphic(a: FiniteAction, b: FiniteAction) -> bool:
     def bucket(items):
         buckets = {}
         for orb, stab in items:
-            key = (len(orb.points), len(stab), stab.cycle_type_multiset())
+            key = (len(orb.points), len(stab), stab.cycle_type_multiset)
             buckets.setdefault(key, []).append(stab)
         return buckets
 

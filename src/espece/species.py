@@ -689,7 +689,7 @@ def transport(enc, mapping: dict, labels: Tuple[int, ...]):
 def act_structure(sigma: Permutation, enc):
     """Relabel a canonical degree-n structure along a permutation of 1..n."""
     labels = tuple(range(1, sigma.degree + 1))
-    return transport(enc, {x: sigma(x) for x in labels}, labels)
+    return transport(enc, dict(zip(labels, sigma.images)), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +849,7 @@ class DegreeData:
 
     @property
     def index(self):
-        return self.action._point_set
+        return self.action.index
 
 
 _DEGREE_CACHE: dict = {}

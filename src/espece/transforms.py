@@ -114,10 +114,13 @@ def check_naturality(t: NatTrans) -> bool:
             return False
         if any(v not in tgt.index for v in comp.values()):
             return False
-        for g in generators(k):
-            for s in src.structures:
-                if comp[src.action.act(g, s)] != tgt.action.act(g, comp[s]):
-                    return False
+        if not comp:
+            continue
+        # the component as point indices, checked against each generator
+        c = [tgt.index[comp[s]] for s in src.action.points]
+        for sg, tg in zip(src.action.generator_images(), tgt.action.generator_images()):
+            if any(c[sg[i]] != tg[ci] for i, ci in enumerate(c)):
+                return False
     return True
 
 

@@ -1,10 +1,12 @@
 """Independent oracles used across the test suite.
 
-These deliberately avoid the library's orbit-stabilizer and Bell
-triangle routes: equivariant maps are found by backtracking over raw
-assignments checked against every group element, and substitution counts
-are summed over explicitly generated set partitions or over integer
-partitions.
+These deliberately avoid the library's orbit-stabilizer, compiled
+generator-array and Bell triangle routes: equivariant maps are found by
+backtracking over raw assignments checked against every group element,
+orbits and stabilizers by relabeling along every element of S_n,
+subgroup conjugacy by multiplying validated permutations, and
+substitution counts are summed over explicitly generated set partitions
+or over integer partitions.
 """
 
 import itertools
@@ -115,6 +117,36 @@ def find_equivariant_bijection(a, b):
         if all(f[a.act(s, x)] == b.act(s, f[x]) for s in perms for x in a.points):
             return f
     return None
+
+
+def scan_orbits(a):
+    """(least point, sorted orbit) pairs: each point moved by all of S_n."""
+    perms = all_permutations(a.degree)
+    seen = set()
+    out = []
+    for x in a.points:
+        if x in seen:
+            continue
+        pts = tuple(sorted({a.act(s, x) for s in perms}))
+        seen.update(pts)
+        out.append((pts[0], pts))
+    return out
+
+
+def scan_stabilizer(a, x):
+    """All permutations fixing x, by direct scan of S_n."""
+    return frozenset(s for s in all_permutations(a.degree) if a.act(s, x) == x)
+
+
+def permutation_subgroups_conjugate(H, K):
+    """Whether sigma H sigma^-1 = K for some sigma in S_n, by products of Permutations."""
+    if len(H) != len(K):
+        return False
+    for sigma in all_permutations(H.degree):
+        inv = sigma.inverse()
+        if all(sigma * h * inv in K.elements for h in H.elements):
+            return True
+    return False
 
 
 def set_partitions(labels):

@@ -298,8 +298,17 @@ def test_fixcheck_malformed_seq_is_parse_error(capsys):
 
 
 def test_deep_sum_counts_without_recursion():
-    code, out = run("coeffs", "+".join(["X"] * 1500), "--upto", "3")
+    deep = "+".join(["X"] * 1500)
+    code, out = run("coeffs", deep, "--upto", "3")
     assert (code, out) == (0, "0, 1500, 0, 0\n")
+    code, out = run("terminal", "--dyn", "adjL", deep, "--upto", "2")
+    assert (code, out) == (0, "0, 0, 0\n")
+
+
+def test_symmetric_group_degree_cap(capsys):
+    code, out = run("orbits", "P", "--degree", "9")
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: S_9 exceeds the configured cap 8\n"
 
 
 # --- machine-readable output --------------------------------------------------

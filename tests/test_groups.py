@@ -17,8 +17,26 @@ from espece import (
     stabilizer,
 )
 from espece.errors import DegreeTooLarge, PointNotInAction, TooManyMaps
-from espece.groups import FiniteAction, Permutation, SubgroupElements, generators, orbits
-from helpers import brute_equivariant_count, exhaustive_equivariant_count, find_equivariant_bijection
+from espece.automata import _restricted_action
+from espece.groups import (
+    FiniteAction,
+    Permutation,
+    SubgroupElements,
+    _symmetric_table,
+    generators,
+    orbits,
+    subgroups_conjugate,
+)
+from helpers import (
+    GOLDEN_EXPRS,
+    brute_equivariant_count,
+    brute_equivariant_maps,
+    exhaustive_equivariant_count,
+    find_equivariant_bijection,
+    permutation_subgroups_conjugate,
+    scan_orbits,
+    scan_stabilizer,
+)
 
 
 def action_of(expr, n):
@@ -82,6 +100,18 @@ def test_generators_generate():
                     seen.add(y)
                     frontier.append(y)
         assert len(seen) == len(all_permutations(n))
+
+
+def test_symmetric_table_walks_all_of_sn():
+    for n in range(7):
+        perms, layers = _symmetric_table(n)
+        assert perms[0] == Permutation.identity(n)
+        assert sorted(perms, key=lambda p: p.images) == list(all_permutations(n))
+        steps = [step for layer in layers for step in layer]
+        assert len(steps) == len(perms) - 1
+        gens = generators(n)
+        for t, (parent, j) in enumerate(steps, start=1):
+            assert parent < t and perms[t] == gens[j] * perms[parent]
 
 
 # --- orbits and stabilizers ------------------------------------------------
@@ -285,6 +315,17 @@ def test_enumerated_maps_are_equivariant():
                 assert m[src.act(s, x)] == tgt.act(s, m[x])
 
 
+def test_enumerated_maps_match_backtracking_oracle():
+    for f, g in itertools.product(GOLDEN_SMALL, repeat=2):
+        for n in range(4):
+            src, tgt = action_of(f, n), action_of(g, n)
+            if len(src.points) > 8 or len(tgt.points) > 8:
+                continue
+            maps = enumerate_equivariant_maps(src, tgt, limit=10**6)
+            key = lambda m: sorted(m.items())
+            assert sorted(map(key, maps)) == sorted(map(key, brute_equivariant_maps(src, tgt)))
+
+
 # --- isomorphism of actions ------------------------------------------------
 
 
@@ -328,3 +369,88 @@ def test_isomorphic_symmetric_and_implies_invariants():
     assert actions_isomorphic(c, d)
     assert len(c.points) == len(d.points)
     assert len(orbits(c)) == len(orbits(d))
+
+
+# --- generator-array routes against the scan oracles -------------------------
+
+
+def _oracle_actions():
+    for e in GOLDEN_EXPRS:
+        for n in range(6):
+            yield f"{e!r} at {n}", action_of(e, n)
+    for k in range(7):
+        for m in range(7 - k):
+            yield f"homday X L at k={k}, m={m}", _restricted_action(Lin(), k, m)
+
+
+def _check_against_oracles(name, a, subgroups):
+    orbs = orbits(a)
+    assert [(o.representative, o.points) for o in orbs] == scan_orbits(a), name
+    # the least and the greatest point of an orbit have conjugate stabilizers,
+    # which are distinct unless the stabilizer is normal
+    for x in {p for o in orbs for p in (o.points[0], o.points[-1])}:
+        stab = stabilizer(a, x)
+        assert stab.elements == scan_stabilizer(a, x), (name, x)
+        subgroups.add(stab)
+
+
+def test_orbits_stabilizers_and_conjugacy_match_scan_oracles():
+    by_degree = {}
+    for name, a in _oracle_actions():
+        _check_against_oracles(name, a, by_degree.setdefault(a.degree, set()))
+    for n, subgroups in by_degree.items():
+        ordered = sorted(subgroups, key=lambda H: (len(H), sorted(p.images for p in H.elements)))
+        for H, K in itertools.product(ordered, repeat=2):
+            if len(H) == len(K):
+                assert subgroups_conjugate(H, K) == permutation_subgroups_conjugate(H, K), (n, H, K)
+
+
+def test_conjugacy_beyond_cycle_types():
+    # both have three elements of cycle type (2,2,1,1), but the orbits are
+    # {1,2},{3,4},{5,6} against {1,2,3,4},{5},{6}
+    H = SubgroupElements(
+        6,
+        frozenset(
+            Permutation(p)
+            for p in ((1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 5, 6), (2, 1, 3, 4, 6, 5), (1, 2, 4, 3, 6, 5))
+        ),
+    )
+    K = SubgroupElements(
+        6,
+        frozenset(
+            Permutation(p)
+            for p in ((1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 5, 6), (3, 4, 1, 2, 5, 6), (4, 3, 2, 1, 5, 6))
+        ),
+    )
+    assert H.is_subgroup() and K.is_subgroup()
+    assert H.cycle_type_multiset == K.cycle_type_multiset
+    assert not subgroups_conjugate(H, K)
+    assert not permutation_subgroups_conjugate(H, K)
+    sigma = Permutation((3, 5, 1, 6, 2, 4))
+    moved = SubgroupElements(6, frozenset(sigma * h * sigma.inverse() for h in H.elements))
+    assert moved.elements != H.elements
+    assert subgroups_conjugate(H, moved) and subgroups_conjugate(moved, H)
+    assert permutation_subgroups_conjugate(H, moved)
+
+
+def test_group_algorithms_relabel_only_generator_images(monkeypatch):
+    from espece import Cauchy, species
+    from espece.transforms import check_naturality, identity_nat
+
+    relabels = []
+    real = species.act_structure
+    monkeypatch.setattr(
+        species, "act_structure", lambda sigma, s: relabels.append(s) or real(sigma, s)
+    )
+    species.clear_caches()
+    expected = 0
+    for n in range(5):
+        a, b = action_of(Subsets(), n), action_of(Cauchy(Exp(), Exp()), n)
+        expected += (len(a.points) + len(b.points)) * len(generators(n))
+        stabs = [stabilizer(a, x) for x in a.points]
+        assert len(orbits(a)) == n + 1
+        assert actions_isomorphic(a, b)
+        assert sum(subgroups_conjugate(stabs[0], H) for H in stabs) > 0
+    assert check_naturality(identity_nat(Subsets(), 4))
+    assert len(relabels) == expected
+    species.clear_caches()
