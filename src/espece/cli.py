@@ -635,7 +635,7 @@ def _cmd_fixcheck(args, out):
 
 
 def _nat(text: str) -> int:
-    """argparse type of horizons, degrees and iteration caps."""
+    """argparse type of horizons, degrees, iteration caps and limits."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
@@ -659,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
         if upto:
             p.add_argument("--upto", type=_nat, default=5, help="horizon (default 5)")
         p.add_argument("--json", action="store_true", help="emit one JSON document")
-        p.add_argument("--limit", type=int, default=100000, help="enumeration cap")
+        p.add_argument("--limit", type=_nat, default=100000, help="enumeration cap")
         p.add_argument("--max-iter", type=_nat, default=None, dest="max_iter")
         p.add_argument("--seed", type=int, default=None, help="reserved; unused")
 

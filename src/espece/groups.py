@@ -51,6 +51,11 @@ class Permutation:
             return self.images[i - 1]
         return i
 
+    @cached_property
+    def mapping(self) -> dict:
+        """The images as a dict on 1..n, for relabeling."""
+        return dict(enumerate(self.images, start=1))
+
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self*other)(i) = self(other(i))."""
         if other.degree != self.degree:
@@ -107,11 +112,11 @@ def generators(n: int) -> Tuple[Permutation, ...]:
 def _symmetric_table(n: int):
     """S_n listed so that each element is one generator after an earlier one.
 
-    Returns ``(perms, layers)``: ``perms[0]`` is the identity, and the
-    elements after it come in breadth-first layers of ``(parent, j)``
-    pairs, where the next element is ``generators(n)[j] * perms[parent]``.
-    For a left action, sigma.x = g.(tau.x), so walking the layers maps a
-    point under every element with one array lookup each.  Built from
+    Returns ``(perms, steps, position)``: ``perms[0]`` is the identity,
+    ``perms[t]`` is ``generators(n)[j] * perms[parent]`` for ``(parent, j) =
+    steps[t - 1]``, and ``position`` maps one-line images to ``t``.  For a
+    left action, sigma.x = g.(tau.x), so walking the steps maps a point
+    under every element with one array lookup each.  Built from
     ``all_permutations``, so it obeys the same degree cap.
     """
     table = _SYMMETRIC_TABLES.get(n)
@@ -120,23 +125,16 @@ def _symmetric_table(n: int):
     by_images = {p.images: p for p in all_permutations(n)}
     gens = [g.images for g in generators(n)]
     order = [Permutation.identity(n).images]
-    seen = set(order)
-    layers = []
-    start = 0
-    while start < len(order):
-        layer = []
-        stop = len(order)
-        for parent in range(start, stop):
-            for j, g in enumerate(gens):
-                sigma = tuple(g[v - 1] for v in order[parent])
-                if sigma not in seen:
-                    seen.add(sigma)
-                    order.append(sigma)
-                    layer.append((parent, j))
-        if layer:
-            layers.append(tuple(layer))
-        start = stop
-    table = (tuple(by_images[s] for s in order), tuple(layers))
+    position = {order[0]: 0}
+    steps = []
+    for parent, tau in enumerate(order):  # a queue: order grows while it is walked
+        for j, g in enumerate(gens):
+            sigma = tuple(g[v - 1] for v in tau)
+            if sigma not in position:
+                position[sigma] = len(order)
+                order.append(sigma)
+                steps.append((parent, j))
+    table = (tuple(by_images[s] for s in order), tuple(steps), position)
     _SYMMETRIC_TABLES[n] = table
     return table
 
@@ -232,23 +230,48 @@ def stabilizer(a: FiniteAction, x) -> SubgroupElements:
     """All permutations fixing x, by one walk of the S_n table."""
     if x not in a:
         raise PointNotInAction(repr(x))
-    perms, layers = _symmetric_table(a.degree)
+    perms, steps, _ = _symmetric_table(a.degree)
     gens = a.generator_images()
     i = a.index[x]
     images = [i]  # images[t] = perms[t].x, as a point index
-    for layer in layers:
-        images += [gens[j][images[parent]] for parent, j in layer]
+    for parent, j in steps:
+        images.append(gens[j][images[parent]])
     els = frozenset(p for p, y in zip(perms, images) if y == i)
     return SubgroupElements(a.degree, els)
 
 
+def element_images(a: FiniteAction):
+    """(sigma, the point indices sigma sends the points to) for all of S_n."""
+    perms, steps, _ = _symmetric_table(a.degree)
+    gens = a.generator_images()
+    arrays = [tuple(range(len(a.points)))]
+    for parent, j in steps:
+        g = gens[j]
+        arrays.append(tuple([g[y] for y in arrays[parent]]))
+    return tuple(zip(perms, arrays))
+
+
 def fixed_points(H: SubgroupElements, a: FiniteAction) -> Tuple:
-    """Points of ``a`` fixed by every element of H."""
+    """Points of ``a`` fixed by every element of H, each element read as
+    its word in the generators (its path in the S_n table)."""
     if H.degree != a.degree:
         raise DegreeMismatch(f"{H.degree} vs {a.degree}")
-    identity = Permutation.identity(H.degree)
-    moving = [s for s in H.elements if s != identity]
-    return tuple(x for x in a.points if all(a.act(s, x) == x for s in moving))
+    _, steps, position = _symmetric_table(H.degree)
+    moving = [t for t in (position[h.images] for h in H.elements) if t]
+    if not moving:  # the identity fixes every point: leave the action uncompiled
+        return a.points
+    gens = a.generator_images()
+    keep = list(range(len(a.points)))
+    for t in moving:
+        word = []
+        while t:  # back to the identity: the last generator comes first
+            t, j = steps[t - 1]
+            word.append(gens[j])
+        images = keep
+        for g in reversed(word):
+            images = [g[y] for y in images]
+        keep = [i for i, y in zip(keep, images) if i == y]
+    return tuple(a.points[i] for i in keep)
 
 
 def count_equivariant_maps(src: FiniteAction, tgt: FiniteAction) -> int:

@@ -33,7 +33,7 @@ from .errors import (
     InvalidExpr,
     StructureNotOfExpr,
 )
-from .groups import FiniteAction, Permutation, all_permutations
+from .groups import FiniteAction, Permutation, all_permutations, element_images
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -600,87 +600,53 @@ def _min_rotation(xs: Tuple[int, ...]) -> Tuple[int, ...]:
     return xs[i:] + xs[:i]
 
 
-def transport(enc, mapping: dict, labels: Tuple[int, ...]):
-    """Relabel a canonical structure on ``labels`` along a bijection.
+def transport(enc, mapping: dict):
+    """Relabel a canonical structure along a bijection of positive labels.
 
-    ``mapping`` must be defined on every member of ``labels``; the result
-    is the canonical encoding on the image label set.  Reserved labels
-    adjoined by derivative contexts below this node are renumbered so the
-    result stays canonical.
+    Every label ``mapping`` does not mention is fixed, and it mentions no
+    label <= 0: a derivative context adjoins 0, or one below the least
+    reserved label already in its label set, and a bijection of positive
+    labels keeps that choice, so no label set is needed.  The result is
+    canonical again.
     """
     tag = enc[0]
-    if tag in ("set", "subset"):
-        return (tag, tuple(sorted(mapping[x] for x in enc[1])))
-    if tag == "lin":
-        return (tag, tuple(mapping[x] for x in enc[1]))
-    if tag == "cyc":
-        return (tag, _min_rotation(tuple(mapping[x] for x in enc[1])))
-    if tag == "perm":
-        return (tag, tuple(sorted((mapping[x], mapping[y]) for x, y in enc[1])))
-    if tag == "rep":
-        return (tag, tuple(mapping[x] for x in enc[1]))
+    get = mapping.get  # get(x, x) fixes what the mapping leaves out
     if tag == "pair":
         U, sf, sg = enc[1]
-        rest = tuple(x for x in labels if x not in U)
-        return (
-            tag,
-            (
-                tuple(sorted(mapping[x] for x in U)),
-                transport(sf, mapping, U),
-                transport(sg, mapping, rest),
-            ),
-        )
+        moved = tuple(sorted(map(get, U, U)))
+        return (tag, (moved, transport(sf, mapping), transport(sg, mapping)))
+    if tag in ("lin", "rep"):
+        return (tag, tuple(map(get, enc[1], enc[1])))
+    if tag in ("set", "subset"):
+        return (tag, tuple(sorted(map(get, enc[1], enc[1]))))
+    if tag == "cyc":
+        return (tag, _min_rotation(tuple(map(get, enc[1], enc[1]))))
+    if tag in ("inl", "inr", "deriv"):
+        return (tag, transport(enc[1], mapping))
+    if tag == "perm":
+        return (tag, tuple(sorted([(get(x, x), get(y, y)) for x, y in enc[1]])))
     if tag == "both":
         sf, sg = enc[1]
-        return (tag, (transport(sf, mapping, labels), transport(sg, mapping, labels)))
-    if tag in ("inl", "inr"):
-        return (tag, transport(enc[1], mapping, labels))
-    if tag == "deriv":
-        old = fresh_star(labels)
-        new = fresh_star([mapping[x] for x in labels])
-        inner_labels = tuple(sorted(labels + (old,)))
-        m2 = dict(mapping)
-        m2[old] = new
-        return (tag, transport(enc[1], m2, inner_labels))
-    if tag == "point":
+        return (tag, (transport(sf, mapping), transport(sg, mapping)))
+    if tag in ("point", "adjl"):
         a, inner = enc[1]
-        rest = tuple(x for x in labels if x != a)
-        old = fresh_star(rest)
-        new = fresh_star([mapping[x] for x in rest])
-        m2 = dict(mapping)
-        m2[old] = new
-        return (tag, (mapping[a], transport(inner, m2, tuple(sorted(rest + (old,))))))
-    if tag == "adjl":
-        a, inner = enc[1]
-        rest = tuple(x for x in labels if x != a)
-        return (tag, (mapping[a], transport(inner, mapping, rest)))
+        return (tag, (get(a, a), transport(inner, mapping)))
     if tag == "tuple":
-        out = []
-        for a, inner in enc[1]:
-            rest = tuple(x for x in labels if x != a)
-            out.append((mapping[a], transport(inner, mapping, rest)))
-        return (tag, tuple(sorted(out)))
+        return (tag, tuple(sorted([(get(a, a), transport(s, mapping)) for a, s in enc[1]])))
     if tag == "part":
         blocks, outer, inners = enc[1]
-        new_blocks = [tuple(sorted(mapping[x] for x in blk)) for blk in blocks]
-        order = sorted(range(len(new_blocks)), key=lambda i: new_blocks[i])
-        rho = {old_i + 1: new_pos + 1 for new_pos, old_i in enumerate(order)}
-        k = len(blocks)
-        outer2 = transport(outer, rho, tuple(range(1, k + 1)))
-        blocks2 = tuple(new_blocks[i] for i in order)
-        inners2 = tuple(
-            transport(inners[i], mapping, blocks[i]) for i in order
-        )
-        return (tag, (blocks2, outer2, inners2))
+        moved = [tuple(sorted(map(get, b, b))) for b in blocks]
+        order = sorted(range(len(blocks)), key=moved.__getitem__)
+        rho = {old + 1: new for new, old in enumerate(order, start=1)}  # outer block ranks
+        parts = tuple(transport(inners[i], mapping) for i in order)
+        return (tag, (tuple(moved[i] for i in order), transport(outer, rho), parts))
     if tag == "atom":
-        _, key, name, old_labels = enc
-        old_sorted = tuple(sorted(old_labels))
-        new_sorted = tuple(sorted(mapping[x] for x in old_labels))
-        pos = {lab: i for i, lab in enumerate(new_sorted)}
-        pi = tuple(pos[mapping[x]] + 1 for x in old_sorted)
-        table = _TABLE_REGISTRY[key]
-        new_name = table.action[len(old_sorted)][pi][name]
-        return (tag, key, new_name, new_sorted)
+        _, key, name, labels = enc
+        moved = tuple(map(get, labels, labels))
+        new_labels = tuple(sorted(moved))
+        rank = {y: i for i, y in enumerate(new_labels, start=1)}
+        pi = tuple(rank[y] for y in moved)  # where each (sorted) label's image lands
+        return (tag, key, _TABLE_REGISTRY[key].action[len(labels)][pi][name], new_labels)
     if tag == "top":
         return enc
     raise ValueError(f"unknown structure tag {tag!r}")
@@ -688,8 +654,7 @@ def transport(enc, mapping: dict, labels: Tuple[int, ...]):
 
 def act_structure(sigma: Permutation, enc):
     """Relabel a canonical degree-n structure along a permutation of 1..n."""
-    labels = tuple(range(1, sigma.degree + 1))
-    return transport(enc, dict(zip(labels, sigma.images)), labels)
+    return transport(enc, sigma.mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -893,12 +858,10 @@ def as_table(e: SpeciesExpr, max_degree: int, name: str | None = None) -> Table:
     for n in range(max_degree + 1):
         data = enumerate_degree(e, n)
         names = [f"s{i}" for i in range(len(data.structures))]
-        enc_to_name = dict(zip(data.structures, names))
-        row = {}
-        for sigma in all_permutations(n):
-            row[sigma.images] = {
-                enc_to_name[s]: enc_to_name[act_structure(sigma, s)] for s in data.structures
-            }
+        row = {
+            sigma.images: {names[i]: names[y] for i, y in enumerate(images)}
+            for sigma, images in element_images(data.action)
+        }
         atoms_rows.append(tuple(names))
         action_rows.append(row)
     return Table(name or f"table<{type(e).__name__}>", atoms_rows, action_rows)

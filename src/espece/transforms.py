@@ -43,6 +43,7 @@ from .species import (
     X,
     cardinality,
     enumerate_degree,
+    structures_on,
     transport,
 )
 
@@ -97,11 +98,20 @@ def apply_on_labels(t: NatTrans, enc, labels) -> object:
     """
     L = tuple(sorted(labels))
     m = len(L)
-    down = {lab: i + 1 for i, lab in enumerate(L)}
-    up = {i + 1: lab for i, lab in enumerate(L)}
-    canon = transport(enc, down, L)
-    out = t(m, canon)
-    return transport(out, up, tuple(range(1, m + 1)))
+    if L and L[0] <= 0:
+        # A reserved label turns ordinary, which renumbers the reserved labels
+        # inside; transport along the order isomorphism keeps the sorted
+        # order of structures, so the image is at the same position.
+        canon = enumerate_degree(t.source, m).structures
+        try:
+            out = t(m, canon[structures_on(t.source, L).index(enc)])
+        except ValueError:
+            raise ShapeMismatch(f"structure {enc!r} not on labels {L}") from None
+        j = enumerate_degree(t.target, m).index[out]
+        return structures_on(t.target, L)[j]
+    rank = {lab: i for i, lab in enumerate(L, start=1)}
+    out = t(m, transport(enc, rank))
+    return transport(out, dict(enumerate(L, start=1)))
 
 
 def check_naturality(t: NatTrans) -> bool:

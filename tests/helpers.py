@@ -3,15 +3,18 @@
 These deliberately avoid the library's orbit-stabilizer, compiled
 generator-array and Bell triangle routes: equivariant maps are found by
 backtracking over raw assignments checked against every group element,
-orbits and stabilizers by relabeling along every element of S_n,
-subgroup conjugacy by multiplying validated permutations, and
+orbits, stabilizers and fixed points by relabeling along every element
+of S_n, subgroup conjugacy by multiplying validated permutations, and
 substitution counts are summed over explicitly generated set partitions
-or over integer partitions.
+or over integer partitions.  Relabeling itself is checked against
+``transport``, which threads the label set of every substructure and
+renumbers the reserved labels of derivative contexts at each one.
 """
 
 import itertools
 import math
 from collections import Counter
+from typing import Tuple
 
 from espece import (
     AdjR,
@@ -34,6 +37,7 @@ from espece import (
     X,
 )
 from espece.groups import all_permutations
+from espece.species import _TABLE_REGISTRY, _min_rotation, fresh_star
 
 GOLDEN_EXPRS = (
     One(),
@@ -147,6 +151,108 @@ def permutation_subgroups_conjugate(H, K):
         if all(sigma * h * inv in K.elements for h in H.elements):
             return True
     return False
+
+
+
+def scan_fixed_points(H, a):
+    """Points of a fixed by every element of H, each relabeled along each."""
+    return tuple(x for x in a.points if all(a.act(s, x) == x for s in H.elements))
+
+
+def transport(enc, mapping: dict, labels: Tuple[int, ...]):
+    """Relabel a canonical structure on ``labels`` along a bijection.
+
+    ``mapping`` must be defined on every member of ``labels``; the result
+    is the canonical encoding on the image label set.  Reserved labels
+    adjoined by derivative contexts below this node are renumbered so the
+    result stays canonical.
+    """
+    tag = enc[0]
+    if tag in ("set", "subset"):
+        return (tag, tuple(sorted(mapping[x] for x in enc[1])))
+    if tag == "lin":
+        return (tag, tuple(mapping[x] for x in enc[1]))
+    if tag == "cyc":
+        return (tag, _min_rotation(tuple(mapping[x] for x in enc[1])))
+    if tag == "perm":
+        return (tag, tuple(sorted((mapping[x], mapping[y]) for x, y in enc[1])))
+    if tag == "rep":
+        return (tag, tuple(mapping[x] for x in enc[1]))
+    if tag == "pair":
+        U, sf, sg = enc[1]
+        rest = tuple(x for x in labels if x not in U)
+        return (
+            tag,
+            (
+                tuple(sorted(mapping[x] for x in U)),
+                transport(sf, mapping, U),
+                transport(sg, mapping, rest),
+            ),
+        )
+    if tag == "both":
+        sf, sg = enc[1]
+        return (tag, (transport(sf, mapping, labels), transport(sg, mapping, labels)))
+    if tag in ("inl", "inr"):
+        return (tag, transport(enc[1], mapping, labels))
+    if tag == "deriv":
+        old = fresh_star(labels)
+        new = fresh_star([mapping[x] for x in labels])
+        inner_labels = tuple(sorted(labels + (old,)))
+        m2 = dict(mapping)
+        m2[old] = new
+        return (tag, transport(enc[1], m2, inner_labels))
+    if tag == "point":
+        a, inner = enc[1]
+        rest = tuple(x for x in labels if x != a)
+        old = fresh_star(rest)
+        new = fresh_star([mapping[x] for x in rest])
+        m2 = dict(mapping)
+        m2[old] = new
+        return (tag, (mapping[a], transport(inner, m2, tuple(sorted(rest + (old,))))))
+    if tag == "adjl":
+        a, inner = enc[1]
+        rest = tuple(x for x in labels if x != a)
+        return (tag, (mapping[a], transport(inner, mapping, rest)))
+    if tag == "tuple":
+        out = []
+        for a, inner in enc[1]:
+            rest = tuple(x for x in labels if x != a)
+            out.append((mapping[a], transport(inner, mapping, rest)))
+        return (tag, tuple(sorted(out)))
+    if tag == "part":
+        blocks, outer, inners = enc[1]
+        new_blocks = [tuple(sorted(mapping[x] for x in blk)) for blk in blocks]
+        order = sorted(range(len(new_blocks)), key=lambda i: new_blocks[i])
+        rho = {old_i + 1: new_pos + 1 for new_pos, old_i in enumerate(order)}
+        k = len(blocks)
+        outer2 = transport(outer, rho, tuple(range(1, k + 1)))
+        blocks2 = tuple(new_blocks[i] for i in order)
+        inners2 = tuple(
+            transport(inners[i], mapping, blocks[i]) for i in order
+        )
+        return (tag, (blocks2, outer2, inners2))
+    if tag == "atom":
+        _, key, name, old_labels = enc
+        old_sorted = tuple(sorted(old_labels))
+        new_sorted = tuple(sorted(mapping[x] for x in old_labels))
+        pos = {lab: i for i, lab in enumerate(new_sorted)}
+        pi = tuple(pos[mapping[x]] + 1 for x in old_sorted)
+        table = _TABLE_REGISTRY[key]
+        new_name = table.action[len(old_sorted)][pi][name]
+        return (tag, key, new_name, new_sorted)
+    if tag == "top":
+        return enc
+    raise ValueError(f"unknown structure tag {tag!r}")
+
+
+def threading_apply_on_labels(t, enc, labels):
+    """``transforms.apply_on_labels`` through the label-threading ``transport``."""
+    L = tuple(sorted(labels))
+    m = len(L)
+    down = {lab: i + 1 for i, lab in enumerate(L)}
+    up = {i + 1: lab for i, lab in enumerate(L)}
+    out = t(m, transport(enc, down, L))
+    return transport(out, up, tuple(range(1, m + 1)))
 
 
 def set_partitions(labels):

@@ -281,6 +281,9 @@ def test_numeric_flags_reject_negative_values(capsys):
         ("solve", "--op", "1:0 + X:0", "--max-iter", "-5"),
         ("orbits", "P", "--degree", "-2"),
         ("enumerate", "C", "--degree", "1.5"),
+        ("natenum", "C", "D(C)", "--upto", "2", "--limit", "-3"),
+        ("enumerate", "C", "--degree", "3", "--limit", "-1"),
+        ("orbits", "C", "--degree", "3", "--limit", "-1"),
     )
     for argv in cases:
         code, out = run(*argv)

@@ -34,6 +34,7 @@ from helpers import (
     exhaustive_equivariant_count,
     find_equivariant_bijection,
     permutation_subgroups_conjugate,
+    scan_fixed_points,
     scan_orbits,
     scan_stabilizer,
 )
@@ -104,11 +105,11 @@ def test_generators_generate():
 
 def test_symmetric_table_walks_all_of_sn():
     for n in range(7):
-        perms, layers = _symmetric_table(n)
+        perms, steps, position = _symmetric_table(n)
         assert perms[0] == Permutation.identity(n)
         assert sorted(perms, key=lambda p: p.images) == list(all_permutations(n))
-        steps = [step for layer in layers for step in layer]
         assert len(steps) == len(perms) - 1
+        assert all(position[p.images] == t for t, p in enumerate(perms))
         gens = generators(n)
         for t, (parent, j) in enumerate(steps, start=1):
             assert parent < t and perms[t] == gens[j] * perms[parent]
@@ -405,6 +406,16 @@ def test_orbits_stabilizers_and_conjugacy_match_scan_oracles():
                 assert subgroups_conjugate(H, K) == permutation_subgroups_conjugate(H, K), (n, H, K)
 
 
+def test_fixed_points_match_per_element_relabels():
+    for n in range(6):
+        actions = [action_of(e, n) for e in GOLDEN_EXPRS]
+        subgroups = {stabilizer(a, o.representative) for a in actions for o in orbits(a)}
+        subgroups.add(SubgroupElements(n, frozenset(all_permutations(n))))
+        for a in actions:
+            for H in subgroups:
+                assert fixed_points(H, a) == scan_fixed_points(H, a), (a.points[:1], H)
+
+
 def test_conjugacy_beyond_cycle_types():
     # both have three elements of cycle type (2,2,1,1), but the orbits are
     # {1,2},{3,4},{5,6} against {1,2,3,4},{5},{6}
@@ -434,7 +445,7 @@ def test_conjugacy_beyond_cycle_types():
 
 
 def test_group_algorithms_relabel_only_generator_images(monkeypatch):
-    from espece import Cauchy, species
+    from espece import Cauchy, as_table, species
     from espece.transforms import check_naturality, identity_nat
 
     relabels = []
@@ -444,6 +455,7 @@ def test_group_algorithms_relabel_only_generator_images(monkeypatch):
     )
     species.clear_caches()
     expected = 0
+    counts = []
     for n in range(5):
         a, b = action_of(Subsets(), n), action_of(Cauchy(Exp(), Exp()), n)
         expected += (len(a.points) + len(b.points)) * len(generators(n))
@@ -451,6 +463,12 @@ def test_group_algorithms_relabel_only_generator_images(monkeypatch):
         assert len(orbits(a)) == n + 1
         assert actions_isomorphic(a, b)
         assert sum(subgroups_conjugate(stabs[0], H) for H in stabs) > 0
+        counts.append((a, b, count_equivariant_maps(a, b)))
+        assert len(enumerate_equivariant_maps(b, a, limit=10**6)) == count_equivariant_maps(b, a)
+        assert fixed_points(stabilizer(b, b.points[-1]), a)
+        assert len(as_table(Subsets(), n).action[n]) == len(all_permutations(n))
     assert check_naturality(identity_nat(Subsets(), 4))
     assert len(relabels) == expected
+    # the oracle relabels along every element, so it runs after the count
+    assert all(c == brute_equivariant_count(a, b) for a, b, c in counts)
     species.clear_caches()

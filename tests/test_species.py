@@ -41,8 +41,10 @@ from espece.errors import (
     StructureNotOfExpr,
 )
 from espece import species
-from espece.groups import Permutation, generators
-from espece.species import Table, fresh_star
+from espece.groups import Permutation, all_permutations, generators
+from espece.species import Table, act_structure, fresh_star, structures_on, transport
+from helpers import GOLDEN_EXPRS
+from helpers import transport as threading_transport
 
 GOLDEN = (
     Zero(),
@@ -171,9 +173,7 @@ def test_canonicalization_idempotent():
                 for s in data.structures:
                     moved = data.action.act(g, s)
                     ident = {x: x for x in range(1, n + 1)}
-                    from espece.species import transport
-
-                    assert transport(moved, ident, tuple(range(1, n + 1))) == moved
+                    assert transport(moved, ident) == moved
 
 
 def test_derivative_star_is_fixed():
@@ -182,6 +182,47 @@ def test_derivative_star_is_fixed():
     for g in generators(2):
         moved = data.action.act(g, ("deriv", ("subset", (0, 1))))
         assert 0 in moved[1][1]
+
+
+# Derivative contexts nested in every way a reserved label can be passed
+# down: through another derivative, a pointing, a substitution block, the
+# tuple of a right adjoint, either side of a product, and a table's atoms.
+RESERVED_NESTING = (
+    Derive(Derive(Cyc())),
+    Derive(Pointing(Lin())),
+    Pointing(Derive(Subsets())),
+    Derive(Substitute(Exp(), Cyc())),
+    Derive(AdjR(Lin())),
+    Derive(Cauchy(Lin(), Lin())),
+    Cauchy(Derive(X()), Derive(Lin())),
+    Derive(as_table(Cyc(), 5)),
+    Derive(Cauchy(TruncRight(Lin(), 1), AdjL(Lin()))),
+)
+
+
+def test_relabel_matches_label_threading_oracle():
+    for e in GOLDEN_EXPRS + RESERVED_NESTING:
+        for n in range(5):
+            if cardinality(e, n) > 3000:  # Derive(AdjR(Lin())) at 4 has 24^5
+                assert n == 4, e
+                continue
+            labels = tuple(range(1, n + 1))
+            structures = enumerate_degree(e, n).structures
+            for sigma in all_permutations(n):
+                mapping = dict(zip(labels, sigma.images))
+                for s in structures:
+                    want = threading_transport(s, mapping, labels)
+                    assert act_structure(sigma, s) == want, (e, sigma, s)
+                    assert transport(s, mapping) == want, (e, sigma, s)
+
+
+def test_transport_on_non_contiguous_labels():
+    labels = (2, 5, 9)
+    mapping = {2: 9, 5: 2, 9: 5}
+    for e in GOLDEN_EXPRS + RESERVED_NESTING:
+        for s in structures_on(e, labels):
+            want = threading_transport(s, mapping, labels)
+            assert transport(s, mapping) == want, (e, s)
 
 
 def test_nested_derivative_star_naming():
@@ -312,6 +353,18 @@ def test_perm_conjugation_action():
     # both elements of the degree-2 symmetric group are central
     for s in data.structures:
         assert data.action.act(swap, s) == s
+
+
+def test_as_table_rows_match_relabels():
+    for e in (Cyc(), Derive(Subsets()), Cauchy(Lin(), Exp()), Substitute(Exp(), Cyc())):
+        tbl = as_table(e, 4)
+        for n in range(5):
+            structures = enumerate_degree(e, n).structures
+            name = dict(zip(structures, tbl.atoms[n]))
+            assert set(tbl.action[n]) == {sigma.images for sigma in all_permutations(n)}
+            for sigma in all_permutations(n):
+                want = {name[s]: name[act_structure(sigma, s)] for s in structures}
+                assert tbl.action[n][sigma.images] == want, (e, sigma)
 
 
 def test_act_structure_matches_table_action():

@@ -2,13 +2,17 @@ import pytest
 
 from espece import (
     AT_LEAST_HORIZON,
+    AdjR,
     Cauchy,
     Cyc,
     Derive,
     Exp,
     Lin,
     Perm,
+    Pointing,
     Subsets,
+    Substitute,
+    X,
     canonical_iso_suite,
     check_monoid,
     check_naturality,
@@ -26,8 +30,9 @@ from espece import (
     uniform_subset_coalgebras,
 )
 from espece.errors import InvalidAlgebra, TooManyMaps
+from espece.species import structures_on
 from espece.transforms import NatTrans, apply_on_labels, build_nat, exp_mu, nat_to_json
-from helpers import brute_equivariant_count
+from helpers import brute_equivariant_count, threading_apply_on_labels
 
 
 # --- counting and enumerating natural families -----------------------------
@@ -277,6 +282,50 @@ def test_apply_on_labels_transport():
     mu = lin_concat_mu(3)
     out = apply_on_labels(mu, ("pair", ((2,), ("lin", (2,)), ("lin", (5,)))), (2, 5))
     assert out == ("lin", (2, 5))
+
+
+def _swap_halves(k, s):
+    """The symmetry F*F -> F*F exchanging the two factors."""
+    _, (U, sf, sg) = s
+    return ("pair", (tuple(x for x in range(1, k + 1) if x not in U), sg, sf))
+
+
+def _reversal(k, s):
+    """Reversing the order under a derivative context: D(L) -> D(L)."""
+    return ("deriv", ("lin", s[1][1][::-1]))
+
+
+def _nats_with_derivative_contexts(N):
+    yield build_nat(Derive(Lin()), Derive(Lin()), N, _reversal)
+    half = Derive(Lin())
+    yield build_nat(Cauchy(half, half), Cauchy(half, half), N, _swap_halves)
+    yield build_nat(Cauchy(Derive(X()), Derive(X())), Cauchy(Derive(X()), Derive(X())), N, _swap_halves)
+    blocks = Substitute(Exp(), Cauchy(X(), Derive(Lin())))
+    for e in (Pointing(Derive(Subsets())), Derive(blocks), AdjR(Derive(X()))):
+        yield identity_nat(e, N)
+
+
+def test_apply_on_labels_on_non_contiguous_labels():
+    for t in _nats_with_derivative_contexts(3):
+        assert check_naturality(t)
+        for s in structures_on(t.source, (2, 5, 9)):
+            want = threading_apply_on_labels(t, s, (2, 5, 9))
+            assert apply_on_labels(t, s, (2, 5, 9)) == want, (t.source, s)
+
+
+def test_apply_on_labels_under_a_derivative_context():
+    # the label set holds the reserved label 0 of the enclosing context, as
+    # in the derivative, pointing and derivative-of-adjoint dynamics
+    for t in _nats_with_derivative_contexts(4):
+        for k in range(4):
+            labels = tuple(range(1, k + 1))
+            for s in enumerate_degree(Derive(t.source), k).structures:
+                got = apply_on_labels(t, s[1], labels + (0,))
+                assert got == threading_apply_on_labels(t, s[1], labels + (0,)), (t.source, s)
+            for s in enumerate_degree(Pointing(t.source), k).structures:
+                a, inner = s[1]
+                rest = tuple(x for x in labels if x != a) + (0,)
+                assert apply_on_labels(t, inner, rest) == threading_apply_on_labels(t, inner, rest)
 
 
 def test_nat_to_json_shape():
