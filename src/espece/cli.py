@@ -21,9 +21,9 @@ API level).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+import types
 from dataclasses import dataclass
 
 from . import automata, counting, diffeq, transforms
@@ -60,6 +60,7 @@ from .species import (
 from .transforms import iso_check
 
 _ATOM_START = set("01XELCSPYDpad(")
+_PUNCTUATION = {"+": "op", "*": "op", "&": "op", "(": "lparen", ")": "rparen", ":": "colon"}
 
 
 @dataclass
@@ -83,16 +84,8 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c in "+*&():":
-            kind = {
-                "+": "op",
-                "*": "op",
-                "&": "op",
-                "(": "lparen",
-                ")": "rparen",
-                ":": "colon",
-            }[c]
-            tokens.append(_Token(kind, c, i))
+        if c in _PUNCTUATION:
+            tokens.append(_Token(_PUNCTUATION[c], c, i))
             i += 1
             continue
         if c.isdigit():
@@ -119,16 +112,23 @@ def _tokenize(text: str):
     return tokens
 
 
-_FUNCS = {"Y", "D", "pt", "adjL", "adjR", "dL"}
-_WORD_ATOMS = {
+# The atoms and one-argument functions of the grammar; render reads them back.
+_ATOMS = {
+    "0": Zero,
+    "1": One,
     "X": X,
     "E": Exp,
+    "E+": ExpPlus,
     "L": Lin,
+    "L+": LinPlus,
     "C": Cyc,
     "S": Perm,
     "P": Subsets,
-    "o": None,  # operator, handled in term parsing
 }
+_FUNCS = {"D": Derive, "pt": Pointing, "adjL": AdjL, "adjR": AdjR, "dL": DeriveL}
+# Each level of "(" or "F(" costs four Python frames in the parser, so the
+# cap keeps parsing far from the interpreter's recursion limit.
+MAX_NESTING = 200
 
 
 class _Parser:
@@ -136,6 +136,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # "(" and "F(" open around the current position
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -170,54 +171,44 @@ class _Parser:
             out = Cauchy(out, rhs) if op == "*" else Hadamard(out, rhs)
         return out
 
-    # factor := atom [ "o" factor ]
+    # factor := atom [ "o" factor ], read as a loop so a long chain of "o"
+    # costs no recursion
     def factor(self) -> SpeciesExpr:
-        out = self.atom()
-        t = self.peek()
-        if t.kind == "word" and t.text == "o":
+        atoms = [self.atom()]
+        while self.peek().kind == "word" and self.peek().text == "o":
             self.take()
-            return Substitute(out, self.factor())
+            atoms.append(self.atom())
+        out = atoms.pop()
+        while atoms:
+            out = Substitute(atoms.pop(), out)
         return out
 
     def atom(self) -> SpeciesExpr:
         t = self.peek()
-        if t.kind == "nat" and t.text in ("0", "1"):
+        if t.text in _ATOMS:  # "0"/"1" are nat tokens, "E+"/"L+" atom tokens
             self.take()
-            return Zero() if t.text == "0" else One()
-        if t.kind == "lparen":
+            return _ATOMS[t.text]()
+        if t.kind == "word" and t.text == "Y":
             self.take()
+            self.expect("lparen")
+            num = self.expect("nat")
+            self.expect("rparen")
+            return Representable(int(num.text))
+        if t.kind == "lparen" or t.kind == "word" and t.text in _FUNCS:
+            self.take()
+            if t.kind == "word":
+                self.expect("lparen")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", t.offset)
             inner = self.expr()
             self.expect("rparen")
-            return inner
-        if t.kind == "atom":  # E+ / L+
-            self.take()
-            return ExpPlus() if t.text == "E+" else LinPlus()
-        if t.kind == "word":
-            word = t.text
-            if word in _FUNCS:
-                self.take()
-                self.expect("lparen")
-                if word == "Y":
-                    num = self.expect("nat")
-                    self.expect("rparen")
-                    return Representable(int(num.text))
-                inner = self.expr()
-                self.expect("rparen")
-                return {
-                    "D": Derive,
-                    "pt": Pointing,
-                    "adjL": AdjL,
-                    "adjR": AdjR,
-                    "dL": DeriveL,
-                }[word](inner)
-            if word in _WORD_ATOMS and word != "o":
-                self.take()
-                return _WORD_ATOMS[word]()
+            self.depth -= 1
+            return _FUNCS[t.text](inner) if t.kind == "word" else inner
         raise ParseError(
             f"expected an atom, found {t.text!r}",
             t.offset,
-            ("0", "1", "X", "E", "E+", "L", "L+", "C", "S", "P", "Y(", "D(", "pt(",
-             "adjL(", "adjR(", "dL(", "("),
+            (*_ATOMS, "Y(", *(f"{name}(" for name in _FUNCS), "("),
         )
 
 
@@ -232,17 +223,10 @@ def parse_expr(text: str) -> SpeciesExpr:
     return out
 
 
-_PRECEDENCE = {"sum": 0, "prod": 1, "subst": 2, "atom": 3}
-
-
-def _level(e: SpeciesExpr) -> str:
-    if isinstance(e, Sum):
-        return "sum"
-    if isinstance(e, (Cauchy, Hadamard)):
-        return "prod"
-    if isinstance(e, Substitute):
-        return "subst"
-    return "atom"
+_SUM, _PROD, _SUBST, _ATOM = range(4)  # binding levels of the grammar
+_LEVEL = {Sum: _SUM, Cauchy: _PROD, Hadamard: _PROD, Substitute: _SUBST}
+_ATOM_NAMES = {node: text for text, node in _ATOMS.items()}
+_FUNC_NAMES = {node: name for name, node in _FUNCS.items()}
 
 
 def render(e: SpeciesExpr) -> str:
@@ -251,51 +235,25 @@ def render(e: SpeciesExpr) -> str:
 
     def wrap(child, minimum):
         s = render(child)
-        return f"({s})" if _PRECEDENCE[_level(child)] < _PRECEDENCE[minimum] else s
+        return f"({s})" if _LEVEL.get(type(child), _ATOM) < minimum else s
 
-    if isinstance(e, Zero):
-        return "0"
-    if isinstance(e, One):
-        return "1"
-    if isinstance(e, X):
-        return "X"
-    if isinstance(e, Exp):
-        return "E"
-    if isinstance(e, ExpPlus):
-        return "E+"
-    if isinstance(e, Lin):
-        return "L"
-    if isinstance(e, LinPlus):
-        return "L+"
-    if isinstance(e, Cyc):
-        return "C"
-    if isinstance(e, Perm):
-        return "S"
-    if isinstance(e, Subsets):
-        return "P"
+    if type(e) in _ATOM_NAMES:
+        return _ATOM_NAMES[type(e)]
     if isinstance(e, Representable):
         return f"Y({e.k})"
     # "+", "*" and "&" parse left-associatively, so right operands at the
     # same level need parentheses to round-trip
     if isinstance(e, Sum):
-        return f"{wrap(e.f, 'sum')}+{wrap(e.g, 'prod')}"
+        return f"{wrap(e.f, _SUM)}+{wrap(e.g, _PROD)}"
     if isinstance(e, Cauchy):
-        return f"{wrap(e.f, 'prod')}*{wrap(e.g, 'subst')}"
+        return f"{wrap(e.f, _PROD)}*{wrap(e.g, _SUBST)}"
     if isinstance(e, Hadamard):
-        return f"{wrap(e.f, 'prod')}&{wrap(e.g, 'subst')}"
+        return f"{wrap(e.f, _PROD)}&{wrap(e.g, _SUBST)}"
     if isinstance(e, Substitute):
         # the left operand of "o" must sit at atom level in the grammar
-        return f"{wrap(e.f, 'atom')} o {wrap(e.g, 'subst')}"
-    if isinstance(e, Derive):
-        return f"D({render(e.f)})"
-    if isinstance(e, Pointing):
-        return f"pt({render(e.f)})"
-    if isinstance(e, AdjL):
-        return f"adjL({render(e.f)})"
-    if isinstance(e, AdjR):
-        return f"adjR({render(e.f)})"
-    if isinstance(e, DeriveL):
-        return f"dL({render(e.f)})"
+        return f"{wrap(e.f, _ATOM)} o {wrap(e.g, _SUBST)}"
+    if type(e) in _FUNC_NAMES:
+        return f"{_FUNC_NAMES[type(e)]}({render(e.f)})"
     if isinstance(e, (TruncLeft, TruncRight, Table)):
         raise ValueError(f"{type(e).__name__} has no surface syntax")
     raise TypeError(f"not a species expression: {e!r}")
@@ -351,9 +309,9 @@ def _json_out(command, inputs, horizon, result, diagnostics=()):
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(args, command, inputs, horizon, result_json, result_text, out):
+def _emit(args, inputs, horizon, result_json, result_text, out):
     if args.json:
-        out.write(_json_out(command, inputs, horizon, result_json))
+        out.write(_json_out(args.command, inputs, horizon, result_json))
     else:
         out.write(result_text + "\n")
 
@@ -361,7 +319,7 @@ def _emit(args, command, inputs, horizon, result_json, result_text, out):
 def _cmd_coeffs(args, out):
     e = parse_expr(args.expr)
     seq = counting.count_seq(e, args.upto)
-    _emit(args, "coeffs", {"expr": args.expr}, args.upto, list(seq.coeffs), seq.render(), out)
+    _emit(args, {"expr": args.expr}, args.upto, list(seq.coeffs), seq.render(), out)
 
 
 def _cmd_egf(args, out):
@@ -369,7 +327,6 @@ def _cmd_egf(args, out):
     seq = counting.egf(e, args.upto)
     _emit(
         args,
-        "egf",
         {"expr": args.expr},
         args.upto,
         [str(c) for c in seq.coeffs],
@@ -386,7 +343,7 @@ def _cmd_enumerate(args, out):
         [f"{len(encs)} structure(s) at degree {args.degree}"]
         + [json.dumps(s, separators=(",", ":")) for s in encs]
     )
-    _emit(args, "enumerate", {"expr": args.expr, "degree": args.degree}, None, encs, text, out)
+    _emit(args, {"expr": args.expr, "degree": args.degree}, None, encs, text, out)
 
 
 def _cmd_orbits(args, out):
@@ -409,7 +366,7 @@ def _cmd_orbits(args, out):
         f"rep={json.dumps(r['representative'], separators=(',', ':'))}"
         for r in rows
     )
-    _emit(args, "orbits", {"expr": args.expr, "degree": args.degree}, None, rows, text, out)
+    _emit(args, {"expr": args.expr, "degree": args.degree}, None, rows, text, out)
 
 
 def _cmd_iso(args, out):
@@ -419,7 +376,6 @@ def _cmd_iso(args, out):
     text = f"isomorphic up to degree {args.upto}: {verdict}"
     _emit(
         args,
-        "iso",
         {"left": args.left, "right": args.right},
         args.upto,
         {"isomorphic": res.isomorphic, "witness_degree": res.witness_degree},
@@ -434,7 +390,6 @@ def _cmd_natcount(args, out):
     text = ",".join(str(v) for v in per_degree) + f"; cumulative {cumulative}"
     _emit(
         args,
-        "natcount",
         {"left": args.left, "right": args.right},
         args.upto,
         {"per_degree": list(per_degree), "cumulative": cumulative},
@@ -453,7 +408,6 @@ def _cmd_natenum(args, out):
     )
     _emit(
         args,
-        "natenum",
         {"left": args.left, "right": args.right},
         args.upto,
         payload,
@@ -479,7 +433,7 @@ def _cmd_suite(args, out):
             # the stabilizer-class signatures of the two failing actions
             row["detail"] = [repr(side) for side in e.detail]
         payload.append(row)
-    _emit(args, "suite", {"name": args.name}, args.upto, payload, "\n".join(lines), out)
+    _emit(args, {"name": args.name}, args.upto, payload, "\n".join(lines), out)
 
 
 def _cmd_monoid(args, out):
@@ -495,7 +449,6 @@ def _cmd_monoid(args, out):
     )
     _emit(
         args,
-        "monoid",
         {"which": args.which},
         N,
         {"ok": report.ok, "failures": [list(f) for f in report.failures]},
@@ -521,7 +474,6 @@ def _cmd_algtensor(args, out):
     )
     _emit(
         args,
-        "algtensor",
         {},
         N,
         {"naturality": natural, "unit": unit_ok, "associativity": assoc_ok, "ok": ok},
@@ -552,7 +504,6 @@ def _cmd_terminal(args, out):
     seq = automata.terminal_counts(dyn, B, args.upto, moore=args.moore)
     _emit(
         args,
-        "terminal",
         {"dyn": args.dyn, "by": args.by, "output": args.output, "moore": args.moore},
         args.upto,
         list(seq.coeffs),
@@ -566,7 +517,6 @@ def _cmd_homday(args, out):
     seq = automata.hom_day_counts(f, g, args.upto)
     _emit(
         args,
-        "homday",
         {"left": args.left, "right": args.right},
         args.upto,
         list(seq.coeffs),
@@ -593,7 +543,7 @@ def _cmd_solve(args, out):
         if report.fixpoint_contact is not None
         else None,
     }
-    _emit(args, "solve", {"op": args.op}, args.upto, payload, "\n".join(lines), out)
+    _emit(args, {"op": args.op}, args.upto, payload, "\n".join(lines), out)
 
 
 def _parse_counts(text: str):
@@ -625,7 +575,6 @@ def _cmd_fixcheck(args, out):
     text = f"contact order: {order}"
     _emit(
         args,
-        "fixcheck",
         {"op": args.op, "expr": args.expr, "seq": args.seq},
         args.upto,
         {"contact_order": str(order)},
@@ -635,128 +584,171 @@ def _cmd_fixcheck(args, out):
 
 
 def _nat(text: str) -> int:
-    """argparse type of horizons, degrees, iteration caps and limits."""
+    """Type of horizons, degrees, iteration caps and limits."""
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+        raise ValueError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        # usage errors exit 2 with a one-line message, like parse errors
-        self.exit(2, f"{self.prog}: error: {message}\n")
+_REQUIRED = object()  # the default of an argument that must be given
+# Every argument of a command: its type (str, int, _nat, a tuple of
+# choices, or bool for a flag) and its default.  Positionals are required.
+_ARGUMENTS = {
+    **dict.fromkeys(("expr", "left", "right", "output"), (str, _REQUIRED)),
+    "which": (("lin", "exp"), _REQUIRED),
+    "--upto": (_nat, 5),
+    "--json": (bool, False),
+    "--seed": (int, None),  # reserved; unused
+    "--degree": (_nat, _REQUIRED),
+    "--limit": (_nat, 100000),
+    "--max-iter": (_nat, None),
+    "--name": (transforms.SUITE_NAMES, None),
+    "--dyn": ((*_DYNAMICS, "tensor"), _REQUIRED),
+    "--by": (str, None),
+    "--moore": (bool, False),
+    "--op": (str, _REQUIRED),
+    "--expr": (str, None),
+    "--seq": (str, None),
+}
+_UPTO = " --upto --json --seed"
+_AT_DEGREE = "expr --degree --json --limit --seed"
+
+# name -> (handler, summary, its positionals in order, then its options)
+_COMMANDS = {
+    "coeffs": (_cmd_coeffs, "counting sequence of an expression", "expr" + _UPTO),
+    "egf": (_cmd_egf, "exponential generating coefficients", "expr" + _UPTO),
+    "enumerate": (_cmd_enumerate, "all structures at one degree", _AT_DEGREE),
+    "orbits": (_cmd_orbits, "orbit decomposition at one degree", _AT_DEGREE),
+    "iso": (_cmd_iso, "degreewise action isomorphism check", "left right" + _UPTO),
+    "natcount": (_cmd_natcount, "count truncated natural transformations", "left right" + _UPTO),
+    "natenum": (
+        _cmd_natenum, "enumerate truncated natural transformations", "left right --limit" + _UPTO
+    ),
+    "suite": (_cmd_suite, "run the canonical isomorphism suite", "--name" + _UPTO),
+    "monoid": (_cmd_monoid, "check a built-in Cauchy monoid", "which" + _UPTO),
+    "algtensor": (_cmd_algtensor, "tensor the exponential derivative algebra", _UPTO),
+    "terminal": (
+        _cmd_terminal, "terminal machine counting sequence", "output --dyn --by --moore" + _UPTO
+    ),
+    "homday": (_cmd_homday, "convolution internal-hom counts", "left right" + _UPTO),
+    "solve": (_cmd_solve, "iterate an operator's fixpoint chain", "--op --max-iter" + _UPTO),
+    "fixcheck": (
+        _cmd_fixcheck, "contact order of a sequence with its image", "--op --expr --seq" + _UPTO
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _ArgumentParser(
-        prog="espece",
-        description="Exact species calculator: counts, structures, equivariant "
-        "maps, machine terminals, and differential fixpoints.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+_HELP_HEAD = """usage: espece COMMAND [-h] ...
 
-    def common(p, upto=True):
-        if upto:
-            p.add_argument("--upto", type=_nat, default=5, help="horizon (default 5)")
-        p.add_argument("--json", action="store_true", help="emit one JSON document")
-        p.add_argument("--limit", type=_nat, default=100000, help="enumeration cap")
-        p.add_argument("--max-iter", type=_nat, default=None, dest="max_iter")
-        p.add_argument("--seed", type=int, default=None, help="reserved; unused")
+Exact species calculator: counts, structures, equivariant maps, machine
+terminals and differential fixpoints.  A long option may be abbreviated to
+any unique prefix and written --option=value; "--" ends the options.
+"""
 
-    p = sub.add_parser("coeffs", help="counting sequence of an expression")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(fn=_cmd_coeffs)
 
-    p = sub.add_parser("egf", help="exponential generating coefficients")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(fn=_cmd_egf)
+class _Usage(Exception):
+    """A command line that _COMMANDS rejects: exit 2 with one line."""
 
-    p = sub.add_parser("enumerate", help="all structures at one degree")
-    p.add_argument("expr")
-    p.add_argument("--degree", type=_nat, required=True)
-    common(p, upto=False)
-    p.set_defaults(fn=_cmd_enumerate)
 
-    p = sub.add_parser("orbits", help="orbit decomposition at one degree")
-    p.add_argument("expr")
-    p.add_argument("--degree", type=_nat, required=True)
-    common(p, upto=False)
-    p.set_defaults(fn=_cmd_orbits)
+class _Help(Exception):
+    """-h or --help: print the usage text and exit 0."""
 
-    p = sub.add_parser("iso", help="degreewise action isomorphism check")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-    p.set_defaults(fn=_cmd_iso)
 
-    p = sub.add_parser("natcount", help="count truncated natural transformations")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-    p.set_defaults(fn=_cmd_natcount)
+def _dest(word: str) -> str:
+    """The attribute an argument is read into."""
+    return word.lstrip("-").replace("-", "_")
 
-    p = sub.add_parser("natenum", help="enumerate truncated natural transformations")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-    p.set_defaults(fn=_cmd_natenum)
 
-    p = sub.add_parser("suite", help="run the canonical isomorphism suite")
-    p.add_argument("--name", choices=transforms.SUITE_NAMES, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_suite)
+def _value(word: str, text: str):
+    kind = _ARGUMENTS[word][0]
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise _Usage(f"argument {word}: invalid choice: {text!r} (choose from {kind})")
+        return text
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise _Usage(f"argument {word}: {exc}") from None
 
-    p = sub.add_parser("monoid", help="check a built-in Cauchy monoid")
-    p.add_argument("which", choices=("lin", "exp"))
-    common(p)
-    p.set_defaults(fn=_cmd_monoid)
 
-    p = sub.add_parser("algtensor", help="tensor the exponential derivative algebra")
-    common(p)
-    p.set_defaults(fn=_cmd_algtensor)
+def _parse_args(argv):
+    """Read argv against _COMMANDS into the attributes the handlers read.
 
-    p = sub.add_parser("terminal", help="terminal machine counting sequence")
-    p.add_argument("--dyn", choices=("adjL", "derive", "pointing", "deriveL", "tensor"),
-                   required=True)
-    p.add_argument("--by", default=None, help="tensor dynamics expression")
-    p.add_argument("--moore", action="store_true")
-    p.add_argument("output")
-    common(p)
-    p.set_defaults(fn=_cmd_terminal)
+    A word is an option when it starts with "--" or is "-h".  An option
+    may carry "=value" and be abbreviated to any unique prefix; options may
+    come before, between or after the positionals, the last repeat wins,
+    and "--" ends the options.
+    """
+    name = argv[0] if argv else None
+    if name in ("-h", "--h", "--he", "--hel", "--help"):
+        raise _Help(_help())
+    if name not in _COMMANDS:
+        got = f"{name!r} is not a command" if argv else "a command is required"
+        raise _Usage(f"{got}; choose from {', '.join(_COMMANDS)}")
+    words = _COMMANDS[name][2].split()
+    flags = [w for w in words if w[0] == "-"] + ["-h", "--help"]
+    values = {"command": name, **{_dest(w): _ARGUMENTS[w][1] for w in words}}
+    positionals, rest = [], iter(argv[1:])
+    for arg in rest:
+        if arg == "--":
+            positionals += rest
+        elif arg != "-h" and not arg.startswith("--"):
+            positionals.append(arg)
+        else:
+            flag, eq, inline = arg.partition("=")
+            hits = [flag] if flag in flags else [f for f in flags if f.startswith(flag)]
+            if len(hits) != 1:
+                raise _Usage(f"{'ambiguous' if hits else 'unrecognized'} option: {flag}")
+            flag = hits[0]
+            if flag in ("-h", "--help") or _ARGUMENTS[flag][0] is bool:
+                if eq:
+                    raise _Usage(f"argument {flag}: ignored explicit argument {inline!r}")
+                if flag in ("-h", "--help"):
+                    raise _Help(_help(name))
+                values[_dest(flag)] = True
+                continue
+            if not eq:
+                inline = next(rest, "--")
+                if inline == "-h" or inline.startswith("--"):
+                    raise _Usage(f"argument {flag}: expected one argument")
+            values[_dest(flag)] = _value(flag, inline)
+    todo = [w for w in words if w[0] != "-"]
+    if len(positionals) > len(todo):
+        raise _Usage(f"unrecognized arguments: {' '.join(positionals[len(todo):])}")
+    values.update((word, _value(word, text)) for word, text in zip(todo, positionals))
+    missing = [w for w in words if values[_dest(w)] is _REQUIRED]
+    if missing:
+        raise _Usage(f"the following arguments are required: {', '.join(missing)}")
+    return types.SimpleNamespace(**values)
 
-    p = sub.add_parser("homday", help="convolution internal-hom counts")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-    p.set_defaults(fn=_cmd_homday)
 
-    p = sub.add_parser("solve", help="iterate an operator's fixpoint chain")
-    p.add_argument("--op", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("fixcheck", help="contact order of a sequence with its image")
-    p.add_argument("--op", required=True)
-    p.add_argument("--expr", default=None)
-    p.add_argument("--seq", default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_fixcheck)
-
-    return ap
+def _help(name=None) -> str:
+    """Usage generated from _COMMANDS: one command's, or every command's."""
+    lines = [] if name else [_HELP_HEAD]
+    for command in [name] if name else _COMMANDS:
+        words = [f"  espece {command} [-h]"]
+        for w in _COMMANDS[command][2].split():
+            kind, default = _ARGUMENTS[w]
+            var = "N" if kind in (int, _nat) else _dest(w).upper()
+            var = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else var
+            word = w if kind is bool else f"{w} {var}" if w[0] == "-" else var
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        lines += [" ".join(words), f"      {_COMMANDS[command][1]}"]
+    return "\n".join(lines)
 
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        args.fn(args, out)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        _COMMANDS[args.command][0](args, out)
         return 0
+    except _Help as exc:
+        print(exc, file=out)
+        return 0
+    except _Usage as exc:
+        print(f"espece: error: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

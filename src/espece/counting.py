@@ -92,13 +92,11 @@ def egf_of_counts(c: CountSeq) -> EgfSeq:
 
 
 def seq_sum(a: CountSeq, b: CountSeq) -> CountSeq:
-    h = min(a.horizon, b.horizon)
-    return CountSeq(tuple(a[n] + b[n] for n in range(h + 1)))
+    return CountSeq(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def seq_hadamard(a: CountSeq, b: CountSeq) -> CountSeq:
-    h = min(a.horizon, b.horizon)
-    return CountSeq(tuple(a[n] * b[n] for n in range(h + 1)))
+    return CountSeq(tuple(x * y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def seq_cauchy(a: CountSeq, b: CountSeq) -> CountSeq:
@@ -144,9 +142,8 @@ def contact_order(a: CountSeq, b: CountSeq):
     Returns "at-least-horizon" when the sequences agree through the whole
     shared horizon and "none" when they already differ at degree 0.
     """
-    h = min(a.horizon, b.horizon)
-    for k in range(h + 1):
-        if a[k] != b[k]:
+    for k, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
+        if x != y:
             return NO_CONTACT if k == 0 else k - 1
     return AT_LEAST_HORIZON
 
@@ -183,17 +180,18 @@ def detect_convergence(seqs, N: int) -> ConvergenceReport:
     for s in seqs:
         if s.horizon < N:
             raise DegreeMismatch(f"horizon {s.horizon} < {N}")
+    rows = [s.coeffs for s in seqs]
     stable = []
     for k in range(N + 1):
-        last = seqs[-1][k]
-        if len(seqs) >= 2 and seqs[-2][k] != last:
+        last = rows[-1][k]
+        if len(rows) >= 2 and rows[-2][k] != last:
             stable.append(None)
             continue
-        j = len(seqs) - 1
-        while j > 0 and seqs[j - 1][k] == last:
+        j = len(rows) - 1
+        while j > 0 and rows[j - 1][k] == last:
             j -= 1
         stable.append(j)
     converged = all(s is not None for s in stable)
-    limit = CountSeq(tuple(seqs[-1][k] for k in range(N + 1))) if converged else None
+    limit = CountSeq(rows[-1][: N + 1]) if converged else None
     witness = next((k for k, s in enumerate(stable) if s is None), None)
     return ConvergenceReport(tuple(stable), converged, limit, witness)

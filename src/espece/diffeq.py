@@ -115,17 +115,12 @@ def adamek_chain(D: DiffOperator, N: int, max_iter: int | None = None) -> ChainR
     for _ in range(max_iter):
         t = apply_operator(D, t)
         iterates.append(t)
-    convergence = detect_convergence([s.truncate(N) for s in iterates], N)
+    truncated = tuple(s.truncate(N) for s in iterates)
+    convergence = detect_convergence(truncated, N)
     contact = None
     if convergence.converged:
         contact = fixpoint_check(D, iterates[-1], N)
-    return ChainReport(
-        D,
-        N,
-        tuple(s.truncate(N) for s in iterates),
-        convergence,
-        contact,
-    )
+    return ChainReport(D, N, truncated, convergence, contact)
 
 
 def fixpoint_check(D: DiffOperator, x: CountSeq, N: int):

@@ -9,8 +9,11 @@ substitution counts are summed over explicitly generated set partitions
 or over integer partitions.  Relabeling itself is checked against
 ``transport``, which threads the label set of every substructure and
 renumbers the reserved labels of derivative contexts at each one.
+Command lines are checked against the argparse parser the CLI used to
+build on every call.
 """
 
+import argparse
 import itertools
 import math
 from collections import Counter
@@ -38,6 +41,7 @@ from espece import (
 )
 from espece.groups import all_permutations
 from espece.species import _TABLE_REGISTRY, _min_rotation, fresh_star
+from espece.transforms import SUITE_NAMES
 
 GOLDEN_EXPRS = (
     One(),
@@ -318,3 +322,110 @@ def integer_partition_substitution_count(f_counts, g_counts, n):
                 break
         total += prod
     return total
+
+
+def _reference_nat(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+class _ReferenceArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # usage errors exit 2 with a one-line message, like parse errors
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI once built on every call, as the oracle
+    of its command table: `main` reads argv into the attributes this
+    parser gives, except that `fn` is gone (the handler is looked up by
+    `command`).  `--limit` is registered only on enumerate, orbits and
+    natenum, and `--max-iter` only on solve, the commands that read them.
+    """
+    ap = _ReferenceArgumentParser(
+        prog="espece",
+        description="Exact species calculator: counts, structures, equivariant "
+        "maps, machine terminals, and differential fixpoints.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def common(p, upto=True, limit=False, max_iter=False):
+        if upto:
+            p.add_argument("--upto", type=_reference_nat, default=5, help="horizon (default 5)")
+        p.add_argument("--json", action="store_true", help="emit one JSON document")
+        if limit:
+            p.add_argument("--limit", type=_reference_nat, default=100000, help="enumeration cap")
+        if max_iter:
+            p.add_argument("--max-iter", type=_reference_nat, default=None, dest="max_iter")
+        p.add_argument("--seed", type=int, default=None, help="reserved; unused")
+
+    p = sub.add_parser("coeffs", help="counting sequence of an expression")
+    p.add_argument("expr")
+    common(p)
+
+    p = sub.add_parser("egf", help="exponential generating coefficients")
+    p.add_argument("expr")
+    common(p)
+
+    p = sub.add_parser("enumerate", help="all structures at one degree")
+    p.add_argument("expr")
+    p.add_argument("--degree", type=_reference_nat, required=True)
+    common(p, upto=False, limit=True)
+
+    p = sub.add_parser("orbits", help="orbit decomposition at one degree")
+    p.add_argument("expr")
+    p.add_argument("--degree", type=_reference_nat, required=True)
+    common(p, upto=False, limit=True)
+
+    p = sub.add_parser("iso", help="degreewise action isomorphism check")
+    p.add_argument("left")
+    p.add_argument("right")
+    common(p)
+
+    p = sub.add_parser("natcount", help="count truncated natural transformations")
+    p.add_argument("left")
+    p.add_argument("right")
+    common(p)
+
+    p = sub.add_parser("natenum", help="enumerate truncated natural transformations")
+    p.add_argument("left")
+    p.add_argument("right")
+    common(p, limit=True)
+
+    p = sub.add_parser("suite", help="run the canonical isomorphism suite")
+    p.add_argument("--name", choices=SUITE_NAMES, default=None)
+    common(p)
+
+    p = sub.add_parser("monoid", help="check a built-in Cauchy monoid")
+    p.add_argument("which", choices=("lin", "exp"))
+    common(p)
+
+    p = sub.add_parser("algtensor", help="tensor the exponential derivative algebra")
+    common(p)
+
+    p = sub.add_parser("terminal", help="terminal machine counting sequence")
+    p.add_argument("--dyn", choices=("adjL", "derive", "pointing", "deriveL", "tensor"),
+                   required=True)
+    p.add_argument("--by", default=None, help="tensor dynamics expression")
+    p.add_argument("--moore", action="store_true")
+    p.add_argument("output")
+    common(p)
+
+    p = sub.add_parser("homday", help="convolution internal-hom counts")
+    p.add_argument("left")
+    p.add_argument("right")
+    common(p)
+
+    p = sub.add_parser("solve", help="iterate an operator's fixpoint chain")
+    p.add_argument("--op", required=True)
+    common(p, max_iter=True)
+
+    p = sub.add_parser("fixcheck", help="contact order of a sequence with its image")
+    p.add_argument("--op", required=True)
+    p.add_argument("--expr", default=None)
+    p.add_argument("--seq", default=None)
+    common(p)
+
+    return ap
+

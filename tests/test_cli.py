@@ -1,10 +1,13 @@
+import argparse
 import io
 import json
+import shlex
 from pathlib import Path
 
 import pytest
+from helpers import reference_parser
 
-from espece.cli import main, parse_expr, parse_operator, render
+from espece.cli import MAX_NESTING, _parse_args, main, parse_expr, parse_operator, render
 from espece.errors import ParseError
 from espece.species import (
     AdjL,
@@ -29,7 +32,8 @@ from espece.species import (
     Zero,
 )
 
-SCHEMA_PATH = Path(__file__).resolve().parents[1] / "src" / "espece" / "schema.json"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_PATH = ROOT / "src" / "espece" / "schema.json"
 
 
 def run(*argv):
@@ -306,6 +310,35 @@ def test_deep_sum_counts_without_recursion():
     assert (code, out) == (0, "0, 1500, 0, 0\n")
     code, out = run("terminal", "--dyn", "adjL", deep, "--upto", "2")
     assert (code, out) == (0, "0, 0, 0\n")
+    code, out = run("coeffs", " o ".join(["X"] * 1500), "--upto", "3")
+    assert (code, out) == (0, "0, 1, 0, 0\n")
+
+
+def test_nesting_cap(capsys):
+    assert MAX_NESTING >= 150  # the benchmark parses D^150(E)
+    for opener, inner, atom in (("(", X(), "X"), ("D(", Exp(), "E")):
+        at_cap = opener * MAX_NESTING + atom + ")" * MAX_NESTING
+        past = opener * (MAX_NESTING + 1) + atom + ")" * (MAX_NESTING + 1)
+        expected = inner
+        for _ in range(MAX_NESTING if opener == "D(" else 0):
+            expected = Derive(expected)
+        assert parse_expr(at_cap) == expected
+        with pytest.raises(ParseError) as exc:
+            parse_expr(past)
+        assert exc.value.offset == len(opener) * MAX_NESTING
+        code, out = run("coeffs", at_cap, "--upto", "2")
+        assert (code, out) == (0, "0, 1, 0\n" if opener == "(" else "1, 1, 1\n")
+        capsys.readouterr()
+        code, out = run("coeffs", past, "--upto", "2")
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and f"at offset {len(opener) * MAX_NESTING}" in err, err
+    with pytest.raises(ParseError) as exc:
+        parse_operator("(" * (MAX_NESTING + 1) + "X" + ")" * (MAX_NESTING + 1) + ":0")
+    assert exc.value.offset == MAX_NESTING
+    # the cap bounds nesting, not the number of groups
+    siblings = "+".join(["D(X)"] * (MAX_NESTING + 1))
+    assert run("coeffs", siblings, "--upto", "1") == (0, f"{MAX_NESTING + 1}, 0\n")
 
 
 def test_symmetric_group_degree_cap(capsys):
@@ -363,3 +396,112 @@ def test_seed_flag_accepted_and_ignored():
     code, out = run("coeffs", "L", "--upto", "3", "--seed", "7")
     assert code == 0
     assert out == "1, 1, 2, 6\n"
+
+
+# --- argument reading ---------------------------------------------------------
+
+
+def _readme_examples():
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+
+
+ARGV_CORPUS = (
+    ("natenum", "C", "D(C)", "--upto", "2", "--limit", "5"),
+    ("solve", "--op", "1:0 + X:0", "--max-iter", "3", "--upto", "4", "--json"),
+    ("fixcheck", "--op", "1:0 + X:0", "--seq", "1,1,2", "--upto", "2", "--seed", "-7"),
+    ("orbits", "P", "--degree", "3", "--limit", "50", "--json"),
+    ("terminal", "--moore", "--dyn", "derive", "E", "--upto", "3"),
+    ("suite", "--name", "napier"),
+    ("algtensor",),
+    ("monoid", "exp", "--json"),
+    # --opt=value and unique prefixes
+    ("coeffs", "L", "--upto=3"),
+    ("coeffs", "L", "--up", "3"),
+    ("coeffs", "L", "--up=3", "--js"),
+    ("enumerate", "C", "--deg", "3", "--lim=9"),
+    ("orbits", "--d=2", "C"),
+    ("solve", "--op=1:0 + X:0", "--max", "2"),
+    ("terminal", "--dy=tensor", "--b", "X", "E", "--mo"),
+    ("fixcheck", "--o", "1:1", "--ex", "E", "--seq=1"),
+    # repeated options (the last wins), options around positionals, "--"
+    ("coeffs", "--upto", "2", "L", "--upto", "7"),
+    ("iso", "--upto", "3", "S", "--json", "L", "--seed", "1", "--seed=2"),
+    ("natcount", "C", "--upto", "2", "D(C)"),
+    ("coeffs", "--upto", "3", "--", "-1"),
+    ("iso", "S", "--", "L"),
+    ("homday", "--", "X", "L"),
+    ("iso", "--", "S", "--json"),
+    ("coeffs", "E", "--seed", "-7"),
+    ("coeffs", "-1", "--seed", "-7 "),
+)
+
+
+def test_argv_reading_matches_reference_parser():
+    examples = _readme_examples()
+    reference = reference_parser()
+    commands = next(a for a in reference._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in examples} == set(commands.choices)
+    for argv in examples + [list(argv) for argv in ARGV_CORPUS]:
+        assert vars(_parse_args(argv)) == vars(reference.parse_args(argv)), argv
+
+
+USAGE_ERRORS = (
+    ("enumerate", "C"),  # a required option missing
+    ("coeffs",),  # a positional missing
+    ("coeffs", "E", "--limit", "5"),  # --limit belongs to enumerate, orbits and natenum
+    ("iso", "S", "L", "--limit=5"),
+    ("coeffs", "E", "--max-iter", "5"),  # --max-iter belongs to solve
+    ("terminal", "--dyn", "adjL", "E", "--max-iter", "2"),
+    ("coeffs", "E", "--bogus"),
+    ("iso", "S", "L", "E"),
+    ("fixcheck", "--op", "1:1", "--se", "1"),  # ambiguous: --seq or --seed
+    ("monoid", "set"),
+    ("terminal", "--dyn", "left", "E"),
+    ("suite", "--name", "nope"),
+    ("coeffs", "E", "--upto"),  # a value missing
+    ("coeffs", "E", "--upto", "--json"),
+    ("solve", "--op"),
+    ("coeffs", "E", "--json=1"),
+    ("coeffs", "E", "--seed", "x"),
+    (),  # no command
+    ("frobnicate", "E"),
+)
+
+
+def test_usage_errors_match_reference_parser(capsys):
+    for argv in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as exc:
+            reference_parser().parse_args(list(argv))
+        assert exc.value.code == 2, argv
+        capsys.readouterr()
+        code, out = run(*argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("espece: error: ") and err.count("\n") == 1, err
+
+
+def test_main_builds_no_argparse_parser(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("main constructed an argparse.ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert run("coeffs", "E o C", "--upto", "4") == (0, "1, 1, 2, 6, 24\n")
+    assert run("coeffs", "E", "--upto", "-1") == (2, "")
+    assert run("coeffs", "--help")[0] == 0
+    assert run()[0] == 2
+
+
+def test_help_names_every_command_and_option():
+    code, usage = run("-h")
+    assert code == 0 and run("--help") == (0, usage)
+    commands = next(a for a in reference_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in commands.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"--help"}
+        code, own = run(name, "--help")
+        assert code == 0 and run(name, "E", "-h") == (0, own)
+        assert f"espece {name} " in usage and f"espece {name} " in own
+        for flag in flags:
+            assert flag in usage and flag in own, (name, flag)
+        for flag in ("--limit", "--max-iter"):
+            assert (flag in own) == (flag in flags), (name, flag)

@@ -135,6 +135,9 @@ def test_chain_iterates_recorded():
     assert len(report.iterates) == 5
     assert report.iterates[0].coeffs == (1, 1, 1, 1)
     assert report.iterates[1].coeffs == (1, 2, 3, 4)
+    # a derivative term starts the chain beyond N; the report keeps degrees 0..N
+    report = adamek_chain(DiffOperator(((X(), 1),), One()), 3, max_iter=4)
+    assert [s.horizon for s in report.iterates] == [3] * 5
 
 
 def test_fixpoint_check_examples():
