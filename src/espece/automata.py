@@ -46,45 +46,75 @@ ENUM_FACTOR_DEGREE_CAP = 6
 # Dynamics
 
 
+class _Dynamics:
+    """A dynamics T: ``apply(e)`` is T(e), ``image(f, enc, k)`` carries a degree-k
+    structure of T(E1) along f: E1 -> E2, applying f at degree k + ``shift``."""
+
+    shift = 0
+
+
 @dataclass(frozen=True)
-class TensorBy:
+class TensorBy(_Dynamics):
     """Dynamics tensoring the state with a fixed species."""
 
     a: SpeciesExpr
 
+    def apply(self, e):
+        return Cauchy(self.a, e)
 
-@dataclass(frozen=True)
-class DeriveDyn:
-    pass
-
-
-@dataclass(frozen=True)
-class AdjLDyn:
-    pass
+    def image(self, f, enc, k):
+        _, (U, sa, sE) = enc
+        rest = tuple(x for x in range(1, k + 1) if x not in U)
+        return ("pair", (U, sa, apply_on_labels(f, sE, rest)))
 
 
 @dataclass(frozen=True)
-class PointingDyn:
-    pass
+class DeriveDyn(_Dynamics):
+    shift = 1  # the derivative consumes a degree
+
+    def apply(self, e):
+        return Derive(e)
+
+    def image(self, f, enc, k):
+        return ("deriv", apply_on_labels(f, enc[1], (*range(1, k + 1), 0)))
 
 
 @dataclass(frozen=True)
-class DeriveLDyn:
-    pass
+class AdjLDyn(_Dynamics):
+    def apply(self, e):
+        return AdjL(e)
+
+    def image(self, f, enc, k):
+        a, s = enc[1]
+        rest = tuple(x for x in range(1, k + 1) if x != a)
+        return ("adjl", (a, apply_on_labels(f, s, rest)))
+
+
+@dataclass(frozen=True)
+class PointingDyn(_Dynamics):
+    def apply(self, e):
+        return Pointing(e)
+
+    def image(self, f, enc, k):
+        a, s = enc[1]
+        rest = tuple(x for x in range(1, k + 1) if x != a) + (0,)
+        return ("point", (a, apply_on_labels(f, s, rest)))
+
+
+@dataclass(frozen=True)
+class DeriveLDyn(_Dynamics):
+    def apply(self, e):
+        return DeriveL(e)
+
+    def image(self, f, enc, k):
+        _, (b, s) = enc[1]
+        inner_labels = tuple(x for x in (*range(1, k + 1), 0) if x != b)
+        return ("deriv", ("adjl", (b, apply_on_labels(f, s, inner_labels))))
 
 
 def apply_dynamics(dyn, e: SpeciesExpr) -> SpeciesExpr:
-    if isinstance(dyn, TensorBy):
-        return Cauchy(dyn.a, e)
-    if isinstance(dyn, DeriveDyn):
-        return Derive(e)
-    if isinstance(dyn, AdjLDyn):
-        return AdjL(e)
-    if isinstance(dyn, PointingDyn):
-        return Pointing(e)
-    if isinstance(dyn, DeriveLDyn):
-        return DeriveL(e)
-    raise TypeError(f"not a dynamics: {dyn!r}")
+    """The species T(e) for a dynamics T."""
+    return dyn.apply(e)
 
 
 # ---------------------------------------------------------------------------
@@ -144,44 +174,17 @@ def check_moore(m: MooreAutomaton) -> MachineReport:
     return _check_machine(m, moore=True)
 
 
-def _image_under_dynamics(dyn, f: NatTrans, enc, k: int):
-    """Transport a structure of T(E1) along f: E1 -> E2, per dynamics kind."""
-    labels = tuple(range(1, k + 1))
-    if isinstance(dyn, TensorBy):
-        _, (U, sa, sE) = enc
-        rest = tuple(x for x in labels if x not in U)
-        return ("pair", (U, sa, apply_on_labels(f, sE, rest)))
-    if isinstance(dyn, DeriveDyn):
-        return ("deriv", apply_on_labels(f, enc[1], labels + (0,)))
-    if isinstance(dyn, AdjLDyn):
-        a, s = enc[1]
-        rest = tuple(x for x in labels if x != a)
-        return ("adjl", (a, apply_on_labels(f, s, rest)))
-    if isinstance(dyn, PointingDyn):
-        a, s = enc[1]
-        rest = tuple(x for x in labels if x != a) + (0,)
-        return ("point", (a, apply_on_labels(f, s, rest)))
-    if isinstance(dyn, DeriveLDyn):
-        _, (b, s) = enc[1]
-        inner_labels = tuple(x for x in labels + (0,) if x != b)
-        return ("deriv", ("adjl", (b, apply_on_labels(f, s, inner_labels))))
-    raise TypeError(f"not a dynamics: {dyn!r}")
-
-
 def check_morphism(f: NatTrans, m1: MealyAutomaton, m2: MealyAutomaton) -> bool:
     """Morphism laws: f after d equals d' after T(f), and s equals s' after T(f)."""
     if m1.dynamics != m2.dynamics or m1.output != m2.output:
         raise ShapeMismatch("machines must share dynamics and output")
     if f.source != m1.state or f.target != m2.state:
         raise ShapeMismatch("morphism endpoints do not match the machines")
-    # the derivative dynamics consumes a degree: its functorial image at
-    # degree k applies f one degree higher
-    shift = 1 if isinstance(m1.dynamics, DeriveDyn) else 0
-    horizon = min(m1.horizon, m2.horizon, f.horizon - shift)
+    horizon = min(m1.horizon, m2.horizon, f.horizon - m1.dynamics.shift)
     shifted = apply_dynamics(m1.dynamics, m1.state)
     for k in range(horizon + 1):
         for x in enumerate_degree(shifted, k).structures:
-            fx = _image_under_dynamics(m1.dynamics, f, x, k)
+            fx = m1.dynamics.image(f, x, k)
             if f(k, m1.d(k, x)) != m2.d(k, fx):
                 return False
             if m1.s(k, x) != m2.s(k, fx):

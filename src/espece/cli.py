@@ -225,38 +225,50 @@ def parse_expr(text: str) -> SpeciesExpr:
 
 _SUM, _PROD, _SUBST, _ATOM = range(4)  # binding levels of the grammar
 _LEVEL = {Sum: _SUM, Cauchy: _PROD, Hadamard: _PROD, Substitute: _SUBST}
+# Each infix node's spelling and the least level of each operand: "+", "*"
+# and "&" parse left-associatively, so right operands at the same level need
+# parentheses, and the left operand of "o" must sit at atom level.
+_INFIX = {
+    Sum: ("+", _SUM, _PROD),
+    Cauchy: ("*", _PROD, _SUBST),
+    Hadamard: ("&", _PROD, _SUBST),
+    Substitute: (" o ", _ATOM, _SUBST),
+}
 _ATOM_NAMES = {node: text for text, node in _ATOMS.items()}
 _FUNC_NAMES = {node: name for name, node in _FUNCS.items()}
 
 
 def render(e: SpeciesExpr) -> str:
     """Canonical surface form; parse(render(e)) == e for grammar-covered
-    expressions."""
-
-    def wrap(child, minimum):
-        s = render(child)
-        return f"({s})" if _LEVEL.get(type(child), _ATOM) < minimum else s
-
-    if type(e) in _ATOM_NAMES:
-        return _ATOM_NAMES[type(e)]
-    if isinstance(e, Representable):
-        return f"Y({e.k})"
-    # "+", "*" and "&" parse left-associatively, so right operands at the
-    # same level need parentheses to round-trip
-    if isinstance(e, Sum):
-        return f"{wrap(e.f, _SUM)}+{wrap(e.g, _PROD)}"
-    if isinstance(e, Cauchy):
-        return f"{wrap(e.f, _PROD)}*{wrap(e.g, _SUBST)}"
-    if isinstance(e, Hadamard):
-        return f"{wrap(e.f, _PROD)}&{wrap(e.g, _SUBST)}"
-    if isinstance(e, Substitute):
-        # the left operand of "o" must sit at atom level in the grammar
-        return f"{wrap(e.f, _ATOM)} o {wrap(e.g, _SUBST)}"
-    if type(e) in _FUNC_NAMES:
-        return f"{_FUNC_NAMES[type(e)]}({render(e.f)})"
-    if isinstance(e, (TruncLeft, TruncRight, Table)):
-        raise ValueError(f"{type(e).__name__} has no surface syntax")
-    raise TypeError(f"not a species expression: {e!r}")
+    expressions.  An explicit stack holds literal text and pending (node,
+    least binding level) pairs, so depth is not bounded by recursion."""
+    out = []
+    stack = [(e, _SUM)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, minimum = item
+        kind = type(node)
+        if _LEVEL.get(kind, _ATOM) < minimum:
+            out.append("(")
+            stack.append(")")
+        if kind in _ATOM_NAMES:
+            out.append(_ATOM_NAMES[kind])
+        elif kind is Representable:
+            out.append(f"Y({node.k})")
+        elif kind in _INFIX:
+            op, left, right = _INFIX[kind]
+            stack += [(node.g, right), op, (node.f, left)]
+        elif kind in _FUNC_NAMES:
+            out.append(f"{_FUNC_NAMES[kind]}(")
+            stack += [")", (node.f, _SUM)]
+        elif isinstance(node, (TruncLeft, TruncRight, Table)):
+            raise ValueError(f"{kind.__name__} has no surface syntax")
+        else:
+            raise TypeError(f"not a species expression: {node!r}")
+    return "".join(out)
 
 
 def parse_operator(text: str) -> diffeq.DiffOperator:
@@ -591,14 +603,13 @@ def _nat(text: str) -> int:
 
 
 _REQUIRED = object()  # the default of an argument that must be given
-# Every argument of a command: its type (str, int, _nat, a tuple of
-# choices, or bool for a flag) and its default.  Positionals are required.
+# Every argument of a command: its type (str, _nat, a tuple of choices,
+# or bool for a flag) and its default.  Positionals are required.
 _ARGUMENTS = {
     **dict.fromkeys(("expr", "left", "right", "output"), (str, _REQUIRED)),
     "which": (("lin", "exp"), _REQUIRED),
     "--upto": (_nat, 5),
     "--json": (bool, False),
-    "--seed": (int, None),  # reserved; unused
     "--degree": (_nat, _REQUIRED),
     "--limit": (_nat, 100000),
     "--max-iter": (_nat, None),
@@ -610,8 +621,8 @@ _ARGUMENTS = {
     "--expr": (str, None),
     "--seq": (str, None),
 }
-_UPTO = " --upto --json --seed"
-_AT_DEGREE = "expr --degree --json --limit --seed"
+_UPTO = " --upto --json"
+_AT_DEGREE = "expr --degree --json --limit"
 
 # name -> (handler, summary, its positionals in order, then its options)
 _COMMANDS = {
@@ -729,7 +740,7 @@ def _help(name=None) -> str:
         words = [f"  espece {command} [-h]"]
         for w in _COMMANDS[command][2].split():
             kind, default = _ARGUMENTS[w]
-            var = "N" if kind in (int, _nat) else _dest(w).upper()
+            var = "N" if kind is _nat else _dest(w).upper()
             var = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else var
             word = w if kind is bool else f"{w} {var}" if w[0] == "-" else var
             words.append(word if default is _REQUIRED else f"[{word}]")

@@ -39,7 +39,7 @@ ENUMERATION_CAP = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
-# Expression nodes
+# Expression nodes and their rules
 
 
 class SpeciesExpr:
@@ -47,7 +47,16 @@ class SpeciesExpr:
 
     Operators: ``+`` sum, ``*`` Cauchy product, ``&`` Hadamard product,
     ``f(g)`` substitution.
+
+    Each node kind owns its rules (Bergeron, Labelle and Leroux 1998,
+    sections 1.1-1.4): ``children``, its subexpressions in field order;
+    ``child_degree(n)``, the degree at which it reads them when evaluated
+    at n; ``count(n, *child_counts)`` (or ``counts`` for a range of
+    degrees); ``build(labels)``, its sorted structures; and ``check``,
+    ``check_with_children``, its validation.
     """
+
+    children: Tuple["SpeciesExpr", ...] = ()
 
     def __add__(self, other):
         return Sum(self, other)
@@ -61,6 +70,30 @@ class SpeciesExpr:
     def __call__(self, other):
         return Substitute(self, other)
 
+    def child_degree(self, n: int) -> int:
+        return n
+
+    def reads(self, N: int):
+        """(child, degree) pairs that the counts at degrees 0..N read."""
+        return tuple((c, self.child_degree(N)) for c in self.children)
+
+    def counts(self, start: int, stop: int, *kids) -> list:
+        """Counts at degrees start..stop-1; the children's counts are ready."""
+        return [self.count(n, *kids) for n in range(start, stop)]
+
+    def build(self, labels):
+        """Generator: yields each (child, labels) read, is sent back that
+        child's structures, and returns its own, sorted.  A node without
+        children defines ``structures(labels)`` instead."""
+        return self.structures(labels)
+        yield  # never reached; the yield makes every builder a generator
+
+    def check(self, path: str, diags: list) -> None:
+        pass
+
+    def check_with_children(self, path: str, diags: list) -> None:
+        pass
+
 
 # Live nodes by (class, fields).  Weak values: a node leaves the table when
 # nothing else holds it, so the table never needs clearing.
@@ -70,7 +103,8 @@ _NODES = weakref.WeakValueDictionary()
 class _Interned(type):
     """Hash-consing (Filliatre & Conchon, 2006): constructing a node equal
     to a live one returns that node, so equality is identity and a node's
-    hash is computed once, from its children's stored hashes."""
+    hash is computed once, from its children's stored hashes.  A new node
+    also records its ``children``: the fields that are expressions."""
 
     def __call__(cls, *args, **kwargs):
         node = super().__call__(*args, **kwargs)
@@ -79,6 +113,8 @@ class _Interned(type):
         if live is not None:
             return live
         object.__setattr__(node, "_hash", hash(key))
+        kids = tuple(v for v in key[1:] if isinstance(v, SpeciesExpr))
+        object.__setattr__(node, "children", kids)
         _NODES[key] = node
         return node
 
@@ -94,59 +130,122 @@ class _Node(SpeciesExpr, metaclass=_Interned):
 
 @dataclass(frozen=True, eq=False)
 class Zero(_Node):
-    pass
+    def count(self, n):
+        return 0
+
+    def structures(self, labels):
+        return ()
+
+
+class _Representable(_Node):
+    """The rules of y[k], shared by One = y[0], X = y[1] and Representable."""
+
+    def count(self, n):
+        return math.factorial(self.k) if n == self.k else 0
+
+    def structures(self, labels):
+        if len(labels) != self.k:
+            return ()
+        return tuple(("rep", p) for p in itertools.permutations(labels))
 
 
 @dataclass(frozen=True, eq=False)
-class One(_Node):
+class One(_Representable):
     """The Cauchy unit y[0]: one structure on the empty label set."""
 
+    k = 0
+
 
 @dataclass(frozen=True, eq=False)
-class X(_Node):
+class X(_Representable):
     """The singleton species y[1]."""
 
+    k = 1
+
 
 @dataclass(frozen=True, eq=False)
-class Representable(_Node):
+class Representable(_Representable):
     """y[k]: the k! bijections {1..k} -> A when |A| = k, nothing else."""
 
     k: int
+
+    def check(self, path, diags):
+        if self.k < 0:
+            diags.append(Diagnostic("NegativeDegree", path, f"Y({self.k})"))
 
 
 @dataclass(frozen=True, eq=False)
 class Exp(_Node):
     """One structure (the label set itself) at every degree."""
 
+    def count(self, n):
+        return 1
+
+    def structures(self, labels):
+        return (("set", labels),)
+
 
 @dataclass(frozen=True, eq=False)
 class ExpPlus(_Node):
-    pass
+    def count(self, n):
+        return 1 if n >= 1 else 0
+
+    def structures(self, labels):
+        return (("set", labels),) if labels else ()
 
 
 @dataclass(frozen=True, eq=False)
 class Lin(_Node):
     """Linear orders; the regular (free transitive) action at each degree."""
 
+    def count(self, n):
+        return math.factorial(n)
+
+    def structures(self, labels):
+        return tuple(("lin", p) for p in itertools.permutations(labels))
+
 
 @dataclass(frozen=True, eq=False)
 class LinPlus(_Node):
-    pass
+    def count(self, n):
+        return math.factorial(n) if n >= 1 else 0
+
+    def structures(self, labels):
+        return tuple(("lin", p) for p in itertools.permutations(labels)) if labels else ()
 
 
 @dataclass(frozen=True, eq=False)
 class Cyc(_Node):
     """Oriented cycles; empty at degree 0 by convention."""
 
+    def count(self, n):
+        return math.factorial(n - 1) if n >= 1 else 0
+
+    def structures(self, labels):
+        if not labels:
+            return ()
+        return tuple(("cyc", labels[:1] + p) for p in itertools.permutations(labels[1:]))
+
 
 @dataclass(frozen=True, eq=False)
 class Perm(_Node):
     """Permutations of the label set, acted on by conjugation."""
 
+    def count(self, n):
+        return math.factorial(n)
+
+    def structures(self, labels):
+        return tuple(("perm", tuple(zip(labels, p))) for p in itertools.permutations(labels))
+
 
 @dataclass(frozen=True, eq=False)
 class Subsets(_Node):
-    pass
+    def count(self, n):
+        return 2 ** n
+
+    def structures(self, labels):
+        subs = (s for r in range(len(labels) + 1) for s in itertools.combinations(labels, r))
+        return tuple(("subset", s) for s in sorted(subs))
 
 
 _TABLE_REGISTRY: Dict[str, "Table"] = {}
@@ -192,11 +291,54 @@ class Table(SpeciesExpr):
     def __repr__(self):
         return f"Table({self.name!r}, max_degree={self.max_degree})"
 
+    def _row(self, n):
+        if n > self.max_degree:
+            raise BudgetExceeded(
+                f"table {self.name!r} holds degrees 0..{self.max_degree}, degree {n} requested"
+            )
+        return self.atoms[n]
+
+    def count(self, n):
+        return len(self._row(n))
+
+    def structures(self, labels):
+        return tuple(("atom", self.key, a, labels) for a in sorted(self._row(len(labels))))
+
+    def check(self, path, diags):
+        for n, row in enumerate(self.atoms):
+            if len(set(row)) != len(row):
+                diags.append(Diagnostic("DuplicateAtoms", path, f"degree {n}"))
+            action = self.action[n] if n < len(self.action) else None
+            if action is None:
+                diags.append(Diagnostic("MissingAction", path, f"degree {n}"))
+                continue
+            expected = {p.images for p in all_permutations(n)}
+            if set(action) != expected:
+                diags.append(Diagnostic("IncompleteAction", path, f"degree {n}"))
+                continue
+            ident = tuple(range(1, n + 1))
+            if any(action[ident].get(a) != a for a in row):
+                diags.append(Diagnostic("IdentityNotFixed", path, f"degree {n}"))
+            for sig, mapping in action.items():
+                if sorted(mapping) != sorted(row) or sorted(mapping.values()) != sorted(row):
+                    diags.append(
+                        Diagnostic("NonBijectiveAction", path, f"degree {n}, permutation {sig}")
+                    )
+                    break
+
 
 @dataclass(frozen=True, eq=False)
 class Sum(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
+
+    def count(self, n, f, g):
+        return f[n] + g[n]
+
+    def build(self, labels):
+        fs = yield self.f, labels
+        gs = yield self.g, labels
+        return tuple(("inl", s) for s in fs) + tuple(("inr", s) for s in gs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,11 +346,38 @@ class Hadamard(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
 
+    def count(self, n, f, g):
+        return f[n] * g[n]
+
+    def build(self, labels):
+        n = len(labels)
+        if not (_card(self.f, n) and _card(self.g, n)):
+            return ()
+        fs = yield self.f, labels
+        gs = yield self.g, labels
+        return tuple(("both", (sf, sg)) for sf in fs for sg in gs)
+
 
 @dataclass(frozen=True, eq=False)
 class Cauchy(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
+
+    def counts(self, start, stop, f, g):
+        return binomial_convolution(f, g, start, stop)
+
+    def build(self, labels):
+        n = len(labels)
+        out = []
+        for r in range(n + 1):
+            if _card(self.f, r) == 0 or _card(self.g, n - r) == 0:
+                continue
+            for U in itertools.combinations(labels, r):
+                rest = tuple(x for x in labels if x not in U)
+                fs = yield self.f, U
+                gs = yield self.g, rest
+                out += [("pair", (U, sf, sg)) for sf in fs for sg in gs]
+        return tuple(sorted(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,10 +385,66 @@ class Substitute(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
 
+    def reads(self, N):
+        # g is read only through the sizes the nonzero f_k leave room for
+        fs = _COUNT_CACHE.get(self.f, ())
+        if len(fs) <= N:
+            return ((self.f, N),)
+        kmin = next((k for k in range(1, N + 1) if fs[k]), None)
+        if kmin is None:
+            return ((self.f, N),)
+        return ((self.f, N), (self.g, N - kmin + 1))
+
+    def counts(self, start, stop, f, g):
+        return _substitute_counts(self.g, f, g, start, stop)
+
+    def check_with_children(self, path, diags):
+        try:
+            if _card(self.g, 0) != 0:
+                diags.append(
+                    Diagnostic(
+                        "InnerNotPositive",
+                        path,
+                        "substitution requires the inner species to be empty at degree 0",
+                    )
+                )
+        except BudgetExceeded as exc:
+            diags.append(Diagnostic("BudgetExceeded", path, str(exc)))
+
+    def build(self, labels):
+        out = []
+        for part in _set_partitions(labels):
+            blocks = tuple(sorted(part))
+            k = len(blocks)
+            if _card(self.f, k) == 0:
+                continue
+            if any(_card(self.g, len(b)) == 0 for b in blocks):
+                continue
+            inner_lists = []
+            for b in blocks:
+                inner_lists.append((yield self.g, b))
+            outers = yield self.f, tuple(range(1, k + 1))
+            out += [
+                ("part", (blocks, outer, inners))
+                for outer in outers
+                for inners in itertools.product(*inner_lists)
+            ]
+        return tuple(sorted(out))
+
 
 @dataclass(frozen=True, eq=False)
 class Derive(_Node):
     f: SpeciesExpr
+
+    def child_degree(self, n):
+        return n + 1
+
+    def count(self, n, f):
+        return f[n + 1]
+
+    def build(self, labels):
+        inner = yield self.f, (fresh_star(labels),) + labels
+        return tuple(("deriv", s) for s in inner)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,6 +452,17 @@ class Pointing(_Node):
     """A chosen label plus a derivative structure on its complement."""
 
     f: SpeciesExpr
+
+    def count(self, n, f):
+        return n * f[n]
+
+    def build(self, labels):
+        out = []
+        for a in labels:
+            rest = tuple(x for x in labels if x != a)
+            inner = yield self.f, (fresh_star(rest),) + rest
+            out += [("point", (a, s)) for s in inner]
+        return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +472,19 @@ class AdjL(_Node):
 
     f: SpeciesExpr
 
+    def child_degree(self, n):
+        return n - 1
+
+    def count(self, n, f):
+        return n * f[n - 1] if n >= 1 else 0
+
+    def build(self, labels):
+        out = []
+        for a in labels:
+            inner = yield self.f, tuple(x for x in labels if x != a)
+            out += [("adjl", (a, s)) for s in inner]
+        return tuple(out)
+
 
 @dataclass(frozen=True, eq=False)
 class AdjR(_Node):
@@ -244,6 +493,24 @@ class AdjR(_Node):
 
     f: SpeciesExpr
 
+    def child_degree(self, n):
+        return n - 1
+
+    def count(self, n, f):
+        return f[n - 1] ** n if n >= 1 else 1
+
+    def build(self, labels):
+        n = len(labels)
+        if n == 0:
+            return (("tuple", ()),)
+        if _card(self.f, n - 1) == 0:
+            return ()
+        per_label = []
+        for a in labels:
+            inner = yield self.f, tuple(x for x in labels if x != a)
+            per_label.append([(a, s) for s in inner])
+        return tuple(("tuple", combo) for combo in itertools.product(*per_label))
+
 
 @dataclass(frozen=True, eq=False)
 class DeriveL(_Node):
@@ -251,32 +518,48 @@ class DeriveL(_Node):
 
     f: SpeciesExpr
 
+    def count(self, n, f):
+        return (n + 1) * f[n]
+
+    def build(self, labels):
+        return (yield Derive(AdjL(self.f)), labels)
+
 
 @dataclass(frozen=True, eq=False)
-class TruncLeft(_Node):
+class _Truncation(_Node):
+    """The child up to the cutoff, and ``above`` at every degree above it."""
+
+    f: SpeciesExpr
+    cutoff: int
+
+    def child_degree(self, n):
+        return min(n, self.cutoff)
+
+    def check(self, path, diags):
+        if self.cutoff < 0:
+            diags.append(Diagnostic("NegativeCutoff", path, f"cutoff {self.cutoff}"))
+
+    def count(self, n, f):
+        return f[n] if n <= self.cutoff else len(self.above)
+
+    def build(self, labels):
+        if len(labels) > self.cutoff:
+            return self.above
+        return (yield self.f, labels)
+
+
+@dataclass(frozen=True, eq=False)
+class TruncLeft(_Truncation):
     """Kill every degree above the cutoff."""
 
-    f: SpeciesExpr
-    cutoff: int
+    above = ()
 
 
 @dataclass(frozen=True, eq=False)
-class TruncRight(_Node):
+class TruncRight(_Truncation):
     """Replace every degree above the cutoff by a singleton."""
 
-    f: SpeciesExpr
-    cutoff: int
-
-
-_PRIMHOLDS = (Zero, One, X, Representable, Exp, ExpPlus, Lin, LinPlus, Cyc, Perm, Subsets, Table)
-
-
-def children(e: SpeciesExpr) -> Tuple[SpeciesExpr, ...]:
-    if isinstance(e, (Sum, Hadamard, Cauchy, Substitute)):
-        return (e.f, e.g)
-    if isinstance(e, (Derive, Pointing, AdjL, AdjR, DeriveL, TruncLeft, TruncRight)):
-        return (e.f,)
-    return ()
+    above = (("top",),)
 
 
 # ---------------------------------------------------------------------------
@@ -301,62 +584,20 @@ def validate(e: SpeciesExpr) -> Tuple[Diagnostic, ...]:
             # every child is done: mark holds the diagnostic counts from
             # before the node's own checks and from before its children
             first, before = mark
-            if isinstance(node, Substitute) and len(diags) == before:
-                _validate_inner(node, path, diags)
+            if len(diags) == before:
+                node.check_with_children(path, diags)
             if len(diags) == first:
                 _VALIDATED.add(node)
             continue
         if node in _VALIDATED:
             continue
         first = len(diags)
-        if isinstance(node, Representable) and node.k < 0:
-            diags.append(Diagnostic("NegativeDegree", path, f"Y({node.k})"))
-        if isinstance(node, (TruncLeft, TruncRight)) and node.cutoff < 0:
-            diags.append(Diagnostic("NegativeCutoff", path, f"cutoff {node.cutoff}"))
-        if isinstance(node, Table):
-            _validate_table(node, path, diags)
+        node.check(path, diags)
         stack.append((node, path, (first, len(diags))))
-        kids = children(node)
+        kids = node.children
         for i in reversed(range(len(kids))):
             stack.append((kids[i], f"{path}.{i}", None))
     return tuple(diags)
-
-
-def _validate_inner(e: Substitute, path, diags):
-    try:
-        if _card(e.g, 0) != 0:
-            diags.append(
-                Diagnostic(
-                    "InnerNotPositive",
-                    path,
-                    "substitution requires the inner species to be empty at degree 0",
-                )
-            )
-    except BudgetExceeded as exc:
-        diags.append(Diagnostic("BudgetExceeded", path, str(exc)))
-
-
-def _validate_table(e: Table, path, diags):
-    for n, row in enumerate(e.atoms):
-        if len(set(row)) != len(row):
-            diags.append(Diagnostic("DuplicateAtoms", path, f"degree {n}"))
-        action = e.action[n] if n < len(e.action) else None
-        if action is None:
-            diags.append(Diagnostic("MissingAction", path, f"degree {n}"))
-            continue
-        expected = {p.images for p in all_permutations(n)}
-        if set(action) != expected:
-            diags.append(Diagnostic("IncompleteAction", path, f"degree {n}"))
-            continue
-        ident = tuple(range(1, n + 1))
-        if any(action[ident].get(a) != a for a in row):
-            diags.append(Diagnostic("IdentityNotFixed", path, f"degree {n}"))
-        for sig, mapping in action.items():
-            if sorted(mapping) != sorted(row) or sorted(mapping.values()) != sorted(row):
-                diags.append(
-                    Diagnostic("NonBijectiveAction", path, f"degree {n}, permutation {sig}")
-                )
-                break
 
 
 def require_valid(e: SpeciesExpr) -> None:
@@ -440,88 +681,6 @@ def _substitute_counts(g, fs, gs, start: int, stop: int) -> list:
     return out
 
 
-def _reads(e, N: int):
-    """(child, horizon) pairs that the counts of e at degrees 0..N read."""
-    if isinstance(e, (Sum, Hadamard, Cauchy, Pointing, DeriveL)):
-        return tuple((c, N) for c in children(e))
-    if isinstance(e, Substitute):
-        fs = _COUNT_CACHE.get(e.f, ())
-        if len(fs) <= N:
-            return ((e.f, N),)
-        kmin = next((k for k in range(1, N + 1) if fs[k]), None)
-        if kmin is None:
-            return ((e.f, N),)
-        return ((e.f, N), (e.g, N - kmin + 1))
-    if isinstance(e, Derive):
-        return ((e.f, N + 1),)
-    if isinstance(e, (AdjL, AdjR)):
-        return ((e.f, N - 1),)
-    if isinstance(e, (TruncLeft, TruncRight)):
-        return ((e.f, min(N, e.cutoff)),)
-    return ()
-
-
-def _count_at(e, n: int, f=None, g=None) -> int:
-    """|e[n]| from the counts f (and g) of e's children."""
-    if isinstance(e, Zero):
-        return 0
-    if isinstance(e, One):
-        return 1 if n == 0 else 0
-    if isinstance(e, X):
-        return 1 if n == 1 else 0
-    if isinstance(e, Representable):
-        return math.factorial(e.k) if n == e.k else 0
-    if isinstance(e, Exp):
-        return 1
-    if isinstance(e, ExpPlus):
-        return 1 if n >= 1 else 0
-    if isinstance(e, (Lin, Perm)):
-        return math.factorial(n)
-    if isinstance(e, LinPlus):
-        return math.factorial(n) if n >= 1 else 0
-    if isinstance(e, Cyc):
-        return math.factorial(n - 1) if n >= 1 else 0
-    if isinstance(e, Subsets):
-        return 2 ** n
-    if isinstance(e, Table):
-        if n > e.max_degree:
-            raise BudgetExceeded(
-                f"table {e.name!r} holds degrees 0..{e.max_degree}, degree {n} requested"
-            )
-        return len(e.atoms[n])
-    if isinstance(e, Sum):
-        return f[n] + g[n]
-    if isinstance(e, Hadamard):
-        return f[n] * g[n]
-    if isinstance(e, Derive):
-        return f[n + 1]
-    if isinstance(e, Pointing):
-        return n * f[n]
-    if isinstance(e, AdjL):
-        return n * f[n - 1] if n >= 1 else 0
-    if isinstance(e, AdjR):
-        return f[n - 1] ** n if n >= 1 else 1
-    if isinstance(e, DeriveL):
-        return (n + 1) * f[n]
-    if isinstance(e, TruncLeft):
-        return f[n] if n <= e.cutoff else 0
-    if isinstance(e, TruncRight):
-        return f[n] if n <= e.cutoff else 1
-    raise TypeError(f"not a species expression: {e!r}")
-
-
-def _extend(e, seq: list, N: int) -> None:
-    """Append the counts of e at degrees len(seq)..N; its reads are ready."""
-    kids = [_COUNT_CACHE.get(c, ()) for c in children(e)]
-    if isinstance(e, Cauchy):
-        seq.extend(binomial_convolution(*kids, len(seq), N + 1))
-    elif isinstance(e, Substitute):
-        seq.extend(_substitute_counts(e.g, *kids, len(seq), N + 1))
-    else:
-        for n in range(len(seq), N + 1):
-            seq.append(_count_at(e, n, *kids))
-
-
 def _counts(e, N: int) -> list:
     """The cached counts of e, extended through degree N.
 
@@ -541,12 +700,13 @@ def _counts(e, N: int) -> list:
         if len(seq) > n:
             stack.pop()
             continue
-        missing = [(c, m) for c, m in _reads(node, n) if len(_COUNT_CACHE.get(c, ())) <= m]
+        missing = [(c, m) for c, m in node.reads(n) if len(_COUNT_CACHE.get(c, ())) <= m]
         if missing:
             stack.extend(missing)
             continue
         stack.pop()
-        _extend(node, seq, n)
+        kids = [_COUNT_CACHE.get(c, ()) for c in node.children]
+        seq.extend(node.counts(len(seq), n + 1, *kids))
     return _COUNT_CACHE[e]
 
 
@@ -569,20 +729,20 @@ def counts_upto(e: SpeciesExpr, N: int) -> Tuple[int, ...]:
 
 
 def degree_budget(e: SpeciesExpr, n: int) -> int:
-    """Maximum degree of any primitive table consulted evaluating e at n."""
-    if isinstance(e, _PRIMHOLDS):
-        return n
-    if isinstance(e, (Sum, Hadamard, Cauchy, Substitute)):
-        return max(degree_budget(e.f, n), degree_budget(e.g, n))
-    if isinstance(e, Derive):
-        return degree_budget(e.f, n + 1)
-    if isinstance(e, (Pointing, DeriveL)):
-        return degree_budget(e.f, n)
-    if isinstance(e, (AdjL, AdjR)):
-        return degree_budget(e.f, max(n - 1, 0))
-    if isinstance(e, (TruncLeft, TruncRight)):
-        return degree_budget(e.f, min(n, e.cutoff))
-    raise TypeError(f"not a species expression: {e!r}")
+    """Maximum degree of any primitive table consulted evaluating e at n.
+
+    A walk over the ``child_degree`` rules, clamped at 0, on an explicit
+    stack that visits each (node, degree) pair once.
+    """
+    leaves, seen, stack = set(), set(), [(e, n)]
+    while stack:
+        node, m = item = stack.pop()
+        if item not in seen:
+            seen.add(item)
+            if not node.children:
+                leaves.add(m)
+            stack.extend((c, max(node.child_degree(m), 0)) for c in node.children)
+    return max(leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -676,131 +836,26 @@ def _set_partitions(labels: Tuple[int, ...]):
 
 
 def structures_on(e: SpeciesExpr, labels: Tuple[int, ...]) -> Tuple:
-    """All canonical e-structures on an arbitrary sorted label tuple."""
-    key = (e, labels)
-    hit = _ENUM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = tuple(sorted(_build(e, labels)))
-    _ENUM_CACHE[key] = out
+    """All canonical e-structures on an arbitrary sorted label tuple, sorted.
+
+    Builders are suspended at each child they read and run on an explicit
+    stack (a post-order over the reads), so nesting depth is not bounded
+    by the recursion limit; every (node, labels) result is cached.
+    """
+    out = _ENUM_CACHE.get((e, labels))
+    stack = [] if out is not None else [((e, labels), e.build(labels))]
+    while stack:
+        key, builder = stack[-1]
+        try:
+            read = builder.send(out)
+        except StopIteration as done:
+            stack.pop()
+            out = _ENUM_CACHE[key] = done.value
+            continue
+        out = _ENUM_CACHE.get(read)
+        if out is None:
+            stack.append((read, read[0].build(read[1])))
     return out
-
-
-def _build(e, labels):
-    n = len(labels)
-    if isinstance(e, Zero):
-        return
-    elif isinstance(e, One):
-        if n == 0:
-            yield ("rep", ())
-    elif isinstance(e, X):
-        if n == 1:
-            yield ("rep", (labels[0],))
-    elif isinstance(e, Representable):
-        if n == e.k:
-            for p in itertools.permutations(labels):
-                yield ("rep", p)
-    elif isinstance(e, Exp):
-        yield ("set", labels)
-    elif isinstance(e, ExpPlus):
-        if n >= 1:
-            yield ("set", labels)
-    elif isinstance(e, Lin):
-        for p in itertools.permutations(labels):
-            yield ("lin", p)
-    elif isinstance(e, LinPlus):
-        if n >= 1:
-            for p in itertools.permutations(labels):
-                yield ("lin", p)
-    elif isinstance(e, Cyc):
-        if n >= 1:
-            for p in itertools.permutations(labels[1:]):
-                yield ("cyc", (labels[0],) + p)
-    elif isinstance(e, Perm):
-        for p in itertools.permutations(labels):
-            yield ("perm", tuple(zip(labels, p)))
-    elif isinstance(e, Subsets):
-        for r in range(n + 1):
-            for sub in itertools.combinations(labels, r):
-                yield ("subset", sub)
-    elif isinstance(e, Table):
-        if n > e.max_degree:
-            raise BudgetExceeded(
-                f"table {e.name!r} holds degrees 0..{e.max_degree}, degree {n} requested"
-            )
-        for name in e.atoms[n]:
-            yield ("atom", e.key, name, labels)
-    elif isinstance(e, Sum):
-        for s in structures_on(e.f, labels):
-            yield ("inl", s)
-        for s in structures_on(e.g, labels):
-            yield ("inr", s)
-    elif isinstance(e, Hadamard):
-        if _card(e.f, n) and _card(e.g, n):
-            for sf in structures_on(e.f, labels):
-                for sg in structures_on(e.g, labels):
-                    yield ("both", (sf, sg))
-    elif isinstance(e, Cauchy):
-        for r in range(n + 1):
-            if _card(e.f, r) == 0 or _card(e.g, n - r) == 0:
-                continue
-            for U in itertools.combinations(labels, r):
-                rest = tuple(x for x in labels if x not in U)
-                for sf in structures_on(e.f, U):
-                    for sg in structures_on(e.g, rest):
-                        yield ("pair", (U, sf, sg))
-    elif isinstance(e, Substitute):
-        for part in _set_partitions(labels):
-            blocks = tuple(sorted(part))
-            k = len(blocks)
-            if _card(e.f, k) == 0:
-                continue
-            if any(_card(e.g, len(b)) == 0 for b in blocks):
-                continue
-            inner_lists = [structures_on(e.g, b) for b in blocks]
-            for outer in structures_on(e.f, tuple(range(1, k + 1))):
-                for inners in itertools.product(*inner_lists):
-                    yield ("part", (blocks, outer, inners))
-    elif isinstance(e, Derive):
-        star = fresh_star(labels)
-        inner_labels = tuple(sorted(labels + (star,)))
-        for s in structures_on(e.f, inner_labels):
-            yield ("deriv", s)
-    elif isinstance(e, Pointing):
-        for a in labels:
-            rest = tuple(x for x in labels if x != a)
-            star = fresh_star(rest)
-            for s in structures_on(e.f, tuple(sorted(rest + (star,)))):
-                yield ("point", (a, s))
-    elif isinstance(e, AdjL):
-        for a in labels:
-            rest = tuple(x for x in labels if x != a)
-            for s in structures_on(e.f, rest):
-                yield ("adjl", (a, s))
-    elif isinstance(e, AdjR):
-        if n == 0:
-            yield ("tuple", ())
-            return
-        if _card(e.f, n - 1) == 0:
-            return
-        per_label = []
-        for a in labels:
-            rest = tuple(x for x in labels if x != a)
-            per_label.append([(a, s) for s in structures_on(e.f, rest)])
-        for combo in itertools.product(*per_label):
-            yield ("tuple", combo)
-    elif isinstance(e, DeriveL):
-        yield from _build(Derive(AdjL(e.f)), labels)
-    elif isinstance(e, TruncLeft):
-        if n <= e.cutoff:
-            yield from structures_on(e.f, labels)
-    elif isinstance(e, TruncRight):
-        if n <= e.cutoff:
-            yield from structures_on(e.f, labels)
-        else:
-            yield ("top",)
-    else:
-        raise TypeError(f"not a species expression: {e!r}")
 
 
 @dataclass

@@ -9,6 +9,8 @@ substitution counts are summed over explicitly generated set partitions
 or over integer partitions.  Relabeling itself is checked against
 ``transport``, which threads the label set of every substructure and
 renumbers the reserved labels of derivative contexts at each one.
+Enumeration and degree budgets are checked against the recursive
+isinstance ladders the node-kind rules replaced.
 Command lines are checked against the argparse parser the CLI used to
 build on every call.
 """
@@ -20,6 +22,7 @@ from collections import Counter
 from typing import Tuple
 
 from espece import (
+    AdjL,
     AdjR,
     Cauchy,
     Cyc,
@@ -34,13 +37,19 @@ from espece import (
     Perm,
     Pointing,
     Representable,
+    SpeciesExpr,
     Subsets,
     Substitute,
     Sum,
+    Table,
+    TruncLeft,
+    TruncRight,
     X,
+    Zero,
 )
+from espece.errors import BudgetExceeded
 from espece.groups import all_permutations
-from espece.species import _TABLE_REGISTRY, _min_rotation, fresh_star
+from espece.species import _TABLE_REGISTRY, _card, _min_rotation, fresh_star
 from espece.transforms import SUITE_NAMES
 
 GOLDEN_EXPRS = (
@@ -271,6 +280,158 @@ def set_partitions(labels):
         yield ((first,),) + part
 
 
+_PRIMHOLDS = (Zero, One, X, Representable, Exp, ExpPlus, Lin, LinPlus, Cyc, Perm, Subsets, Table)
+
+
+def ladder_degree_budget(e: SpeciesExpr, n: int) -> int:
+    """``species.degree_budget`` as a recursive isinstance ladder over node kinds."""
+    if isinstance(e, _PRIMHOLDS):
+        return n
+    if isinstance(e, (Sum, Hadamard, Cauchy, Substitute)):
+        return max(ladder_degree_budget(e.f, n), ladder_degree_budget(e.g, n))
+    if isinstance(e, Derive):
+        return ladder_degree_budget(e.f, n + 1)
+    if isinstance(e, (Pointing, DeriveL)):
+        return ladder_degree_budget(e.f, n)
+    if isinstance(e, (AdjL, AdjR)):
+        return ladder_degree_budget(e.f, max(n - 1, 0))
+    if isinstance(e, (TruncLeft, TruncRight)):
+        return ladder_degree_budget(e.f, min(n, e.cutoff))
+    raise TypeError(f"not a species expression: {e!r}")
+
+
+_RECURSIVE_ENUM_CACHE: dict = {}
+
+
+def recursive_structures_on(e: SpeciesExpr, labels: Tuple[int, ...]) -> Tuple:
+    """``species.structures_on`` as a recursion that sorts every node's output,
+    over one isinstance ladder of builders."""
+    key = (e, labels)
+    hit = _RECURSIVE_ENUM_CACHE.get(key)
+    if hit is not None:
+        return hit
+    out = tuple(sorted(_recursive_build(e, labels)))
+    _RECURSIVE_ENUM_CACHE[key] = out
+    return out
+
+
+def _recursive_build(e, labels):
+    n = len(labels)
+    if isinstance(e, Zero):
+        return
+    elif isinstance(e, One):
+        if n == 0:
+            yield ("rep", ())
+    elif isinstance(e, X):
+        if n == 1:
+            yield ("rep", (labels[0],))
+    elif isinstance(e, Representable):
+        if n == e.k:
+            for p in itertools.permutations(labels):
+                yield ("rep", p)
+    elif isinstance(e, Exp):
+        yield ("set", labels)
+    elif isinstance(e, ExpPlus):
+        if n >= 1:
+            yield ("set", labels)
+    elif isinstance(e, Lin):
+        for p in itertools.permutations(labels):
+            yield ("lin", p)
+    elif isinstance(e, LinPlus):
+        if n >= 1:
+            for p in itertools.permutations(labels):
+                yield ("lin", p)
+    elif isinstance(e, Cyc):
+        if n >= 1:
+            for p in itertools.permutations(labels[1:]):
+                yield ("cyc", (labels[0],) + p)
+    elif isinstance(e, Perm):
+        for p in itertools.permutations(labels):
+            yield ("perm", tuple(zip(labels, p)))
+    elif isinstance(e, Subsets):
+        for r in range(n + 1):
+            for sub in itertools.combinations(labels, r):
+                yield ("subset", sub)
+    elif isinstance(e, Table):
+        if n > e.max_degree:
+            raise BudgetExceeded(
+                f"table {e.name!r} holds degrees 0..{e.max_degree}, degree {n} requested"
+            )
+        for name in e.atoms[n]:
+            yield ("atom", e.key, name, labels)
+    elif isinstance(e, Sum):
+        for s in recursive_structures_on(e.f, labels):
+            yield ("inl", s)
+        for s in recursive_structures_on(e.g, labels):
+            yield ("inr", s)
+    elif isinstance(e, Hadamard):
+        if _card(e.f, n) and _card(e.g, n):
+            for sf in recursive_structures_on(e.f, labels):
+                for sg in recursive_structures_on(e.g, labels):
+                    yield ("both", (sf, sg))
+    elif isinstance(e, Cauchy):
+        for r in range(n + 1):
+            if _card(e.f, r) == 0 or _card(e.g, n - r) == 0:
+                continue
+            for U in itertools.combinations(labels, r):
+                rest = tuple(x for x in labels if x not in U)
+                for sf in recursive_structures_on(e.f, U):
+                    for sg in recursive_structures_on(e.g, rest):
+                        yield ("pair", (U, sf, sg))
+    elif isinstance(e, Substitute):
+        for part in set_partitions(labels):
+            blocks = tuple(sorted(part))
+            k = len(blocks)
+            if _card(e.f, k) == 0:
+                continue
+            if any(_card(e.g, len(b)) == 0 for b in blocks):
+                continue
+            inner_lists = [recursive_structures_on(e.g, b) for b in blocks]
+            for outer in recursive_structures_on(e.f, tuple(range(1, k + 1))):
+                for inners in itertools.product(*inner_lists):
+                    yield ("part", (blocks, outer, inners))
+    elif isinstance(e, Derive):
+        star = fresh_star(labels)
+        inner_labels = tuple(sorted(labels + (star,)))
+        for s in recursive_structures_on(e.f, inner_labels):
+            yield ("deriv", s)
+    elif isinstance(e, Pointing):
+        for a in labels:
+            rest = tuple(x for x in labels if x != a)
+            star = fresh_star(rest)
+            for s in recursive_structures_on(e.f, tuple(sorted(rest + (star,)))):
+                yield ("point", (a, s))
+    elif isinstance(e, AdjL):
+        for a in labels:
+            rest = tuple(x for x in labels if x != a)
+            for s in recursive_structures_on(e.f, rest):
+                yield ("adjl", (a, s))
+    elif isinstance(e, AdjR):
+        if n == 0:
+            yield ("tuple", ())
+            return
+        if _card(e.f, n - 1) == 0:
+            return
+        per_label = []
+        for a in labels:
+            rest = tuple(x for x in labels if x != a)
+            per_label.append([(a, s) for s in recursive_structures_on(e.f, rest)])
+        for combo in itertools.product(*per_label):
+            yield ("tuple", combo)
+    elif isinstance(e, DeriveL):
+        yield from _recursive_build(Derive(AdjL(e.f)), labels)
+    elif isinstance(e, TruncLeft):
+        if n <= e.cutoff:
+            yield from recursive_structures_on(e.f, labels)
+    elif isinstance(e, TruncRight):
+        if n <= e.cutoff:
+            yield from recursive_structures_on(e.f, labels)
+        else:
+            yield ("top",)
+    else:
+        raise TypeError(f"not a species expression: {e!r}")
+
+
 def substitution_count_oracle(f_counts, g_counts, n):
     """|(f o g)[n]| summed over explicit set partitions of {1..n}."""
     total = 0
@@ -358,7 +519,6 @@ def reference_parser() -> argparse.ArgumentParser:
             p.add_argument("--limit", type=_reference_nat, default=100000, help="enumeration cap")
         if max_iter:
             p.add_argument("--max-iter", type=_reference_nat, default=None, dest="max_iter")
-        p.add_argument("--seed", type=int, default=None, help="reserved; unused")
 
     p = sub.add_parser("coeffs", help="counting sequence of an expression")
     p.add_argument("expr")

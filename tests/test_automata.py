@@ -202,6 +202,28 @@ def test_complement_is_derivative_machine_endomorphism():
     assert check_morphism(f, m, m)
 
 
+def test_complement_is_pointing_and_deriveL_machine_endomorphism():
+    # a chosen label joins the subset exactly when the reserved label 0
+    # is absent, so complementation commutes with the step
+    def step(k, enc):
+        a, (_, U) = enc[1] if enc[0] == "point" else enc[1][1]
+        kept = {y for y in U if y > 0} | ({a} if a > 0 and 0 not in U else set())
+        return ("subset", tuple(sorted(kept)))
+
+    def complement(k, enc):
+        return ("subset", tuple(x for x in range(1, k + 1) if x not in enc[1]))
+
+    f = build_nat(Subsets(), Subsets(), 3, complement)
+    empty = build_nat(Subsets(), Subsets(), 3, lambda k, enc: ("subset", ()))
+    for dyn in (PointingDyn(), DeriveLDyn()):
+        shifted = apply_dynamics(dyn, Subsets())
+        d = build_nat(shifted, Subsets(), 3, step)
+        m = MealyAutomaton(dyn, Subsets(), Exp(), d, unique_to_exp(shifted, 3), 3)
+        assert check_mealy(m).ok
+        assert check_morphism(f, m, m)
+        assert not check_morphism(empty, m, m)
+
+
 # --- terminal counts and hom counts ----------------------------------------
 
 

@@ -133,12 +133,19 @@ GOLDEN_EXPRS = (
     Hadamard(Exp(), Sum(Lin(), Cyc())),
     DeriveL(Pointing(AdjL(AdjR(Exp())))),
     Cauchy(Substitute(Exp(), Cyc()), Hadamard(Lin(), Perm())),
+    Sum(X(), Sum(Lin(), Cyc())),
+    Cauchy(Lin(), Hadamard(Exp(), Cyc())),
 )
 
 
 def test_render_parse_roundtrip():
     for e in GOLDEN_EXPRS:
         assert parse_expr(render(e)) == e, render(e)
+    # rendering walks an explicit stack, so long sums and chains print
+    for text in ("+".join(["X"] * 1500), " o ".join(["X"] * 1500)):
+        e = parse_expr(text)
+        assert render(e) == text
+        assert parse_expr(render(e)) is e
 
 
 # --- operator specifications -------------------------------------------------
@@ -314,6 +321,17 @@ def test_deep_sum_counts_without_recursion():
     assert (code, out) == (0, "0, 1, 0, 0\n")
 
 
+def test_long_sum_enumerates():
+    # builders emit sorted structures, so a sum is not re-sorted at each of
+    # its 400 levels
+    deep = "+".join(["X"] * 400)
+    code, out = run("enumerate", deep, "--degree", "1")
+    assert code == 0 and out.splitlines()[0] == "400 structure(s) at degree 1"
+    assert run("iso", deep, deep, "--upto", "1") == (0, "isomorphic up to degree 1: true\n")
+    code, out = run("orbits", deep, "--degree", "1")
+    assert code == 0 and len(out.splitlines()) == 400
+
+
 def test_nesting_cap(capsys):
     assert MAX_NESTING >= 150  # the benchmark parses D^150(E)
     for opener, inner, atom in (("(", X(), "X"), ("D(", Exp(), "E")):
@@ -392,10 +410,11 @@ def test_json_result_values():
     assert doc["inputs"] == {"expr": "E o C"}
 
 
-def test_seed_flag_accepted_and_ignored():
+def test_seed_flag_is_rejected(capsys):
     code, out = run("coeffs", "L", "--upto", "3", "--seed", "7")
-    assert code == 0
-    assert out == "1, 1, 2, 6\n"
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err == "espece: error: unrecognized option: --seed\n"
 
 
 # --- argument reading ---------------------------------------------------------
@@ -409,7 +428,7 @@ def _readme_examples():
 ARGV_CORPUS = (
     ("natenum", "C", "D(C)", "--upto", "2", "--limit", "5"),
     ("solve", "--op", "1:0 + X:0", "--max-iter", "3", "--upto", "4", "--json"),
-    ("fixcheck", "--op", "1:0 + X:0", "--seq", "1,1,2", "--upto", "2", "--seed", "-7"),
+    ("fixcheck", "--op", "1:0 + X:0", "--seq", "-7", "--upto", "2"),
     ("orbits", "P", "--degree", "3", "--limit", "50", "--json"),
     ("terminal", "--moore", "--dyn", "derive", "E", "--upto", "3"),
     ("suite", "--name", "napier"),
@@ -426,14 +445,15 @@ ARGV_CORPUS = (
     ("fixcheck", "--o", "1:1", "--ex", "E", "--seq=1"),
     # repeated options (the last wins), options around positionals, "--"
     ("coeffs", "--upto", "2", "L", "--upto", "7"),
-    ("iso", "--upto", "3", "S", "--json", "L", "--seed", "1", "--seed=2"),
+    ("iso", "--upto", "3", "S", "--json", "L", "--upto", "1", "--upto=2"),
     ("natcount", "C", "--upto", "2", "D(C)"),
     ("coeffs", "--upto", "3", "--", "-1"),
     ("iso", "S", "--", "L"),
     ("homday", "--", "X", "L"),
     ("iso", "--", "S", "--json"),
-    ("coeffs", "E", "--seed", "-7"),
-    ("coeffs", "-1", "--seed", "-7 "),
+    ("fixcheck", "--op", "1:1", "--expr", "-7"),
+    ("fixcheck", "--op", "-1", "--seq", "-7 "),
+    ("fixcheck", "--op", "1:1", "--se", "1"),  # --seq is the only option starting --se
 )
 
 
@@ -455,7 +475,6 @@ USAGE_ERRORS = (
     ("terminal", "--dyn", "adjL", "E", "--max-iter", "2"),
     ("coeffs", "E", "--bogus"),
     ("iso", "S", "L", "E"),
-    ("fixcheck", "--op", "1:1", "--se", "1"),  # ambiguous: --seq or --seed
     ("monoid", "set"),
     ("terminal", "--dyn", "left", "E"),
     ("suite", "--name", "nope"),
@@ -463,7 +482,7 @@ USAGE_ERRORS = (
     ("coeffs", "E", "--upto", "--json"),
     ("solve", "--op"),
     ("coeffs", "E", "--json=1"),
-    ("coeffs", "E", "--seed", "x"),
+    ("coeffs", "E", "--upto", "x"),
     (),  # no command
     ("frobnicate", "E"),
 )

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -43,7 +44,8 @@ from espece.errors import (
 from espece import species
 from espece.groups import Permutation, all_permutations, generators
 from espece.species import Table, act_structure, fresh_star, structures_on, transport
-from helpers import GOLDEN_EXPRS
+from espece.transforms import DEFAULT_FAMILY
+from helpers import GOLDEN_EXPRS, ladder_degree_budget, recursive_structures_on
 from helpers import transport as threading_transport
 
 GOLDEN = (
@@ -101,6 +103,58 @@ def test_enumeration_matches_counting_on_golden():
     for e in GOLDEN:
         for n in range(6):
             assert len(enumerate_degree(e, n).structures) == cardinality(e, n), (e, n)
+
+
+def _suite_families():
+    """The Leibniz, chain-rule and substitution expressions of the suite."""
+    family = DEFAULT_FAMILY
+    positive = [g for g in family if cardinality(g, 0) == 0]
+    out = []
+    for f, g in itertools.product(family, family):
+        out += [Derive(Cauchy(f, g)), Sum(Cauchy(Derive(f), g), Cauchy(f, Derive(g)))]
+    for f, g in itertools.product(family, positive):
+        out += [Substitute(f, g), Derive(Substitute(f, g))]
+        out += [Cauchy(Substitute(Derive(f), g), Derive(g))]
+    return tuple(out)
+
+
+def test_enumeration_matches_recursive_oracle():
+    # equal tuple for tuple, so every builder's output is sorted as well
+    tbl = as_table(Cyc(), 5)
+    extras = (tbl, Pointing(tbl), DeriveL(Lin()), AdjR(Lin()), TruncLeft(Cyc(), 2))
+    extras += (TruncRight(Lin(), 2), Hadamard(tbl, Subsets()), Substitute(tbl, Cyc()))
+    species.clear_caches()
+    checked = 0
+    for e in GOLDEN + GOLDEN_EXPRS + _suite_families() + extras:
+        for n in range(6):
+            if cardinality(e, n) > 30000:  # AdjR(Lin()) at 5 has 24^5
+                assert (e, n) == (AdjR(Lin()), 5)
+                continue
+            labels = tuple(range(1, n + 1))
+            assert structures_on(e, labels) == recursive_structures_on(e, labels), (e, n)
+            checked += 1
+    assert checked > 500
+
+
+def test_degree_budget_matches_ladder():
+    tbl = as_table(Lin(), 3)
+    extras = (tbl, DeriveL(tbl), AdjR(Derive(tbl)), TruncLeft(Derive(Lin()), 2))
+    extras += (TruncRight(AdjL(Derive(Derive(Exp()))), 4),)
+    for e in GOLDEN + GOLDEN_EXPRS + _suite_families() + extras:
+        for n in range(7):
+            assert degree_budget(e, n) == ladder_degree_budget(e, n), (e, n)
+
+
+def test_deep_truncation_chain():
+    chain = Lin()
+    for i in range(3000):
+        chain = TruncLeft(chain, 3) if i % 2 else TruncRight(chain, 3)
+    # the outermost of the 3000 is a TruncLeft
+    assert enumerate_degree(chain, 3).structures == enumerate_degree(Lin(), 3).structures
+    assert enumerate_degree(chain, 4).structures == ()
+    assert enumerate_degree(TruncRight(chain, 3), 4).structures == (("top",),)
+    assert degree_budget(chain, 6) == 3
+    assert degree_budget(Derive(chain), 2) == 3
 
 
 def test_enumeration_cap():
