@@ -22,7 +22,13 @@ from .errors import (
     NotSupported,
     ShapeMismatch,
 )
-from .groups import FiniteAction, Permutation, count_equivariant_maps
+from .groups import (
+    FiniteAction,
+    Permutation,
+    count_equivariant_maps,
+    generators,
+    permutation_array,
+)
 from .species import (
     AdjL,
     Cauchy,
@@ -262,14 +268,23 @@ def hom_day_counts(
 
 
 def _restricted_action(g: SpeciesExpr, k: int, m: int) -> FiniteAction:
-    """g at degree k+m as an S_m-action through the last-m-labels embedding."""
+    """g at degree k+m as an S_m-action through the last-m-labels embedding.
+
+    Its generator arrays are the embedded generators, each a word over g's
+    compiled arrays at degree k+m."""
     data = enumerate_degree(g, k + m)
 
     def embed(sigma: Permutation) -> Permutation:
         images = tuple(range(1, k + 1)) + tuple(k + sigma(j) for j in range(1, m + 1))
         return Permutation(images)
 
-    return FiniteAction(m, data.structures, lambda sig, s: act_structure(embed(sig), s))
+    def arrays():
+        gens = data.action.generator_images()
+        return tuple(permutation_array(gens, embed(sig).images) for sig in generators(m))
+
+    return FiniteAction(
+        m, data.structures, lambda sig, s: act_structure(embed(sig), s), arrays
+    )
 
 
 def _cauchy_power(a: SpeciesExpr, n: int) -> SpeciesExpr:

@@ -98,15 +98,112 @@ def all_permutations(n: int, max_degree: int | None = None) -> Tuple[Permutation
     return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
 
 
-def generators(n: int) -> Tuple[Permutation, ...]:
-    """The standard generating set {(1 2), (1 2 ... n)} of S_n."""
+def _generator_lines(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The one-line images of ``generators(n)``."""
     if n <= 1:
-        return (Permutation.identity(n),)
-    swap = Permutation((2, 1) + tuple(range(3, n + 1)))
+        return (tuple(range(1, n + 1)),)
+    swap = (2, 1) + tuple(range(3, n + 1))
     if n == 2:
         return (swap,)
-    cycle = Permutation(tuple(range(2, n + 1)) + (1,))
-    return (swap, cycle)
+    return (swap, tuple(range(2, n + 1)) + (1,))
+
+
+def generators(n: int) -> Tuple[Permutation, ...]:
+    """The standard generating set {(1 2), (1 2 ... n)} of S_n."""
+    return tuple(Permutation(g) for g in _generator_lines(n))
+
+
+def permutation_array(gens, images: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The point indices the permutation ``images`` (one-line, of 1..n)
+    sends the points to, given the arrays ``gens`` of ``generators(n)``.
+
+    A generator is read off; any other permutation is a word in adjacent
+    transpositions, (i i+1) = c^(i-1) (1 2) c^-(i-1) for the cycle
+    c = (1 2 ... n), composed array by array.  No table of S_n is built,
+    so every degree works.
+    """
+    n = len(images)
+    lines = _generator_lines(n)
+    if images in lines:
+        return gens[lines.index(images)]
+    # bubble-sort the one-line images: swapping positions i, i+1 of pi
+    # gives pi (i i+1), so images = t_last ... t_first
+    line, swaps = list(images), []
+    for end in range(n - 1, 0, -1):
+        for i in range(end):
+            if line[i] > line[i + 1]:
+                line[i], line[i + 1] = line[i + 1], line[i]
+                swaps.append(i + 1)
+    s = gens[0]
+    powers = [tuple(range(len(s)))]  # powers[m] is c^m
+    transpositions = {1: s}
+    out = powers[0]
+    for i in reversed(swaps):
+        t = transpositions.get(i)
+        if t is None:
+            while len(powers) < i:
+                powers.append(tuple([gens[1][y] for y in powers[-1]]))
+            p = powers[i - 1]
+            t = transpositions[i] = tuple([p[s[y]] for y in inverse_array(p)])
+        out = tuple([out[y] for y in t])
+    return out
+
+
+def inverse_array(a) -> Tuple[int, ...]:
+    """The inverse of a permutation of 0..len(a)-1 given as an array."""
+    inv = [0] * len(a)
+    for i, y in enumerate(a):
+        inv[y] = i
+    return tuple(inv)
+
+
+def restriction(sigma: Permutation, U) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """sigma's image of the label set U, sorted, and the permutation of the
+    ranks 1..|U| that it induces.  For a generator of S_n that permutation
+    is the identity or the same generator of S_|U|."""
+    moved = [sigma(u) for u in U]
+    image = tuple(sorted(moved))
+    rank = {y: i for i, y in enumerate(image, start=1)}
+    return image, tuple([rank[y] for y in moved])
+
+
+def product_sums(*digits) -> list:
+    """Every sum of one entry from each list, the first list slowest: the
+    indices of a row-major product, each factor moved by its own array."""
+    out = digits[0]
+    for d in digits[1:]:
+        out = [x + y for x in out for y in d]
+    return out
+
+
+def shifted_arrays(arrays, m: int):
+    """The arrays of ``generators(m - 1)`` moved onto labels 2..m of a
+    degree-m action with generator arrays ``arrays``: (2 3 ... m) is (1 2)
+    after (1 ... m), and (2 3) is (1 ... m) (1 2) (1 ... m)^-1."""
+    if m <= 2:
+        return (tuple(range(len(arrays[0]))),)
+    s, c = arrays
+    cycle = tuple([s[y] for y in c])
+    if m == 3:
+        return (cycle,)
+    return (tuple([c[s[y]] for y in inverse_array(c)]), cycle)
+
+
+def induced_arrays(n: int, inner):
+    """Generator arrays of the S_n-action on pairs (a, x), ordered by the
+    label a in 1..n and then by x, where ``inner`` holds the generator
+    arrays of an S_n-1 action, read on the labels other than a."""
+    m = len(inner[0])
+    labels = range(1, n + 1)
+    out = []
+    for sigma in generators(n):
+        arr = []
+        for a in labels:
+            _, on_rest = restriction(sigma, [x for x in labels if x != a])
+            base = (sigma(a) - 1) * m
+            arr += [base + x for x in permutation_array(inner, on_rest)]
+        out.append(tuple(arr))
+    return tuple(out)
 
 
 def _symmetric_table(n: int):
@@ -164,19 +261,25 @@ class SubgroupElements:
 class FiniteAction:
     """A left S_n-action on a finite set of points.
 
-    ``points`` is kept sorted and ``index`` numbers them in that order;
+    ``points`` must be distinct and given in sorted order, which is not
+    checked; ``index``, built on first use, numbers them in that order.
     ``act`` must satisfy the usual identity and composition laws (checked
     in tests, not on every call).  The group algorithms read the action
-    through ``generator_images`` only, so they relabel each point once
-    per generator of S_n and then work on integers.
+    through ``generator_images`` only, and then work on integers:
+    ``arrays``, when given, returns them on first use without relabeling;
+    otherwise each point is relabeled once per generator of S_n.
     """
 
-    def __init__(self, degree: int, points, act: Callable):
+    def __init__(self, degree: int, points, act: Callable, arrays: Callable | None = None):
         self.degree = degree
-        self.points = tuple(sorted(points))
-        self.index = {x: i for i, x in enumerate(self.points)}
+        self.points = tuple(points)
         self._act = act
+        self._arrays = arrays
         self._generator_images = None
+
+    @cached_property
+    def index(self) -> dict:
+        return {x: i for i, x in enumerate(self.points)}
 
     def __contains__(self, x) -> bool:
         return x in self.index
@@ -187,11 +290,14 @@ class FiniteAction:
     def generator_images(self) -> Tuple[Tuple[int, ...], ...]:
         """For each of ``generators(degree)``, the point indices it maps to."""
         if self._generator_images is None:
-            index = self.index
-            self._generator_images = tuple(
-                tuple(index[self.act(g, x)] for x in self.points)
-                for g in generators(self.degree)
-            )
+            if self._arrays is not None:
+                self._generator_images = self._arrays()
+            else:
+                index = self.index
+                self._generator_images = tuple(
+                    tuple(index[self.act(g, x)] for x in self.points)
+                    for g in generators(self.degree)
+                )
         return self._generator_images
 
 
@@ -203,6 +309,15 @@ class Orbit:
 
 def orbits(a: FiniteAction) -> Tuple[Orbit, ...]:
     """Partition of the points into orbits, least point first in each."""
+    out = []
+    for orbit in _orbit_indices(a):
+        pts = tuple(a.points[j] for j in orbit)
+        out.append(Orbit(pts[0], pts))
+    return tuple(out)
+
+
+def _orbit_indices(a: FiniteAction):
+    """The orbits as sorted lists of point indices, by least point."""
     gens = a.generator_images()
     seen = [False] * len(a.points)
     out = []
@@ -221,18 +336,21 @@ def orbits(a: FiniteAction) -> Tuple[Orbit, ...]:
                     orbit.append(z)
                     frontier.append(z)
         orbit.sort()
-        pts = tuple(a.points[j] for j in orbit)
-        out.append(Orbit(pts[0], pts))
-    return tuple(out)
+        out.append(orbit)
+    return out
 
 
 def stabilizer(a: FiniteAction, x) -> SubgroupElements:
-    """All permutations fixing x, by one walk of the S_n table."""
+    """All permutations fixing x."""
     if x not in a:
         raise PointNotInAction(repr(x))
+    return _stabilizer_at(a, a.index[x])
+
+
+def _stabilizer_at(a: FiniteAction, i: int) -> SubgroupElements:
+    """All permutations fixing the i-th point, by one walk of the S_n table."""
     perms, steps, _ = _symmetric_table(a.degree)
     gens = a.generator_images()
-    i = a.index[x]
     images = [i]  # images[t] = perms[t].x, as a point index
     for parent, j in steps:
         images.append(gens[j][images[parent]])
@@ -284,8 +402,8 @@ def count_equivariant_maps(src: FiniteAction, tgt: FiniteAction) -> int:
     if src.degree != tgt.degree:
         raise DegreeMismatch(f"{src.degree} vs {tgt.degree}")
     total = 1
-    for orb in orbits(src):
-        total *= len(fixed_points(stabilizer(src, orb.representative), tgt))
+    for orbit in _orbit_indices(src):
+        total *= len(fixed_points(_stabilizer_at(src, orbit[0]), tgt))
         if total == 0:
             return 0
     return total
@@ -367,7 +485,8 @@ def subgroups_conjugate(H: SubgroupElements, K: SubgroupElements) -> bool:
 
 
 def _orbit_stabilizers(a: FiniteAction):
-    return [(o, stabilizer(a, o.representative)) for o in orbits(a)]
+    """(size, stabilizer of the least point) for each orbit."""
+    return [(len(o), _stabilizer_at(a, o[0])) for o in _orbit_indices(a)]
 
 
 def action_signature(a: FiniteAction):
@@ -377,8 +496,8 @@ def action_signature(a: FiniteAction):
     signature is also what iso failure reports print.
     """
     sig = []
-    for orb, stab in _orbit_stabilizers(a):
-        sig.append((len(orb.points), len(stab), stab.cycle_type_multiset))
+    for size, stab in _orbit_stabilizers(a):
+        sig.append((size, len(stab), stab.cycle_type_multiset))
     return tuple(sorted(sig))
 
 
@@ -395,8 +514,8 @@ def actions_isomorphic(a: FiniteAction, b: FiniteAction) -> bool:
 
     def bucket(items):
         buckets = {}
-        for orb, stab in items:
-            key = (len(orb.points), len(stab), stab.cycle_type_multiset)
+        for size, stab in items:
+            key = (size, len(stab), stab.cycle_type_multiset)
             buckets.setdefault(key, []).append(stab)
         return buckets
 

@@ -6,7 +6,10 @@ combinators (sum, Hadamard and Cauchy product, substitution, derivative,
 pointing, the two adjoints of the derivative, and truncations).  For a
 degree n the engine enumerates every structure on the label set
 {1,...,n} in a canonical nested-tuple encoding, and relabeling along a
-permutation re-canonicalizes, giving the S_n-action.
+permutation re-canonicalizes, giving the S_n-action.  The group
+algorithms read that action as one point-index array per generator of
+S_n, and each node compiles its arrays from its children's arrays by
+index arithmetic, so no structure is relabeled to build them.
 
 Conventions fixed here:
   * Cyc[0] = 0 and Cyc[1] = 1; the (n-1)! count holds for n >= 1.
@@ -33,7 +36,18 @@ from .errors import (
     InvalidExpr,
     StructureNotOfExpr,
 )
-from .groups import FiniteAction, Permutation, all_permutations, element_images
+from .groups import (
+    FiniteAction,
+    Permutation,
+    all_permutations,
+    element_images,
+    generators,
+    induced_arrays,
+    permutation_array,
+    product_sums,
+    restriction,
+    shifted_arrays,
+)
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -52,8 +66,9 @@ class SpeciesExpr:
     sections 1.1-1.4): ``children``, its subexpressions in field order;
     ``child_degree(n)``, the degree at which it reads them when evaluated
     at n; ``count(n, *child_counts)`` (or ``counts`` for a range of
-    degrees); ``build(labels)``, its sorted structures; and ``check``,
-    ``check_with_children``, its validation.
+    degrees); ``build(labels)``, its sorted structures; ``compile(n)``,
+    the S_n-action on them; and ``check``, ``check_with_children``, its
+    validation.
     """
 
     children: Tuple["SpeciesExpr", ...] = ()
@@ -87,6 +102,18 @@ class SpeciesExpr:
         children defines ``structures(labels)`` instead."""
         return self.structures(labels)
         yield  # never reached; the yield makes every builder a generator
+
+    def compile(self, n):
+        """Generator like ``build``: yields each (child, degree) read, is
+        sent back that child's generator arrays, and returns its own: for
+        each of ``generators(n)``, the indices its sorted structures on
+        1..n go to.  A node without children relabels its structures."""
+        points = structures_on(self, tuple(range(1, n + 1)))
+        index = {s: i for i, s in enumerate(points)}
+        return tuple(
+            tuple([index[transport(s, g.mapping)] for s in points]) for g in generators(n)
+        )
+        yield
 
     def check(self, path: str, diags: list) -> None:
         pass
@@ -304,6 +331,13 @@ class Table(SpeciesExpr):
     def structures(self, labels):
         return tuple(("atom", self.key, a, labels) for a in sorted(self._row(len(labels))))
 
+    def compile(self, n):
+        row = sorted(self._row(n))
+        position = {a: i for i, a in enumerate(row)}
+        action = self.action[n]
+        return tuple(tuple(position[action[g.images][a]] for a in row) for g in generators(n))
+        yield
+
     def check(self, path, diags):
         for n, row in enumerate(self.atoms):
             if len(set(row)) != len(row):
@@ -340,6 +374,12 @@ class Sum(_Node):
         gs = yield self.g, labels
         return tuple(("inl", s) for s in fs) + tuple(("inr", s) for s in gs)
 
+    def compile(self, n):
+        fa = yield self.f, n
+        ga = yield self.g, n
+        m = len(fa[0])
+        return tuple(f + tuple([x + m for x in g]) for f, g in zip(fa, ga))
+
 
 @dataclass(frozen=True, eq=False)
 class Hadamard(_Node):
@@ -356,6 +396,14 @@ class Hadamard(_Node):
         fs = yield self.f, labels
         gs = yield self.g, labels
         return tuple(("both", (sf, sg)) for sf in fs for sg in gs)
+
+    def compile(self, n):
+        if not (_card(self.f, n) and _card(self.g, n)):
+            return _no_points(n)
+        fa = yield self.f, n
+        ga = yield self.g, n
+        m = len(ga[0])
+        return tuple(tuple(product_sums([x * m for x in f], g)) for f, g in zip(fa, ga))
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,6 +426,36 @@ class Cauchy(_Node):
                 gs = yield self.g, rest
                 out += [("pair", (U, sf, sg)) for sf in fs for sg in gs]
         return tuple(sorted(out))
+
+    def compile(self, n):
+        # the pairs on U, ordered by U, form an |f_r| x |g_n-r| block
+        labels = tuple(range(1, n + 1))
+        blocks = sorted(
+            U
+            for r in range(n + 1)
+            if _card(self.f, r) and _card(self.g, n - r)
+            for U in itertools.combinations(labels, r)
+        )
+        fa, ga = {}, {}  # both keyed by |U|
+        for r in sorted({len(U) for U in blocks}):
+            fa[r] = yield self.f, r
+            ga[r] = yield self.g, n - r
+        offset, total = {}, 0
+        for U in blocks:
+            offset[U] = total
+            total += len(fa[len(U)][0]) * len(ga[len(U)][0])
+        out = []
+        for sigma in generators(n):
+            arr = []
+            for U in blocks:
+                r = len(U)
+                V, on_f = restriction(sigma, U)
+                _, on_g = restriction(sigma, [x for x in labels if x not in U])
+                fs, gs = permutation_array(fa[r], on_f), permutation_array(ga[r], on_g)
+                m, base = len(gs), offset[V]
+                arr += product_sums([base + x * m for x in fs], gs)
+            out.append(tuple(arr))
+        return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,6 +509,46 @@ class Substitute(_Node):
             ]
         return tuple(sorted(out))
 
+    def compile(self, n):
+        # a partition's structures: outer index, then the inner indices in
+        # block order, in mixed radix
+        parts = []
+        for part in _set_partitions(tuple(range(1, n + 1))):
+            blocks = tuple(sorted(part))
+            if _card(self.f, len(blocks)) and all(_card(self.g, len(b)) for b in blocks):
+                parts.append(blocks)
+        parts.sort()
+        fa, ga = {}, {}
+        for k in sorted({len(p) for p in parts}):
+            fa[k] = yield self.f, k
+        for m in sorted({len(b) for p in parts for b in p}):
+            ga[m] = yield self.g, m
+        offset, total = {}, 0
+        for p in parts:
+            offset[p] = total
+            total += len(fa[len(p)][0]) * math.prod(len(ga[len(b)][0]) for b in p)
+        out = []
+        for sigma in generators(n):
+            outer = {}  # block-rank permutation -> its array on the outer structures
+            arr = []
+            for p in parts:
+                moved = [restriction(sigma, b) for b in p]
+                order = sorted(range(len(p)), key=lambda i: moved[i][0])
+                new = tuple(moved[i][0] for i in order)
+                # old block rank -> new: (1 2), (1 ... j) or the identity
+                rho = tuple(order.index(i) + 1 for i in range(len(p)))
+                if rho not in outer:
+                    outer[rho] = permutation_array(fa[len(p)], rho)
+                sizes = [len(ga[len(b)][0]) for b in new]
+                base, inner_total = offset[new], math.prod(sizes)
+                digits = [[base + x * inner_total for x in outer[rho]]]
+                for b, (_, on_b), t in zip(p, moved, rho):
+                    w = math.prod(sizes[t:])
+                    digits.append([x * w for x in permutation_array(ga[len(b)], on_b)])
+                arr += product_sums(*digits)
+            out.append(tuple(arr))
+        return tuple(out)
+
 
 @dataclass(frozen=True, eq=False)
 class Derive(_Node):
@@ -445,6 +563,9 @@ class Derive(_Node):
     def build(self, labels):
         inner = yield self.f, (fresh_star(labels),) + labels
         return tuple(("deriv", s) for s in inner)
+
+    def compile(self, n):
+        return shifted_arrays((yield self.f, n + 1), n + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,6 +584,11 @@ class Pointing(_Node):
             inner = yield self.f, (fresh_star(rest),) + rest
             out += [("point", (a, s)) for s in inner]
         return tuple(out)
+
+    def compile(self, n):
+        if n == 0:
+            return ((),)
+        return induced_arrays(n, shifted_arrays((yield self.f, n), n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,6 +610,11 @@ class AdjL(_Node):
             inner = yield self.f, tuple(x for x in labels if x != a)
             out += [("adjl", (a, s)) for s in inner]
         return tuple(out)
+
+    def compile(self, n):
+        if n == 0:
+            return ((),)
+        return induced_arrays(n, (yield self.f, n - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,6 +642,26 @@ class AdjR(_Node):
             per_label.append([(a, s) for s in inner])
         return tuple(("tuple", combo) for combo in itertools.product(*per_label))
 
+    def compile(self, n):
+        # one digit per label, the structure on label a's complement, in
+        # base |f_n-1| with label 1 the most significant
+        if n == 0:
+            return ((0,),)
+        if _card(self.f, n - 1) == 0:
+            return _no_points(n)
+        inner = yield self.f, n - 1
+        m = len(inner[0])
+        labels = range(1, n + 1)
+        out = []
+        for sigma in generators(n):
+            digits = []
+            for a in labels:
+                _, on_rest = restriction(sigma, [x for x in labels if x != a])
+                w = m ** (n - sigma(a))
+                digits.append([x * w for x in permutation_array(inner, on_rest)])
+            out.append(tuple(product_sums(*digits)))
+        return tuple(out)
+
 
 @dataclass(frozen=True, eq=False)
 class DeriveL(_Node):
@@ -523,6 +674,9 @@ class DeriveL(_Node):
 
     def build(self, labels):
         return (yield Derive(AdjL(self.f)), labels)
+
+    def compile(self, n):
+        return (yield Derive(AdjL(self.f)), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,6 +700,11 @@ class _Truncation(_Node):
         if len(labels) > self.cutoff:
             return self.above
         return (yield self.f, labels)
+
+    def compile(self, n):
+        if n > self.cutoff:
+            return (tuple(range(len(self.above))),) * len(generators(n))
+        return (yield self.f, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -835,27 +994,57 @@ def _set_partitions(labels: Tuple[int, ...]):
         yield ((first,),) + part
 
 
-def structures_on(e: SpeciesExpr, labels: Tuple[int, ...]) -> Tuple:
-    """All canonical e-structures on an arbitrary sorted label tuple, sorted.
+def _run(cache: dict, rule: str, key):
+    """The result of ``rule`` ("build" or "compile") at key = (node, arg).
 
-    Builders are suspended at each child they read and run on an explicit
-    stack (a post-order over the reads), so nesting depth is not bounded
-    by the recursion limit; every (node, labels) result is cached.
+    Each rule is suspended at every (child, arg) it reads and runs on an
+    explicit stack (a post-order over the reads), so nesting depth is not
+    bounded by the recursion limit; every result is cached by its key.
     """
-    out = _ENUM_CACHE.get((e, labels))
-    stack = [] if out is not None else [((e, labels), e.build(labels))]
+    out = cache.get(key)
+    stack = [] if out is not None else [(key, getattr(key[0], rule)(key[1]))]
     while stack:
-        key, builder = stack[-1]
+        key, step = stack[-1]
         try:
-            read = builder.send(out)
+            read = step.send(out)
         except StopIteration as done:
             stack.pop()
-            out = _ENUM_CACHE[key] = done.value
+            out = cache[key] = done.value
             continue
-        out = _ENUM_CACHE.get(read)
+        out = cache.get(read)
         if out is None:
-            stack.append((read, read[0].build(read[1])))
+            stack.append((read, getattr(read[0], rule)(read[1])))
     return out
+
+
+def structures_on(e: SpeciesExpr, labels: Tuple[int, ...]) -> Tuple:
+    """All canonical e-structures on an arbitrary sorted label tuple, sorted."""
+    return _run(_ENUM_CACHE, "build", (e, labels))
+
+
+# ---------------------------------------------------------------------------
+# Compiled actions
+
+
+_COMPILE_CACHE: dict = {}
+
+
+def generator_arrays(e: SpeciesExpr, n: int) -> Tuple[Tuple[int, ...], ...]:
+    """For each of ``generators(n)``, the indices it sends e's sorted
+    structures on 1..n to.
+
+    Each node compiles from its children's arrays (Bergeron, Labelle and
+    Leroux 1998, sections 1.1-1.4, define transport the same way): a
+    generator restricted to a label subset U, in rank order, is the
+    identity or the same generator of S_|U|, and builders list structures
+    in blocks whose order a relabeling keeps, so each image is index
+    arithmetic.  Only leaves relabel, their own structures.
+    """
+    return _run(_COMPILE_CACHE, "compile", (e, n))
+
+
+def _no_points(n: int):
+    return ((),) * len(generators(n))
 
 
 @dataclass
@@ -892,7 +1081,9 @@ def enumerate_degree(e: SpeciesExpr, n: int, cap: int | None = None) -> DegreeDa
             f"enumeration/count mismatch for {e!r} at degree {n}: "
             f"{len(structs)} enumerated vs {total} counted"
         )
-    action = FiniteAction(n, structs, lambda sig, s: act_structure(sig, s))
+    action = FiniteAction(
+        n, structs, lambda sig, s: act_structure(sig, s), lambda: generator_arrays(e, n)
+    )
     data = DegreeData(e, n, structs, action)
     _DEGREE_CACHE[key] = data
     return data
@@ -923,11 +1114,13 @@ def as_table(e: SpeciesExpr, max_degree: int, name: str | None = None) -> Table:
 
 
 def clear_caches() -> None:
-    """Drop all memoized enumerations and counts (mainly for tests)."""
+    """Drop all memoized enumerations, counts and compiled actions (mainly
+    for tests)."""
     _COUNT_CACHE.clear()
     _BELL_CACHE.clear()
     _ENUM_CACHE.clear()
     _DEGREE_CACHE.clear()
+    _COMPILE_CACHE.clear()
     _VALIDATED.clear()
 
 

@@ -4,7 +4,8 @@ These deliberately avoid the library's orbit-stabilizer, compiled
 generator-array and Bell triangle routes: equivariant maps are found by
 backtracking over raw assignments checked against every group element,
 orbits, stabilizers and fixed points by relabeling along every element
-of S_n, subgroup conjugacy by multiplying validated permutations, and
+of S_n, compiled actions by relabeling every structure along each
+generator, subgroup conjugacy by multiplying validated permutations, and
 substitution counts are summed over explicitly generated set partitions
 or over integer partitions.  Relabeling itself is checked against
 ``transport``, which threads the label set of every substructure and
@@ -48,8 +49,15 @@ from espece import (
     Zero,
 )
 from espece.errors import BudgetExceeded
-from espece.groups import all_permutations
-from espece.species import _TABLE_REGISTRY, _card, _min_rotation, fresh_star
+from espece.groups import all_permutations, generators
+from espece.species import (
+    _TABLE_REGISTRY,
+    _card,
+    _min_rotation,
+    act_structure,
+    enumerate_degree,
+    fresh_star,
+)
 from espece.transforms import SUITE_NAMES
 
 GOLDEN_EXPRS = (
@@ -170,6 +178,16 @@ def permutation_subgroups_conjugate(H, K):
 def scan_fixed_points(H, a):
     """Points of a fixed by every element of H, each relabeled along each."""
     return tuple(x for x in a.points if all(a.act(s, x) == x for s in H.elements))
+
+
+def transport_generator_images(e: SpeciesExpr, n: int):
+    """e's generator arrays at degree n by relabeling every structure along
+    each of ``generators(n)``: the compile that ``generator_arrays``
+    replaced."""
+    data = enumerate_degree(e, n)
+    return tuple(
+        tuple(data.index[act_structure(g, s)] for s in data.structures) for g in generators(n)
+    )
 
 
 def transport(enc, mapping: dict, labels: Tuple[int, ...]):

@@ -45,11 +45,11 @@ def action_of(expr, n):
 
 
 def trivial_action(n, points):
-    return FiniteAction(n, points, lambda s, x: x)
+    return FiniteAction(n, sorted(points), lambda s, x: x)
 
 
 def regular_action(n):
-    pts = [p.images for p in all_permutations(n)]
+    pts = sorted(p.images for p in all_permutations(n))
     return FiniteAction(n, pts, lambda s, x: (s * Permutation(x)).images)
 
 
@@ -454,11 +454,9 @@ def test_group_algorithms_relabel_only_generator_images(monkeypatch):
         species, "act_structure", lambda sigma, s: relabels.append(s) or real(sigma, s)
     )
     species.clear_caches()
-    expected = 0
     counts = []
     for n in range(5):
         a, b = action_of(Subsets(), n), action_of(Cauchy(Exp(), Exp()), n)
-        expected += (len(a.points) + len(b.points)) * len(generators(n))
         stabs = [stabilizer(a, x) for x in a.points]
         assert len(orbits(a)) == n + 1
         assert actions_isomorphic(a, b)
@@ -468,7 +466,8 @@ def test_group_algorithms_relabel_only_generator_images(monkeypatch):
         assert fixed_points(stabilizer(b, b.points[-1]), a)
         assert len(as_table(Subsets(), n).action[n]) == len(all_permutations(n))
     assert check_naturality(identity_nat(Subsets(), 4))
-    assert len(relabels) == expected
+    # species actions compile from their children's arrays: nothing relabels
+    assert relabels == []
     # the oracle relabels along every element, so it runs after the count
     assert all(c == brute_equivariant_count(a, b) for a, b, c in counts)
     species.clear_caches()

@@ -43,9 +43,21 @@ from espece.errors import (
 )
 from espece import species
 from espece.groups import Permutation, all_permutations, generators
-from espece.species import Table, act_structure, fresh_star, structures_on, transport
-from espece.transforms import DEFAULT_FAMILY
-from helpers import GOLDEN_EXPRS, ladder_degree_budget, recursive_structures_on
+from espece.species import (
+    Table,
+    act_structure,
+    fresh_star,
+    generator_arrays,
+    structures_on,
+    transport,
+)
+from espece.transforms import DEFAULT_FAMILY, ISO_POINT_CAP
+from helpers import (
+    GOLDEN_EXPRS,
+    ladder_degree_budget,
+    recursive_structures_on,
+    transport_generator_images,
+)
 from helpers import transport as threading_transport
 
 GOLDEN = (
@@ -464,7 +476,50 @@ def test_clear_caches_empties_every_counting_cache():
         species._VALIDATED,
         species._ENUM_CACHE,
         species._DEGREE_CACHE,
+        species._COMPILE_CACHE,
     )
+    enumerate_degree(Substitute(Exp(), Cyc()), 3).action.generator_images()
     assert all(caches)
     species.clear_caches()
     assert not any(caches)
+
+
+def _compile_oracle_exprs():
+    """GOLDEN_EXPRS, the suite's expressions over DEFAULT_FAMILY, and the
+    node kinds they leave out, each with the largest degree it is read at."""
+    family = DEFAULT_FAMILY
+    positive = [g for g in family if cardinality(g, 0) == 0]
+    exprs = list(GOLDEN_EXPRS)
+    for f, g in itertools.product(family, family):
+        exprs += [Derive(f * g), Derive(f) * g + f * Derive(g)]
+    for f, g in itertools.product(family, positive):
+        exprs += [Derive(f(g)), Derive(f)(g) * Derive(g)]
+    for f in family:
+        exprs += [DeriveL(f), f + Pointing(f), Derive(AdjR(f)), AdjR(Derive(f)) & f]
+    exprs += [
+        TruncLeft(Lin(), 3),
+        TruncRight(Cyc(), 2),
+        AdjL(Lin()),
+        Derive(Derive(Cyc())),
+        Pointing(Derive(Subsets())),
+        Lin()(Cyc()),
+        Cyc()(X() + ExpPlus()),
+    ]
+    cyc_table = as_table(Cyc(), 5)
+    return [(e, 6) for e in dict.fromkeys(exprs)] + [(cyc_table, 5), (cyc_table(ExpPlus()), 5)]
+
+
+def test_compiled_arrays_match_relabeling():
+    """Each node's arrays, built from its children's, equal relabeling
+    every structure along each generator, at every degree up to 6 where
+    it has at most ISO_POINT_CAP structures (the suite's clamp)."""
+    for e, top in _compile_oracle_exprs():
+        for n in range(top + 1):
+            if cardinality(e, n) <= ISO_POINT_CAP:
+                assert generator_arrays(e, n) == transport_generator_images(e, n), (e, n)
+
+
+def test_action_points_are_the_enumeration():
+    for e in GOLDEN_EXPRS:
+        data = enumerate_degree(e, 4)
+        assert data.action.points == data.structures
