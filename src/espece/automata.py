@@ -283,7 +283,11 @@ def _restricted_action(g: SpeciesExpr, k: int, m: int) -> FiniteAction:
         return tuple(permutation_array(gens, embed(sig).images) for sig in generators(m))
 
     return FiniteAction(
-        m, data.structures, lambda sig, s: act_structure(embed(sig), s), arrays
+        m,
+        lambda: data.structures,
+        lambda sig, s: act_structure(embed(sig), s),
+        arrays,
+        size=data.action.size,
     )
 
 

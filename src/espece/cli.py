@@ -310,6 +310,48 @@ def parse_operator(text: str) -> diffeq.DiffOperator:
 # Command dispatch
 
 
+class _Raw(str):
+    """Literal JSON text on ``_dumps``'s stack, unlike a string value."""
+
+
+_COMMA, _LIST, _END_LIST, _DICT, _END_DICT = map(_Raw, ",[]{}")
+
+
+def _dumps(doc, sort_keys=False) -> str:
+    """``doc`` as compact JSON text.
+
+    The C encoder recurses once per nesting level, so a document nested
+    deeper than the recursion limit (the encodings of a long sum) is
+    written on an explicit stack instead, to the same text.
+    """
+    try:
+        return json.dumps(doc, sort_keys=sort_keys, separators=(",", ":"))
+    except RecursionError:
+        pass
+    out, stack, scalars = [], [doc], {}
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _Raw):
+            out.append(item)
+        elif isinstance(item, (list, tuple)):
+            stack.append(_END_LIST)
+            for i in range(len(item) - 1, 0, -1):
+                stack += (item[i], _COMMA)
+            stack += (item[0], _LIST) if item else (_LIST,)
+        elif isinstance(item, dict):
+            stack.append(_END_DICT)
+            keys = sorted(item) if sort_keys else list(item)
+            for i in range(len(keys) - 1, -1, -1):
+                stack += (item[keys[i]], _Raw(("," if i else "") + json.dumps(str(keys[i])) + ":"))
+            stack.append(_DICT)
+        else:  # one text per distinct scalar; (type, value) keeps 1 and True apart
+            text = scalars.get((type(item), item))
+            if text is None:
+                text = scalars[type(item), item] = json.dumps(item)
+            out.append(text)
+    return "".join(out)
+
+
 def _json_out(command, inputs, horizon, result, diagnostics=()):
     doc = {
         "command": command,
@@ -318,20 +360,22 @@ def _json_out(command, inputs, horizon, result, diagnostics=()):
         "result": result,
         "diagnostics": list(diagnostics),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _dumps(doc, sort_keys=True) + "\n"
 
 
-def _emit(args, inputs, horizon, result_json, result_text, out):
+def _emit(args, inputs, horizon, result_json, text, out):
+    """Write the JSON envelope or, without --json, ``text()``: the text is
+    rendered only when it is printed."""
     if args.json:
         out.write(_json_out(args.command, inputs, horizon, result_json))
     else:
-        out.write(result_text + "\n")
+        out.write(text() + "\n")
 
 
 def _cmd_coeffs(args, out):
     e = parse_expr(args.expr)
     seq = counting.count_seq(e, args.upto)
-    _emit(args, {"expr": args.expr}, args.upto, list(seq.coeffs), seq.render(), out)
+    _emit(args, {"expr": args.expr}, args.upto, list(seq.coeffs), seq.render, out)
 
 
 def _cmd_egf(args, out):
@@ -342,7 +386,7 @@ def _cmd_egf(args, out):
         {"expr": args.expr},
         args.upto,
         [str(c) for c in seq.coeffs],
-        seq.render(),
+        seq.render,
         out,
     )
 
@@ -351,10 +395,11 @@ def _cmd_enumerate(args, out):
     e = parse_expr(args.expr)
     data = enumerate_degree(e, args.degree, cap=args.limit)
     encs = [enc_to_json(s) for s in data.structures]
-    text = "\n".join(
-        [f"{len(encs)} structure(s) at degree {args.degree}"]
-        + [json.dumps(s, separators=(",", ":")) for s in encs]
-    )
+
+    def text():
+        head = f"{len(encs)} structure(s) at degree {args.degree}"
+        return "\n".join([head] + [_dumps(s) for s in encs])
+
     _emit(args, {"expr": args.expr, "degree": args.degree}, None, encs, text, out)
 
 
@@ -373,11 +418,14 @@ def _cmd_orbits(args, out):
                 "stabilizer_order": len(stab),
             }
         )
-    text = "\n".join(
-        f"orbit size={r['size']} stabilizer={r['stabilizer_order']} "
-        f"rep={json.dumps(r['representative'], separators=(',', ':'))}"
-        for r in rows
-    )
+
+    def text():
+        return "\n".join(
+            f"orbit size={r['size']} stabilizer={r['stabilizer_order']} "
+            f"rep={_dumps(r['representative'])}"
+            for r in rows
+        )
+
     _emit(args, {"expr": args.expr, "degree": args.degree}, None, rows, text, out)
 
 
@@ -385,13 +433,12 @@ def _cmd_iso(args, out):
     f, g = parse_expr(args.left), parse_expr(args.right)
     res = iso_check(f, g, args.upto)
     verdict = "true" if res.isomorphic else f"false (witness degree {res.witness_degree})"
-    text = f"isomorphic up to degree {args.upto}: {verdict}"
     _emit(
         args,
         {"left": args.left, "right": args.right},
         args.upto,
         {"isomorphic": res.isomorphic, "witness_degree": res.witness_degree},
-        text,
+        lambda: f"isomorphic up to degree {args.upto}: {verdict}",
         out,
     )
 
@@ -399,13 +446,12 @@ def _cmd_iso(args, out):
 def _cmd_natcount(args, out):
     f, g = parse_expr(args.left), parse_expr(args.right)
     per_degree, cumulative = transforms.count_nat(f, g, args.upto)
-    text = ",".join(str(v) for v in per_degree) + f"; cumulative {cumulative}"
     _emit(
         args,
         {"left": args.left, "right": args.right},
         args.upto,
         {"per_degree": list(per_degree), "cumulative": cumulative},
-        text,
+        lambda: ",".join(str(v) for v in per_degree) + f"; cumulative {cumulative}",
         out,
     )
 
@@ -414,24 +460,17 @@ def _cmd_natenum(args, out):
     f, g = parse_expr(args.left), parse_expr(args.right)
     nats = transforms.enumerate_nat(f, g, args.upto, args.limit)
     payload = [transforms.nat_to_json(t) for t in nats]
-    text = "\n".join(
-        [f"{len(nats)} transformation(s)"]
-        + [json.dumps(p, sort_keys=True, separators=(",", ":")) for p in payload]
-    )
-    _emit(
-        args,
-        {"left": args.left, "right": args.right},
-        args.upto,
-        payload,
-        text,
-        out,
-    )
+
+    def text():
+        head = f"{len(nats)} transformation(s)"
+        return "\n".join([head] + [_dumps(p, sort_keys=True) for p in payload])
+
+    _emit(args, {"left": args.left, "right": args.right}, args.upto, payload, text, out)
 
 
 def _cmd_suite(args, out):
     names = (args.name,) if args.name else None
     report = transforms.canonical_iso_suite(args.upto, names=names)
-    lines = report.lines()
     payload = []
     for e in report.entries:
         row = {
@@ -445,7 +484,7 @@ def _cmd_suite(args, out):
             # the stabilizer-class signatures of the two failing actions
             row["detail"] = [repr(side) for side in e.detail]
         payload.append(row)
-    _emit(args, {"name": args.name}, args.upto, payload, "\n".join(lines), out)
+    _emit(args, {"name": args.name}, args.upto, payload, lambda: "\n".join(report.lines()), out)
 
 
 def _cmd_monoid(args, out):
@@ -456,9 +495,12 @@ def _cmd_monoid(args, out):
     else:
         mu = transforms.exp_mu(N)
         report = transforms.check_monoid(Exp(), mu, ("set", ()), N)
-    text = "monoid laws: pass" if report.ok else (
-        "monoid laws: FAIL " + ", ".join(f"{law}@{deg}" for law, deg in report.failures)
-    )
+
+    def text():
+        if report.ok:
+            return "monoid laws: pass"
+        return "monoid laws: FAIL " + ", ".join(f"{law}@{deg}" for law, deg in report.failures)
+
     _emit(
         args,
         {"which": args.which},
@@ -480,10 +522,14 @@ def _cmd_algtensor(args, out):
     right = transforms.tensor_partial_algebras(a, product, N)
     assoc_ok = iso_check(left.carrier, right.carrier, min(N, 3)).isomorphic
     ok = natural and unit_ok and assoc_ok
-    text = (
-        f"tensor algebra on E*E: naturality={'pass' if natural else 'fail'}, "
-        f"unit={'pass' if unit_ok else 'fail'}, associativity={'pass' if assoc_ok else 'fail'}"
-    )
+
+    def text():
+        return (
+            f"tensor algebra on E*E: naturality={'pass' if natural else 'fail'}, "
+            f"unit={'pass' if unit_ok else 'fail'}, "
+            f"associativity={'pass' if assoc_ok else 'fail'}"
+        )
+
     _emit(
         args,
         {},
@@ -519,7 +565,7 @@ def _cmd_terminal(args, out):
         {"dyn": args.dyn, "by": args.by, "output": args.output, "moore": args.moore},
         args.upto,
         list(seq.coeffs),
-        seq.render(),
+        seq.render,
         out,
     )
 
@@ -532,7 +578,7 @@ def _cmd_homday(args, out):
         {"left": args.left, "right": args.right},
         args.upto,
         list(seq.coeffs),
-        seq.render(),
+        seq.render,
         out,
     )
 
@@ -540,12 +586,16 @@ def _cmd_homday(args, out):
 def _cmd_solve(args, out):
     D = parse_operator(args.op)
     report = diffeq.adamek_chain(D, args.upto, args.max_iter)
-    lines = [f"iterate {i}: {s.render()}" for i, s in enumerate(report.iterates)]
-    if report.converged:
-        lines.append(f"Converged: {report.limit.render()}")
-        lines.append(f"fixpoint contact: {report.fixpoint_contact}")
-    else:
-        lines.append(f"Diverged at degree {report.witness}")
+
+    def text():
+        lines = [f"iterate {i}: {s.render()}" for i, s in enumerate(report.iterates)]
+        if report.converged:
+            lines.append(f"Converged: {report.limit.render()}")
+            lines.append(f"fixpoint contact: {report.fixpoint_contact}")
+        else:
+            lines.append(f"Diverged at degree {report.witness}")
+        return "\n".join(lines)
+
     payload = {
         "iterates": [list(s.coeffs) for s in report.iterates],
         "converged": report.converged,
@@ -555,7 +605,7 @@ def _cmd_solve(args, out):
         if report.fixpoint_contact is not None
         else None,
     }
-    _emit(args, {"op": args.op}, args.upto, payload, "\n".join(lines), out)
+    _emit(args, {"op": args.op}, args.upto, payload, text, out)
 
 
 def _parse_counts(text: str):
@@ -566,7 +616,7 @@ def _parse_counts(text: str):
         try:
             if not item.isdecimal():
                 raise ValueError(item)
-            vals.append(int(item))  # ValueError beyond int()'s digit limit
+            vals.append(int(item))  # outside main, ValueError beyond int()'s digit limit
         except ValueError:
             start = offset + len(piece) - len(piece.lstrip())
             raise ParseError(f"expected a nonnegative integer, found {item!r}", start) from None
@@ -584,13 +634,12 @@ def _cmd_fixcheck(args, out):
     else:
         raise ParseError("fixcheck needs --expr or --seq", 0)
     order = diffeq.fixpoint_check(D, x, args.upto)
-    text = f"contact order: {order}"
     _emit(
         args,
         {"op": args.op, "expr": args.expr, "seq": args.seq},
         args.upto,
         {"contact_order": str(order)},
-        text,
+        lambda: f"contact order: {order}",
         out,
     )
 
@@ -749,6 +798,24 @@ def _help(name=None) -> str:
 
 
 def main(argv=None, out=None) -> int:
+    """Run one command line; return its exit code.
+
+    Exact integers print in full however long they are: the interpreter's
+    limit on int/str conversion (Python 3.11, and 3.10 from 3.10.7) is
+    lifted for the call and put back after it.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        return _main(argv, out)
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv, out)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _main(argv, out) -> int:
     out = out if out is not None else sys.stdout
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)

@@ -27,6 +27,9 @@ MAX_DEGREE = 8
 # degree -> S_n as a generator walk (see _symmetric_table); at most
 # MAX_DEGREE + 1 entries, since each is built from all_permutations.
 _SYMMETRIC_TABLES: dict = {}
+# degree -> the cycle type of each element of that table, in table order;
+# filled on first use, so each cycle type is computed once per process.
+_CYCLE_TYPES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -236,15 +239,55 @@ def _symmetric_table(n: int):
     return table
 
 
-@dataclass(frozen=True)
-class SubgroupElements:
-    """A subgroup of S_n listed by its elements."""
+def _cycle_types(n: int):
+    """The cycle type of each element of ``_symmetric_table(n)``, by position."""
+    types = _CYCLE_TYPES.get(n)
+    if types is None:
+        types = _CYCLE_TYPES[n] = tuple(p.cycle_type() for p in _symmetric_table(n)[0])
+    return types
 
-    degree: int
-    elements: frozenset
+
+class SubgroupElements:
+    """A subgroup of S_n, listed by its elements.
+
+    A stabilizer is made from its ``positions`` in ``_symmetric_table``,
+    on which the group algorithms work; its ``elements``, a frozenset of
+    Permutations, are built from them only when read.  A subgroup made
+    from its elements reads its positions off the table the same way.
+    """
+
+    def __init__(self, degree: int, elements=None, positions=None):
+        self.degree = degree
+        if positions is None:
+            self.elements = frozenset(elements)
+            self._order = len(self.elements)
+        else:
+            self.positions = frozenset(positions)
+            self._order = len(self.positions)
+
+    @cached_property
+    def elements(self) -> frozenset:
+        perms = _symmetric_table(self.degree)[0]
+        return frozenset(perms[t] for t in self.positions)
+
+    @cached_property
+    def positions(self) -> frozenset:
+        position = _symmetric_table(self.degree)[2]
+        return frozenset(position[p.images] for p in self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._order
+
+    def __eq__(self, other):
+        if not isinstance(other, SubgroupElements):
+            return NotImplemented
+        return self.degree == other.degree and self.elements == other.elements
+
+    def __hash__(self):
+        return hash((self.degree, self.elements))
+
+    def __repr__(self):
+        return f"SubgroupElements(degree={self.degree}, elements={self.elements!r})"
 
     def is_subgroup(self) -> bool:
         els = self.elements
@@ -255,7 +298,8 @@ class SubgroupElements:
     @cached_property
     def cycle_type_multiset(self) -> Tuple[Tuple[int, ...], ...]:
         """Multiset of member cycle types; a conjugacy invariant."""
-        return tuple(sorted(p.cycle_type() for p in self.elements))
+        types = _cycle_types(self.degree)
+        return tuple(sorted(types[t] for t in self.positions))
 
 
 class FiniteAction:
@@ -263,19 +307,39 @@ class FiniteAction:
 
     ``points`` must be distinct and given in sorted order, which is not
     checked; ``index``, built on first use, numbers them in that order.
-    ``act`` must satisfy the usual identity and composition laws (checked
-    in tests, not on every call).  The group algorithms read the action
-    through ``generator_images`` only, and then work on integers:
-    ``arrays``, when given, returns them on first use without relabeling;
-    otherwise each point is relabeled once per generator of S_n.
+    With ``size`` given, ``points`` is instead a function that returns
+    them, called the first time a point itself is read: the group
+    algorithms read ``size``, so an action they only count or compare
+    never lists its points.  ``act`` must satisfy the usual identity and
+    composition laws (checked in tests, not on every call).  The group
+    algorithms read the action through ``generator_images`` only, and then
+    work on integers: ``arrays``, when given, returns them on first use
+    without relabeling; otherwise each point is relabeled once per
+    generator of S_n.
     """
 
-    def __init__(self, degree: int, points, act: Callable, arrays: Callable | None = None):
+    def __init__(
+        self,
+        degree: int,
+        points,
+        act: Callable,
+        arrays: Callable | None = None,
+        size: int | None = None,
+    ):
         self.degree = degree
-        self.points = tuple(points)
+        if size is None:
+            self.points = tuple(points)
+            size = len(self.points)
+        else:
+            self._list_points = points
+        self.size = size
         self._act = act
         self._arrays = arrays
         self._generator_images = None
+
+    @cached_property
+    def points(self) -> Tuple:
+        return tuple(self._list_points())
 
     @cached_property
     def index(self) -> dict:
@@ -319,9 +383,9 @@ def orbits(a: FiniteAction) -> Tuple[Orbit, ...]:
 def _orbit_indices(a: FiniteAction):
     """The orbits as sorted lists of point indices, by least point."""
     gens = a.generator_images()
-    seen = [False] * len(a.points)
+    seen = [False] * a.size
     out = []
-    for i in range(len(a.points)):  # sorted, so each new orbit's seed is its least point
+    for i in range(a.size):  # sorted, so each new orbit's seed is its least point
         if seen[i]:
             continue
         seen[i] = True
@@ -344,25 +408,25 @@ def stabilizer(a: FiniteAction, x) -> SubgroupElements:
     """All permutations fixing x."""
     if x not in a:
         raise PointNotInAction(repr(x))
-    return _stabilizer_at(a, a.index[x])
+    return SubgroupElements(a.degree, positions=_stabilizer_at(a, a.index[x]))
 
 
-def _stabilizer_at(a: FiniteAction, i: int) -> SubgroupElements:
-    """All permutations fixing the i-th point, by one walk of the S_n table."""
-    perms, steps, _ = _symmetric_table(a.degree)
+def _stabilizer_at(a: FiniteAction, i: int):
+    """The S_n-table positions of the permutations fixing the i-th point,
+    by one walk of the table."""
+    steps = _symmetric_table(a.degree)[1]
     gens = a.generator_images()
     images = [i]  # images[t] = perms[t].x, as a point index
     for parent, j in steps:
         images.append(gens[j][images[parent]])
-    els = frozenset(p for p, y in zip(perms, images) if y == i)
-    return SubgroupElements(a.degree, els)
+    return [t for t, y in enumerate(images) if y == i]
 
 
 def element_images(a: FiniteAction):
     """(sigma, the point indices sigma sends the points to) for all of S_n."""
     perms, steps, _ = _symmetric_table(a.degree)
     gens = a.generator_images()
-    arrays = [tuple(range(len(a.points)))]
+    arrays = [tuple(range(a.size))]
     for parent, j in steps:
         g = gens[j]
         arrays.append(tuple([g[y] for y in arrays[parent]]))
@@ -370,16 +434,22 @@ def element_images(a: FiniteAction):
 
 
 def fixed_points(H: SubgroupElements, a: FiniteAction) -> Tuple:
-    """Points of ``a`` fixed by every element of H, each element read as
-    its word in the generators (its path in the S_n table)."""
+    """Points of ``a`` fixed by every element of H."""
     if H.degree != a.degree:
         raise DegreeMismatch(f"{H.degree} vs {a.degree}")
-    _, steps, position = _symmetric_table(H.degree)
-    moving = [t for t in (position[h.images] for h in H.elements) if t]
+    return tuple(a.points[i] for i in _fixed_indices(H.positions, a))
+
+
+def _fixed_indices(positions, a: FiniteAction):
+    """Indices of the points of ``a`` fixed by the S_n-table elements at
+    ``positions``, each element read as its word in the generators (its
+    path in the table)."""
+    moving = [t for t in positions if t]
     if not moving:  # the identity fixes every point: leave the action uncompiled
-        return a.points
+        return range(a.size)
+    steps = _symmetric_table(a.degree)[1]
     gens = a.generator_images()
-    keep = list(range(len(a.points)))
+    keep = list(range(a.size))
     for t in moving:
         word = []
         while t:  # back to the identity: the last generator comes first
@@ -389,7 +459,7 @@ def fixed_points(H: SubgroupElements, a: FiniteAction) -> Tuple:
         for g in reversed(word):
             images = [g[y] for y in images]
         keep = [i for i, y in zip(keep, images) if i == y]
-    return tuple(a.points[i] for i in keep)
+    return keep
 
 
 def count_equivariant_maps(src: FiniteAction, tgt: FiniteAction) -> int:
@@ -403,7 +473,7 @@ def count_equivariant_maps(src: FiniteAction, tgt: FiniteAction) -> int:
         raise DegreeMismatch(f"{src.degree} vs {tgt.degree}")
     total = 1
     for orbit in _orbit_indices(src):
-        total *= len(fixed_points(_stabilizer_at(src, orbit[0]), tgt))
+        total *= len(_fixed_indices(_stabilizer_at(src, orbit[0]), tgt))
         if total == 0:
             return 0
     return total
@@ -463,17 +533,18 @@ def subgroups_conjugate(H: SubgroupElements, K: SubgroupElements) -> bool:
         raise DegreeMismatch(f"{H.degree} vs {K.degree}")
     if len(H) != len(K):
         return False
+    if H.positions == K.positions:
+        return True
     if H.cycle_type_multiset != K.cycle_type_multiset:
         return False
-    if H.elements == K.elements:
-        return True
     n = H.degree
-    identity = Permutation.identity(n)
-    kset = {k.images for k in K.elements}
-    # one-line images padded at index 0, so 1-based labels index directly
-    hs = [(0,) + h.images for h in H.elements if h != identity]
+    perms = _symmetric_table(n)[0]
+    kset = {perms[t].images for t in K.positions}
+    # one-line images padded at index 0, so 1-based labels index directly;
+    # position 0 is the identity
+    hs = [(0,) + perms[t].images for t in H.positions if t]
     inv = [0] * (n + 1)
-    for sigma in _symmetric_table(n)[0]:
+    for sigma in perms:
         s = (0,) + sigma.images
         for i in range(1, n + 1):
             inv[s[i]] = i
@@ -486,7 +557,10 @@ def subgroups_conjugate(H: SubgroupElements, K: SubgroupElements) -> bool:
 
 def _orbit_stabilizers(a: FiniteAction):
     """(size, stabilizer of the least point) for each orbit."""
-    return [(len(o), _stabilizer_at(a, o[0])) for o in _orbit_indices(a)]
+    return [
+        (len(o), SubgroupElements(a.degree, positions=_stabilizer_at(a, o[0])))
+        for o in _orbit_indices(a)
+    ]
 
 
 def action_signature(a: FiniteAction):
@@ -505,7 +579,7 @@ def actions_isomorphic(a: FiniteAction, b: FiniteAction) -> bool:
     """Classify by the multiset of conjugacy classes of orbit stabilizers."""
     if a.degree != b.degree:
         raise DegreeMismatch(f"{a.degree} vs {b.degree}")
-    if len(a.points) != len(b.points):
+    if a.size != b.size:
         return False
     sa = _orbit_stabilizers(a)
     sb = _orbit_stabilizers(b)

@@ -1047,14 +1047,18 @@ def _no_points(n: int):
     return ((),) * len(generators(n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegreeData:
-    """All structures of an expression at one degree, with the S_n-action."""
+    """An expression's S_n-action at one degree; its points, the
+    structures, are listed only when first read."""
 
     expr: SpeciesExpr
     degree: int
-    structures: Tuple
     action: FiniteAction
+
+    @property
+    def structures(self) -> Tuple:
+        return self.action.points
 
     @property
     def index(self):
@@ -1065,7 +1069,10 @@ _DEGREE_CACHE: dict = {}
 
 
 def enumerate_degree(e: SpeciesExpr, n: int, cap: int | None = None) -> DegreeData:
-    """Enumerate e on {1,...,n}; counts are checked against the recurrences."""
+    """e on {1,...,n}: one cached S_n-action per (e, n), whose size is the
+    count and whose generator arrays compile from the children's arrays.
+    Its structures are enumerated only when a point is read; the compile
+    and the enumeration are each checked against the count."""
     require_valid(e)
     total = _card(e, n)
     cap = ENUMERATION_CAP if cap is None else cap
@@ -1075,17 +1082,24 @@ def enumerate_degree(e: SpeciesExpr, n: int, cap: int | None = None) -> DegreeDa
     hit = _DEGREE_CACHE.get(key)
     if hit is not None:
         return hit
-    structs = structures_on(e, tuple(range(1, n + 1)))
-    if len(structs) != total:
-        raise AssertionError(
-            f"enumeration/count mismatch for {e!r} at degree {n}: "
-            f"{len(structs)} enumerated vs {total} counted"
-        )
-    action = FiniteAction(
-        n, structs, lambda sig, s: act_structure(sig, s), lambda: generator_arrays(e, n)
-    )
-    data = DegreeData(e, n, structs, action)
-    _DEGREE_CACHE[key] = data
+
+    def counted(what, out, size):
+        if size != total:
+            raise AssertionError(
+                f"{what}/count mismatch for {e!r} at degree {n}: {size} vs {total} counted"
+            )
+        return out
+
+    def points():
+        structs = structures_on(e, tuple(range(1, n + 1)))
+        return counted("enumeration", structs, len(structs))
+
+    def arrays():
+        gens = generator_arrays(e, n)
+        return counted("compile", gens, len(gens[0]))
+
+    action = FiniteAction(n, points, lambda sig, s: act_structure(sig, s), arrays, size=total)
+    data = _DEGREE_CACHE[key] = DegreeData(e, n, action)
     return data
 
 
@@ -1103,7 +1117,7 @@ def as_table(e: SpeciesExpr, max_degree: int, name: str | None = None) -> Table:
     atoms_rows, action_rows = [], []
     for n in range(max_degree + 1):
         data = enumerate_degree(e, n)
-        names = [f"s{i}" for i in range(len(data.structures))]
+        names = [f"s{i}" for i in range(data.action.size)]
         row = {
             sigma.images: {names[i]: names[y] for i, y in enumerate(images)}
             for sigma, images in element_images(data.action)
@@ -1125,7 +1139,18 @@ def clear_caches() -> None:
 
 
 def enc_to_json(s):
-    """Canonical encodings as JSON-ready nested lists."""
-    if isinstance(s, tuple):
-        return [enc_to_json(x) for x in s]
-    return s
+    """Canonical encodings as JSON-ready nested lists, built on an explicit
+    stack, so nesting depth is not bounded by the recursion limit."""
+    if not isinstance(s, tuple):
+        return s
+    root = []
+    stack = [(s, root)]
+    while stack:
+        enc, out = stack.pop()
+        for x in enc:
+            if isinstance(x, tuple):
+                out.append([])
+                stack.append((x, out[-1]))
+            else:
+                out.append(x)
+    return root

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from . import groups
 from .errors import InvalidAlgebra, ShapeMismatch, TooManyMaps
 from .groups import (
     action_signature,
@@ -176,11 +177,21 @@ class IsoResult:
 
 
 def iso_check(f: SpeciesExpr, g: SpeciesExpr, N: int) -> IsoResult:
-    """Degreewise S_k-set isomorphism up to horizon N."""
+    """Degreewise S_k-set isomorphism up to horizon N.
+
+    Equal generator arrays are the same action, which settles degree k
+    without listing a structure.  Above ``groups.MAX_DEGREE`` only equal
+    structures settle it, so two different species whose arrays agree
+    there still meet the cap on S_k in ``actions_isomorphic``.
+    """
     for k in range(N + 1):
         df = enumerate_degree(f, k)
         dg = enumerate_degree(g, k)
-        if df.structures == dg.structures:
+        if k > groups.MAX_DEGREE:
+            same = df.structures == dg.structures
+        else:
+            same = df.action.generator_images() == dg.action.generator_images()
+        if same:
             continue
         if not actions_isomorphic(df.action, dg.action):
             return IsoResult(

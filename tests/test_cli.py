@@ -1,13 +1,23 @@
 import argparse
 import io
 import json
+import math
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 from helpers import reference_parser
 
-from espece.cli import MAX_NESTING, _parse_args, main, parse_expr, parse_operator, render
+from espece.cli import (
+    MAX_NESTING,
+    _dumps,
+    _parse_args,
+    main,
+    parse_expr,
+    parse_operator,
+    render,
+)
 from espece.errors import ParseError
 from espece.species import (
     AdjL,
@@ -332,6 +342,74 @@ def test_long_sum_enumerates():
     assert code == 0 and len(out.splitlines()) == 400
 
 
+def test_deep_encodings_print_without_recursion():
+    # each structure of the left-nested sum nests about 1500 levels deep,
+    # past the recursion limit of enc_to_json and of the C JSON encoder
+    n = 1500
+    deep = "+".join(["X"] * n)
+    expected = []
+    for i in range(1, n + 1):  # the i-th X: inl around it n - i times, inr once if i > 1
+        inner = '["rep",[1]]' if i == 1 else '["inr",["rep",[1]]]'
+        expected.append('["inl",' * (n - i) + inner + "]" * (n - i))
+    code, out = run("enumerate", deep, "--degree", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"{n} structure(s) at degree 1"
+    assert sorted(lines[1:]) == sorted(expected)
+    code, out = run("orbits", deep, "--degree", "1", "--json")
+    assert code == 0
+    rows = out[out.index('"result":[') + len('"result":[') : -len("]}\n")]
+    assert rows.split('{"representative":')[1:] == [
+        f"{enc},\"size\":1,\"stabilizer_order\":1}}" + ("," if i < n - 1 else "")
+        for i, enc in enumerate(sorted(expected, key=lambda t: t.count("inl"), reverse=True))
+    ]
+
+
+def test_deep_documents_dump_as_the_json_module_does():
+    deep = ["leaf"]
+    for _ in range(1200):
+        deep = ["inl", deep, 0]
+    deep_text = '["inl",' * 1200 + '["leaf"]' + ",0]" * 1200
+    doc = {"b": [1, True, None, 'q"\u00e9\n'], "a": deep, "c": {}, "d": []}
+    doc["e"] = {"y": 2, "x": [[]]}
+    for sort_keys in (False, True):
+        # the json module writes everything but the deep part
+        shallow = json.dumps({**doc, "a": "DEEP"}, sort_keys=sort_keys, separators=(",", ":"))
+        assert _dumps(doc, sort_keys) == shallow.replace('"DEEP"', deep_text)
+
+
+def test_big_integers_print_in_full():
+    # 2000! has 5736 digits, past the interpreter's default int/str limit
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    digits = limit() if limit else None
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = str(math.factorial(2000))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(digits)
+    code, out = run("coeffs", "L", "--upto", "2000")
+    assert code == 0 and out.split(", ")[-1] == expected + "\n"
+    code, out = run("coeffs", "L", "--upto", "2000", "--json")
+    assert code == 0
+    assert out.split('"result":[')[1].split("]")[0].split(",")[-1] == expected
+    if limit:  # main puts the interpreter's limit back
+        assert limit() == digits
+
+
+def test_json_output_renders_no_text(monkeypatch):
+    from espece.counting import CountSeq
+
+    def no_render(self):
+        raise AssertionError("the text of a --json request was rendered")
+
+    monkeypatch.setattr(CountSeq, "render", no_render)
+    code, out = run("solve", "--op", "E + X:0", "--upto", "20", "--json")
+    assert code == 0 and json.loads(out)["result"]["converged"] is True
+    assert run("coeffs", "L", "--upto", "4", "--json")[0] == 0
+
+
 def test_nesting_cap(capsys):
     assert MAX_NESTING >= 150  # the benchmark parses D^150(E)
     for opener, inner, atom in (("(", X(), "X"), ("D(", Exp(), "E")):
@@ -363,6 +441,15 @@ def test_symmetric_group_degree_cap(capsys):
     code, out = run("orbits", "P", "--degree", "9")
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == "error: S_9 exceeds the configured cap 8\n"
+    # above the cap iso settles a degree only on equal structures: E and E*1
+    # have equal arrays but different structures at degree 9
+    for argv in (("iso", "E", "E*1", "--upto", "9"), ("algtensor", "--upto", "9")):
+        assert run(*argv) == (1, "")
+        assert capsys.readouterr().err == "error: S_9 exceeds the configured cap 8\n"
+    assert run("iso", "dL(E)", "D(adjL(E))", "--upto", "9") == (
+        0,
+        "isomorphic up to degree 9: true\n",
+    )
 
 
 # --- machine-readable output --------------------------------------------------

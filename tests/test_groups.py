@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -391,7 +392,12 @@ def _check_against_oracles(name, a, subgroups):
     # which are distinct unless the stabilizer is normal
     for x in {p for o in orbs for p in (o.points[0], o.points[-1])}:
         stab = stabilizer(a, x)
-        assert stab.elements == scan_stabilizer(a, x), (name, x)
+        # read off table positions, then compared with the scanned elements
+        types = stab.cycle_type_multiset
+        scanned = scan_stabilizer(a, x)
+        assert len(stab) == len(scanned)
+        assert types == tuple(sorted(p.cycle_type() for p in scanned)), (name, x)
+        assert stab.elements == scanned, (name, x)
         subgroups.add(stab)
 
 
@@ -442,6 +448,19 @@ def test_conjugacy_beyond_cycle_types():
     assert moved.elements != H.elements
     assert subgroups_conjugate(H, moved) and subgroups_conjugate(moved, H)
     assert permutation_subgroups_conjugate(H, moved)
+
+
+def test_cycle_types_are_computed_once_per_element_of_s_n(monkeypatch):
+    from espece import canonical_iso_suite, groups
+
+    calls = []
+    real = Permutation.cycle_type
+    monkeypatch.setattr(Permutation, "cycle_type", lambda p: calls.append(p) or real(p))
+    monkeypatch.setattr(groups, "_CYCLE_TYPES", {})
+    assert canonical_iso_suite(5).passed
+    used = groups._CYCLE_TYPES
+    assert used and len(calls) == sum(math.factorial(n) for n in used)
+    assert canonical_iso_suite(5).passed and len(calls) == sum(math.factorial(n) for n in used)
 
 
 def test_group_algorithms_relabel_only_generator_images(monkeypatch):

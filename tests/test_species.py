@@ -520,6 +520,21 @@ def test_compiled_arrays_match_relabeling():
 
 
 def test_action_points_are_the_enumeration():
-    for e in GOLDEN_EXPRS:
-        data = enumerate_degree(e, 4)
-        assert data.action.points == data.structures
+    """enumerate_degree's action has the count as its size and the
+    compiled arrays, and lists no structure until a point is read; its
+    points are then the enumeration.  Same expressions and degrees as the
+    compile oracle."""
+    exprs = _compile_oracle_exprs()
+    species.clear_caches()
+    for e, top in exprs:
+        for n in range(top + 1):
+            if cardinality(e, n) > ISO_POINT_CAP:
+                continue
+            data = enumerate_degree(e, n)
+            a = data.action
+            assert a.size == cardinality(e, n)
+            assert a.generator_images() == generator_arrays(e, n)
+            assert "points" not in vars(a), (e, n)
+            assert data.structures is a.points
+            assert a.points == structures_on(e, tuple(range(1, n + 1))), (e, n)
+            assert enumerate_degree(e, n) is data

@@ -38,6 +38,28 @@ from helpers import brute_equivariant_count, threading_apply_on_labels
 # --- counting and enumerating natural families -----------------------------
 
 
+def test_iso_and_natcount_build_no_composite_structure(monkeypatch):
+    import io
+
+    from espece import species
+    from espece.cli import main
+
+    builds = []
+
+    def counted(real):
+        return lambda self, labels: builds.append(self) or real(self, labels)
+
+    for kind in (species.Cauchy, species.Substitute):
+        monkeypatch.setattr(kind, "build", counted(kind.build))
+    species.clear_caches()
+    out = io.StringIO()
+    assert main(["iso", "S", "E o C", "--upto", "6"], out) == 0
+    assert out.getvalue() == "isomorphic up to degree 6: true\n"
+    assert count_nat(Cauchy(Exp(), Exp()), Subsets(), 5)[1] > 0
+    assert builds == []
+    species.clear_caches()
+
+
 def test_count_nat_exponential_targets():
     per, cum = count_nat(Exp(), Derive(Exp()), 4)
     assert per == (1, 1, 1, 1, 1)
