@@ -36,7 +36,6 @@ from .species import (
     DeriveL,
     Pointing,
     SpeciesExpr,
-    act_structure,
     cardinality,
     enumerate_degree,
     require_valid,
@@ -282,13 +281,7 @@ def _restricted_action(g: SpeciesExpr, k: int, m: int) -> FiniteAction:
         gens = data.action.generator_images()
         return tuple(permutation_array(gens, embed(sig).images) for sig in generators(m))
 
-    return FiniteAction(
-        m,
-        lambda: data.structures,
-        lambda sig, s: act_structure(embed(sig), s),
-        arrays,
-        size=data.action.size,
-    )
+    return FiniteAction(m, data.action.size, arrays, lambda: data.structures)
 
 
 def _cauchy_power(a: SpeciesExpr, n: int) -> SpeciesExpr:

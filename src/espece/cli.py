@@ -54,7 +54,6 @@ from .species import (
     TruncRight,
     X,
     Zero,
-    enc_to_json,
     enumerate_degree,
 )
 from .transforms import iso_check
@@ -394,7 +393,7 @@ def _cmd_egf(args, out):
 def _cmd_enumerate(args, out):
     e = parse_expr(args.expr)
     data = enumerate_degree(e, args.degree, cap=args.limit)
-    encs = [enc_to_json(s) for s in data.structures]
+    encs = data.structures
 
     def text():
         head = f"{len(encs)} structure(s) at degree {args.degree}"
@@ -414,7 +413,7 @@ def _cmd_orbits(args, out):
         rows.append(
             {
                 "size": len(orb.points),
-                "representative": enc_to_json(orb.representative),
+                "representative": orb.representative,
                 "stabilizer_order": len(stab),
             }
         )

@@ -1,10 +1,11 @@
 """Finite symmetric-group machinery.
 
-Permutations of {1,...,n}, finite left S_n-actions given by an explicit
-act function, orbits, stabilizers, fixed points, and the counting and
-enumeration of equivariant maps between actions.  Everything is exact
-and deterministic: points are kept in their canonical sort order and
-every "least representative" tie-break uses that order.
+Permutations of {1,...,n}, finite left S_n-actions given by one
+point-index array per generator of S_n, orbits, stabilizers, fixed
+points, and the counting and enumeration of equivariant maps between
+actions.  Everything is exact and deterministic: points are kept in
+their canonical sort order and every "least representative" tie-break
+uses that order.
 """
 
 from __future__ import annotations
@@ -303,39 +304,21 @@ class SubgroupElements:
 
 
 class FiniteAction:
-    """A left S_n-action on a finite set of points.
+    """A left S_n-action on ``size`` points, given by index arrays.
 
-    ``points`` must be distinct and given in sorted order, which is not
-    checked; ``index``, built on first use, numbers them in that order.
-    With ``size`` given, ``points`` is instead a function that returns
-    them, called the first time a point itself is read: the group
-    algorithms read ``size``, so an action they only count or compare
-    never lists its points.  ``act`` must satisfy the usual identity and
-    composition laws (checked in tests, not on every call).  The group
-    algorithms read the action through ``generator_images`` only, and then
-    work on integers: ``arrays``, when given, returns them on first use
-    without relabeling; otherwise each point is relabeled once per
-    generator of S_n.
+    ``arrays`` returns, for each of ``generators(degree)``, the point
+    indices it sends the points to; ``points`` returns the points, distinct
+    and in sorted order (not checked).  Each is called once, the first
+    time it is needed: the group algorithms read ``size`` and the arrays
+    and work on integers, so an action they only count or compare never
+    lists its points.
     """
 
-    def __init__(
-        self,
-        degree: int,
-        points,
-        act: Callable,
-        arrays: Callable | None = None,
-        size: int | None = None,
-    ):
+    def __init__(self, degree: int, size: int, arrays: Callable, points: Callable):
         self.degree = degree
-        if size is None:
-            self.points = tuple(points)
-            size = len(self.points)
-        else:
-            self._list_points = points
         self.size = size
-        self._act = act
         self._arrays = arrays
-        self._generator_images = None
+        self._list_points = points
 
     @cached_property
     def points(self) -> Tuple:
@@ -348,21 +331,22 @@ class FiniteAction:
     def __contains__(self, x) -> bool:
         return x in self.index
 
-    def act(self, sigma: Permutation, x):
-        return self._act(sigma, x)
+    @cached_property
+    def _generator_images(self) -> Tuple[Tuple[int, ...], ...]:
+        return self._arrays()
 
     def generator_images(self) -> Tuple[Tuple[int, ...], ...]:
         """For each of ``generators(degree)``, the point indices it maps to."""
-        if self._generator_images is None:
-            if self._arrays is not None:
-                self._generator_images = self._arrays()
-            else:
-                index = self.index
-                self._generator_images = tuple(
-                    tuple(index[self.act(g, x)] for x in self.points)
-                    for g in generators(self.degree)
-                )
         return self._generator_images
+
+    def act(self, sigma: Permutation, x):
+        """sigma.x, read off sigma's index array."""
+        if sigma.degree != self.degree:
+            raise DegreeMismatch(f"{sigma.degree} vs {self.degree}")
+        i = self.index.get(x)
+        if i is None:
+            raise PointNotInAction(repr(x))
+        return self.points[permutation_array(self.generator_images(), sigma.images)[i]]
 
 
 @dataclass(frozen=True)

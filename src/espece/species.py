@@ -5,11 +5,11 @@ cyclic orders, permutations, representables, explicit tables) and
 combinators (sum, Hadamard and Cauchy product, substitution, derivative,
 pointing, the two adjoints of the derivative, and truncations).  For a
 degree n the engine enumerates every structure on the label set
-{1,...,n} in a canonical nested-tuple encoding, and relabeling along a
-permutation re-canonicalizes, giving the S_n-action.  The group
-algorithms read that action as one point-index array per generator of
-S_n, and each node compiles its arrays from its children's arrays by
-index arithmetic, so no structure is relabeled to build them.
+{1,...,n} in a canonical nested-tuple encoding, listed in sorted order.
+The S_n-action on them is one point-index array per generator of S_n:
+each combinator compiles its arrays from its children's arrays by index
+arithmetic, and only the primitive leaves relabel structures, their own,
+to build theirs.
 
 Conventions fixed here:
   * Cyc[0] = 0 and Cyc[1] = 1; the (n-1)! count holds for n >= 1.
@@ -107,11 +107,14 @@ class SpeciesExpr:
         """Generator like ``build``: yields each (child, degree) read, is
         sent back that child's generator arrays, and returns its own: for
         each of ``generators(n)``, the indices its sorted structures on
-        1..n go to.  A node without children relabels its structures."""
+        1..n go to.  A primitive leaf relabels each of its structures along
+        each generator with ``relabel(s, get)``, where ``get`` sends a
+        label to its image; it re-canonicalizes."""
         points = structures_on(self, tuple(range(1, n + 1)))
         index = {s: i for i, s in enumerate(points)}
         return tuple(
-            tuple([index[transport(s, g.mapping)] for s in points]) for g in generators(n)
+            tuple([index[self.relabel(s, g.mapping.__getitem__)] for s in points])
+            for g in generators(n)
         )
         yield
 
@@ -175,6 +178,9 @@ class _Representable(_Node):
             return ()
         return tuple(("rep", p) for p in itertools.permutations(labels))
 
+    def relabel(self, s, get):
+        return ("rep", tuple(map(get, s[1])))
+
 
 @dataclass(frozen=True, eq=False)
 class One(_Representable):
@@ -211,6 +217,9 @@ class Exp(_Node):
     def structures(self, labels):
         return (("set", labels),)
 
+    def relabel(self, s, get):
+        return s  # the whole label set is its own image
+
 
 @dataclass(frozen=True, eq=False)
 class ExpPlus(_Node):
@@ -219,6 +228,8 @@ class ExpPlus(_Node):
 
     def structures(self, labels):
         return (("set", labels),) if labels else ()
+
+    relabel = Exp.relabel
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,6 +242,9 @@ class Lin(_Node):
     def structures(self, labels):
         return tuple(("lin", p) for p in itertools.permutations(labels))
 
+    def relabel(self, s, get):
+        return ("lin", tuple(map(get, s[1])))
+
 
 @dataclass(frozen=True, eq=False)
 class LinPlus(_Node):
@@ -239,6 +253,8 @@ class LinPlus(_Node):
 
     def structures(self, labels):
         return tuple(("lin", p) for p in itertools.permutations(labels)) if labels else ()
+
+    relabel = Lin.relabel
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,6 +269,11 @@ class Cyc(_Node):
             return ()
         return tuple(("cyc", labels[:1] + p) for p in itertools.permutations(labels[1:]))
 
+    def relabel(self, s, get):
+        xs = tuple(map(get, s[1]))
+        i = xs.index(min(xs))  # the least label first
+        return ("cyc", xs[i:] + xs[:i])
+
 
 @dataclass(frozen=True, eq=False)
 class Perm(_Node):
@@ -264,6 +285,9 @@ class Perm(_Node):
     def structures(self, labels):
         return tuple(("perm", tuple(zip(labels, p))) for p in itertools.permutations(labels))
 
+    def relabel(self, s, get):
+        return ("perm", tuple(sorted([(get(x), get(y)) for x, y in s[1]])))
+
 
 @dataclass(frozen=True, eq=False)
 class Subsets(_Node):
@@ -273,6 +297,9 @@ class Subsets(_Node):
     def structures(self, labels):
         subs = (s for r in range(len(labels) + 1) for s in itertools.combinations(labels, r))
         return tuple(("subset", s) for s in sorted(subs))
+
+    def relabel(self, s, get):
+        return ("subset", tuple(sorted(map(get, s[1]))))
 
 
 _TABLE_REGISTRY: Dict[str, "Table"] = {}
@@ -914,68 +941,6 @@ def fresh_star(labels) -> int:
     return 0 if not nonpos else min(nonpos) - 1
 
 
-def _min_rotation(xs: Tuple[int, ...]) -> Tuple[int, ...]:
-    i = xs.index(min(xs))
-    return xs[i:] + xs[:i]
-
-
-def transport(enc, mapping: dict):
-    """Relabel a canonical structure along a bijection of positive labels.
-
-    Every label ``mapping`` does not mention is fixed, and it mentions no
-    label <= 0: a derivative context adjoins 0, or one below the least
-    reserved label already in its label set, and a bijection of positive
-    labels keeps that choice, so no label set is needed.  The result is
-    canonical again.
-    """
-    tag = enc[0]
-    get = mapping.get  # get(x, x) fixes what the mapping leaves out
-    if tag == "pair":
-        U, sf, sg = enc[1]
-        moved = tuple(sorted(map(get, U, U)))
-        return (tag, (moved, transport(sf, mapping), transport(sg, mapping)))
-    if tag in ("lin", "rep"):
-        return (tag, tuple(map(get, enc[1], enc[1])))
-    if tag in ("set", "subset"):
-        return (tag, tuple(sorted(map(get, enc[1], enc[1]))))
-    if tag == "cyc":
-        return (tag, _min_rotation(tuple(map(get, enc[1], enc[1]))))
-    if tag in ("inl", "inr", "deriv"):
-        return (tag, transport(enc[1], mapping))
-    if tag == "perm":
-        return (tag, tuple(sorted([(get(x, x), get(y, y)) for x, y in enc[1]])))
-    if tag == "both":
-        sf, sg = enc[1]
-        return (tag, (transport(sf, mapping), transport(sg, mapping)))
-    if tag in ("point", "adjl"):
-        a, inner = enc[1]
-        return (tag, (get(a, a), transport(inner, mapping)))
-    if tag == "tuple":
-        return (tag, tuple(sorted([(get(a, a), transport(s, mapping)) for a, s in enc[1]])))
-    if tag == "part":
-        blocks, outer, inners = enc[1]
-        moved = [tuple(sorted(map(get, b, b))) for b in blocks]
-        order = sorted(range(len(blocks)), key=moved.__getitem__)
-        rho = {old + 1: new for new, old in enumerate(order, start=1)}  # outer block ranks
-        parts = tuple(transport(inners[i], mapping) for i in order)
-        return (tag, (tuple(moved[i] for i in order), transport(outer, rho), parts))
-    if tag == "atom":
-        _, key, name, labels = enc
-        moved = tuple(map(get, labels, labels))
-        new_labels = tuple(sorted(moved))
-        rank = {y: i for i, y in enumerate(new_labels, start=1)}
-        pi = tuple(rank[y] for y in moved)  # where each (sorted) label's image lands
-        return (tag, key, _TABLE_REGISTRY[key].action[len(labels)][pi][name], new_labels)
-    if tag == "top":
-        return enc
-    raise ValueError(f"unknown structure tag {tag!r}")
-
-
-def act_structure(sigma: Permutation, enc):
-    """Relabel a canonical degree-n structure along a permutation of 1..n."""
-    return transport(enc, sigma.mapping)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -1098,17 +1063,16 @@ def enumerate_degree(e: SpeciesExpr, n: int, cap: int | None = None) -> DegreeDa
         gens = generator_arrays(e, n)
         return counted("compile", gens, len(gens[0]))
 
-    action = FiniteAction(n, points, lambda sig, s: act_structure(sig, s), arrays, size=total)
-    data = _DEGREE_CACHE[key] = DegreeData(e, n, action)
+    data = _DEGREE_CACHE[key] = DegreeData(e, n, FiniteAction(n, total, arrays, points))
     return data
 
 
 def act(e: SpeciesExpr, sigma: Permutation, s):
-    """Relabel a structure of e along sigma, re-canonicalizing."""
-    data = enumerate_degree(e, sigma.degree)
-    if s not in data.index:
+    """sigma.s for a structure s of e, read off e's compiled action."""
+    action = enumerate_degree(e, sigma.degree).action
+    if s not in action:
         raise StructureNotOfExpr(f"{s!r} is not a structure of {e!r} at degree {sigma.degree}")
-    return act_structure(sigma, s)
+    return action.act(sigma, s)
 
 
 def as_table(e: SpeciesExpr, max_degree: int, name: str | None = None) -> Table:
@@ -1136,21 +1100,3 @@ def clear_caches() -> None:
     _DEGREE_CACHE.clear()
     _COMPILE_CACHE.clear()
     _VALIDATED.clear()
-
-
-def enc_to_json(s):
-    """Canonical encodings as JSON-ready nested lists, built on an explicit
-    stack, so nesting depth is not bounded by the recursion limit."""
-    if not isinstance(s, tuple):
-        return s
-    root = []
-    stack = [(s, root)]
-    while stack:
-        enc, out = stack.pop()
-        for x in enc:
-            if isinstance(x, tuple):
-                out.append([])
-                stack.append((x, out[-1]))
-            else:
-                out.append(x)
-    return root

@@ -11,6 +11,7 @@ strictly stronger than equality of counting sequences.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -45,7 +46,6 @@ from .species import (
     cardinality,
     enumerate_degree,
     structures_on,
-    transport,
 )
 
 DEFAULT_FAMILY: Tuple[SpeciesExpr, ...] = (X(), Exp(), Lin(), Cyc(), Subsets())
@@ -93,26 +93,29 @@ def identity_nat(e: SpeciesExpr, N: int) -> NatTrans:
 def apply_on_labels(t: NatTrans, enc, labels) -> object:
     """Apply a component to a structure sitting on an arbitrary label set.
 
-    The structure is transported to the canonical label set along the
-    order isomorphism, mapped, and transported back; equivariance of the
-    component makes the choice of transport immaterial.
+    Relabeling along the order isomorphism of the label set with 1..m
+    keeps the sorted order of structures (a reserved label <= 0 turns
+    ordinary and renumbers the reserved labels inside, in the same order),
+    so the structure and its image sit at the same positions on both
+    label sets; equivariance of the component makes the choice of the
+    isomorphism immaterial.
     """
     L = tuple(sorted(labels))
-    m = len(L)
-    if L and L[0] <= 0:
-        # A reserved label turns ordinary, which renumbers the reserved labels
-        # inside; transport along the order isomorphism keeps the sorted
-        # order of structures, so the image is at the same position.
-        canon = enumerate_degree(t.source, m).structures
-        try:
-            out = t(m, canon[structures_on(t.source, L).index(enc)])
-        except ValueError:
-            raise ShapeMismatch(f"structure {enc!r} not on labels {L}") from None
-        j = enumerate_degree(t.target, m).index[out]
-        return structures_on(t.target, L)[j]
-    rank = {lab: i for i, lab in enumerate(L, start=1)}
-    out = t(m, transport(enc, rank))
-    return transport(out, dict(enumerate(L, start=1)))
+    canon = tuple(range(1, len(L) + 1))
+    i = _position(structures_on(t.source, L), enc, L)
+    out = t(len(L), structures_on(t.source, canon)[i])
+    return structures_on(t.target, L)[_position(structures_on(t.target, canon), out, canon)]
+
+
+def _position(structures, enc, labels) -> int:
+    """The index of enc in a sorted tuple of structures on ``labels``."""
+    try:
+        i = bisect_left(structures, enc)
+    except TypeError:  # not shaped like these structures
+        i = len(structures)
+    if i == len(structures) or structures[i] != enc:
+        raise ShapeMismatch(f"structure {enc!r} not on labels {labels}")
+    return i
 
 
 def check_naturality(t: NatTrans) -> bool:
@@ -567,14 +570,10 @@ def uniform_subset_coalgebras(N: int) -> Dict[str, NatTrans]:
 
 
 def nat_to_json(t: NatTrans):
-    from .species import enc_to_json
-
     return {
         "horizon": t.horizon,
         "components": {
-            str(k): sorted(
-                [enc_to_json(s), enc_to_json(v)] for s, v in t.components[k].items()
-            )
+            str(k): sorted([s, v] for s, v in t.components[k].items())
             for k in range(t.horizon + 1)
         },
     }

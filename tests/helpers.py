@@ -7,9 +7,10 @@ orbits, stabilizers and fixed points by relabeling along every element
 of S_n, compiled actions by relabeling every structure along each
 generator, subgroup conjugacy by multiplying validated permutations, and
 substitution counts are summed over explicitly generated set partitions
-or over integer partitions.  Relabeling itself is checked against
-``transport``, which threads the label set of every substructure and
-renumbers the reserved labels of derivative contexts at each one.
+or over integer partitions.  Every oracle relabels species structures
+through ``transport`` here, which threads the label set of every
+substructure and renumbers the reserved labels of derivative contexts at
+each one, never through the library's compiled action.
 Enumeration and degree budgets are checked against the recursive
 isinstance ladders the node-kind rules replaced.
 Command lines are checked against the argparse parser the CLI used to
@@ -53,8 +54,6 @@ from espece.groups import all_permutations, generators
 from espece.species import (
     _TABLE_REGISTRY,
     _card,
-    _min_rotation,
-    act_structure,
     enumerate_degree,
     fresh_star,
 )
@@ -85,9 +84,20 @@ GOLDEN_EXPRS = (
 )
 
 
-def brute_equivariant_maps(src, tgt, perms=None):
+def species_act(sigma, s):
+    """sigma.s for a species structure s on 1..n, by ``transport``."""
+    return transport(s, sigma.mapping, tuple(range(1, sigma.degree + 1)))
+
+
+def relabel_table(a, perms, act=species_act):
+    """{(sigma, x): sigma.x} for every sigma in perms and point x of a."""
+    return {(s, x): act(s, x) for s in perms for x in a.points}
+
+
+def brute_equivariant_maps(src, tgt, perms=None, act=species_act):
     """All equivariant maps src -> tgt by constraint-checked backtracking."""
     perms = all_permutations(src.degree) if perms is None else perms
+    src_act, tgt_act = relabel_table(src, perms, act), relabel_table(tgt, perms, act)
     pts = list(src.points)
     maps = []
     assign = {}
@@ -95,8 +105,8 @@ def brute_equivariant_maps(src, tgt, perms=None):
     def consistent(x):
         fx = assign[x]
         for s in perms:
-            y = src.act(s, x)
-            if y in assign and assign[y] != tgt.act(s, fx):
+            y = src_act[s, x]
+            if y in assign and assign[y] != tgt_act[s, fx]:
                 return False
         return True
 
@@ -119,32 +129,32 @@ def brute_equivariant_count(src, tgt):
     return len(brute_equivariant_maps(src, tgt))
 
 
-def exhaustive_equivariant_count(src, tgt):
+def exhaustive_equivariant_count(src, tgt, act=species_act):
     """The dumbest possible count: every function, every permutation."""
     perms = all_permutations(src.degree)
+    src_act, tgt_act = relabel_table(src, perms, act), relabel_table(tgt, perms, act)
     count = 0
     for images in itertools.product(tgt.points, repeat=len(src.points)):
         f = dict(zip(src.points, images))
-        if all(
-            f[src.act(s, x)] == tgt.act(s, f[x]) for s in perms for x in src.points
-        ):
+        if all(f[src_act[s, x]] == tgt_act[s, f[x]] for s in perms for x in src.points):
             count += 1
     return count
 
 
-def find_equivariant_bijection(a, b):
+def find_equivariant_bijection(a, b, act=species_act):
     """Search for an equivariant bijection between two small actions."""
     if len(a.points) != len(b.points):
         return None
     perms = all_permutations(a.degree)
+    a_act, b_act = relabel_table(a, perms, act), relabel_table(b, perms, act)
     for images in itertools.permutations(b.points):
         f = dict(zip(a.points, images))
-        if all(f[a.act(s, x)] == b.act(s, f[x]) for s in perms for x in a.points):
+        if all(f[a_act[s, x]] == b_act[s, f[x]] for s in perms for x in a.points):
             return f
     return None
 
 
-def scan_orbits(a):
+def scan_orbits(a, act=species_act):
     """(least point, sorted orbit) pairs: each point moved by all of S_n."""
     perms = all_permutations(a.degree)
     seen = set()
@@ -152,15 +162,15 @@ def scan_orbits(a):
     for x in a.points:
         if x in seen:
             continue
-        pts = tuple(sorted({a.act(s, x) for s in perms}))
+        pts = tuple(sorted({act(s, x) for s in perms}))
         seen.update(pts)
         out.append((pts[0], pts))
     return out
 
 
-def scan_stabilizer(a, x):
+def scan_stabilizer(a, x, act=species_act):
     """All permutations fixing x, by direct scan of S_n."""
-    return frozenset(s for s in all_permutations(a.degree) if a.act(s, x) == x)
+    return frozenset(s for s in all_permutations(a.degree) if act(s, x) == x)
 
 
 def permutation_subgroups_conjugate(H, K):
@@ -174,10 +184,9 @@ def permutation_subgroups_conjugate(H, K):
     return False
 
 
-
-def scan_fixed_points(H, a):
+def scan_fixed_points(H, a, act=species_act):
     """Points of a fixed by every element of H, each relabeled along each."""
-    return tuple(x for x in a.points if all(a.act(s, x) == x for s in H.elements))
+    return tuple(x for x in a.points if all(act(s, x) == x for s in H.elements))
 
 
 def transport_generator_images(e: SpeciesExpr, n: int):
@@ -186,8 +195,13 @@ def transport_generator_images(e: SpeciesExpr, n: int):
     replaced."""
     data = enumerate_degree(e, n)
     return tuple(
-        tuple(data.index[act_structure(g, s)] for s in data.structures) for g in generators(n)
+        tuple(data.index[species_act(g, s)] for s in data.structures) for g in generators(n)
     )
+
+
+def _min_rotation(xs: Tuple[int, ...]) -> Tuple[int, ...]:
+    i = xs.index(min(xs))
+    return xs[i:] + xs[:i]
 
 
 def transport(enc, mapping: dict, labels: Tuple[int, ...]):
@@ -200,22 +214,22 @@ def transport(enc, mapping: dict, labels: Tuple[int, ...]):
     """
     tag = enc[0]
     if tag in ("set", "subset"):
-        return (tag, tuple(sorted(mapping[x] for x in enc[1])))
+        return (tag, tuple(sorted(map(mapping.__getitem__, enc[1]))))
     if tag == "lin":
-        return (tag, tuple(mapping[x] for x in enc[1]))
+        return (tag, tuple(map(mapping.__getitem__, enc[1])))
     if tag == "cyc":
-        return (tag, _min_rotation(tuple(mapping[x] for x in enc[1])))
+        return (tag, _min_rotation(tuple(map(mapping.__getitem__, enc[1]))))
     if tag == "perm":
-        return (tag, tuple(sorted((mapping[x], mapping[y]) for x, y in enc[1])))
+        return (tag, tuple(sorted([(mapping[x], mapping[y]) for x, y in enc[1]])))
     if tag == "rep":
-        return (tag, tuple(mapping[x] for x in enc[1]))
+        return (tag, tuple(map(mapping.__getitem__, enc[1])))
     if tag == "pair":
         U, sf, sg = enc[1]
-        rest = tuple(x for x in labels if x not in U)
+        rest = tuple([x for x in labels if x not in U])
         return (
             tag,
             (
-                tuple(sorted(mapping[x] for x in U)),
+                tuple(sorted(map(mapping.__getitem__, U))),
                 transport(sf, mapping, U),
                 transport(sg, mapping, rest),
             ),
@@ -234,7 +248,7 @@ def transport(enc, mapping: dict, labels: Tuple[int, ...]):
         return (tag, transport(enc[1], m2, inner_labels))
     if tag == "point":
         a, inner = enc[1]
-        rest = tuple(x for x in labels if x != a)
+        rest = tuple([x for x in labels if x != a])
         old = fresh_star(rest)
         new = fresh_star([mapping[x] for x in rest])
         m2 = dict(mapping)
@@ -242,17 +256,17 @@ def transport(enc, mapping: dict, labels: Tuple[int, ...]):
         return (tag, (mapping[a], transport(inner, m2, tuple(sorted(rest + (old,))))))
     if tag == "adjl":
         a, inner = enc[1]
-        rest = tuple(x for x in labels if x != a)
+        rest = tuple([x for x in labels if x != a])
         return (tag, (mapping[a], transport(inner, mapping, rest)))
     if tag == "tuple":
         out = []
         for a, inner in enc[1]:
-            rest = tuple(x for x in labels if x != a)
+            rest = tuple([x for x in labels if x != a])
             out.append((mapping[a], transport(inner, mapping, rest)))
         return (tag, tuple(sorted(out)))
     if tag == "part":
         blocks, outer, inners = enc[1]
-        new_blocks = [tuple(sorted(mapping[x] for x in blk)) for blk in blocks]
+        new_blocks = [tuple(sorted(map(mapping.__getitem__, blk))) for blk in blocks]
         order = sorted(range(len(new_blocks)), key=lambda i: new_blocks[i])
         rho = {old_i + 1: new_pos + 1 for new_pos, old_i in enumerate(order)}
         k = len(blocks)

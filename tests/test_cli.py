@@ -344,7 +344,7 @@ def test_long_sum_enumerates():
 
 def test_deep_encodings_print_without_recursion():
     # each structure of the left-nested sum nests about 1500 levels deep,
-    # past the recursion limit of enc_to_json and of the C JSON encoder
+    # past the recursion limit of the C JSON encoder
     n = 1500
     deep = "+".join(["X"] * n)
     expected = []

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,7 @@ from espece import (
     fixed_points,
     stabilizer,
 )
-from espece.errors import DegreeTooLarge, PointNotInAction, TooManyMaps
+from espece.errors import DegreeMismatch, DegreeTooLarge, PointNotInAction, TooManyMaps
 from espece.automata import _restricted_action
 from espece.groups import (
     FiniteAction,
@@ -38,6 +39,7 @@ from helpers import (
     scan_fixed_points,
     scan_orbits,
     scan_stabilizer,
+    species_act,
 )
 
 
@@ -45,13 +47,23 @@ def action_of(expr, n):
     return enumerate_degree(expr, n).action
 
 
+def listed_action(n, points, act):
+    """act on the sorted points, as arrays: each point relabeled once per
+    generator of S_n."""
+    pts = tuple(sorted(points))
+    index = {x: i for i, x in enumerate(pts)}
+    arrays = tuple(tuple(index[act(g, x)] for x in pts) for g in generators(n))
+    return FiniteAction(n, len(pts), lambda: arrays, lambda: pts)
+
+
 def trivial_action(n, points):
-    return FiniteAction(n, sorted(points), lambda s, x: x)
+    return listed_action(n, points, lambda s, x: x)
 
 
 def regular_action(n):
-    pts = sorted(p.images for p in all_permutations(n))
-    return FiniteAction(n, pts, lambda s, x: (s * Permutation(x)).images)
+    return listed_action(
+        n, [p.images for p in all_permutations(n)], lambda s, x: (s * Permutation(x)).images
+    )
 
 
 # --- permutations ----------------------------------------------------------
@@ -176,6 +188,19 @@ def test_stabilizer_point_check():
     a = action_of(Subsets(), 2)
     with pytest.raises(PointNotInAction):
         stabilizer(a, ("subset", (9,)))
+
+
+def test_act_reads_the_arrays_and_checks_its_point():
+    a = regular_action(3)
+    for sigma in all_permutations(3):
+        for x in a.points:
+            assert a.act(sigma, x) == (sigma * Permutation(x)).images
+    with pytest.raises(PointNotInAction):
+        a.act(Permutation.identity(3), (1, 2, 4))
+    with pytest.raises(PointNotInAction):
+        action_of(Subsets(), 2).act(Permutation((2, 1)), ("subset", (9,)))
+    with pytest.raises(DegreeMismatch):
+        a.act(Permutation((2, 1)), a.points[0])
 
 
 def test_orbit_stabilizer_theorem():
@@ -376,25 +401,34 @@ def test_isomorphic_symmetric_and_implies_invariants():
 # --- generator-array routes against the scan oracles -------------------------
 
 
+def _embedded_act(k):
+    """species_act of S_m on the last m of k + m labels."""
+
+    def act(sigma, s):
+        return species_act(Permutation(tuple(range(1, k + 1)) + tuple(k + y for y in sigma.images)), s)
+
+    return act
+
+
 def _oracle_actions():
     for e in GOLDEN_EXPRS:
         for n in range(6):
-            yield f"{e!r} at {n}", action_of(e, n)
+            yield f"{e!r} at {n}", action_of(e, n), species_act
     for k in range(7):
         for m in range(7 - k):
-            yield f"homday X L at k={k}, m={m}", _restricted_action(Lin(), k, m)
+            yield f"homday X L at k={k}, m={m}", _restricted_action(Lin(), k, m), _embedded_act(k)
 
 
-def _check_against_oracles(name, a, subgroups):
+def _check_against_oracles(name, a, act, subgroups):
     orbs = orbits(a)
-    assert [(o.representative, o.points) for o in orbs] == scan_orbits(a), name
+    assert [(o.representative, o.points) for o in orbs] == scan_orbits(a, act), name
     # the least and the greatest point of an orbit have conjugate stabilizers,
     # which are distinct unless the stabilizer is normal
     for x in {p for o in orbs for p in (o.points[0], o.points[-1])}:
         stab = stabilizer(a, x)
         # read off table positions, then compared with the scanned elements
         types = stab.cycle_type_multiset
-        scanned = scan_stabilizer(a, x)
+        scanned = scan_stabilizer(a, x, act)
         assert len(stab) == len(scanned)
         assert types == tuple(sorted(p.cycle_type() for p in scanned)), (name, x)
         assert stab.elements == scanned, (name, x)
@@ -403,8 +437,8 @@ def _check_against_oracles(name, a, subgroups):
 
 def test_orbits_stabilizers_and_conjugacy_match_scan_oracles():
     by_degree = {}
-    for name, a in _oracle_actions():
-        _check_against_oracles(name, a, by_degree.setdefault(a.degree, set()))
+    for name, a, act in _oracle_actions():
+        _check_against_oracles(name, a, act, by_degree.setdefault(a.degree, set()))
     for n, subgroups in by_degree.items():
         ordered = sorted(subgroups, key=lambda H: (len(H), sorted(p.images for p in H.elements)))
         for H, K in itertools.product(ordered, repeat=2):
@@ -465,13 +499,21 @@ def test_cycle_types_are_computed_once_per_element_of_s_n(monkeypatch):
 
 def test_group_algorithms_relabel_only_generator_images(monkeypatch):
     from espece import Cauchy, as_table, species
+    from espece.species import structures_on
     from espece.transforms import check_naturality, identity_nat
 
-    relabels = []
-    real = species.act_structure
-    monkeypatch.setattr(
-        species, "act_structure", lambda sigma, s: relabels.append(s) or real(sigma, s)
-    )
+    relabels = Counter()  # (leaf, structure) -> relabel calls
+
+    def counted(real):
+        def relabel(self, s, get):
+            relabels[self, s] += 1
+            return real(self, s, get)
+
+        return relabel
+
+    for leaf in vars(species).values():
+        if isinstance(leaf, type) and "relabel" in vars(leaf):
+            monkeypatch.setattr(leaf, "relabel", counted(vars(leaf)["relabel"]))
     species.clear_caches()
     counts = []
     for n in range(5):
@@ -485,8 +527,14 @@ def test_group_algorithms_relabel_only_generator_images(monkeypatch):
         assert fixed_points(stabilizer(b, b.points[-1]), a)
         assert len(as_table(Subsets(), n).action[n]) == len(all_permutations(n))
     assert check_naturality(identity_nat(Subsets(), 4))
-    # species actions compile from their children's arrays: nothing relabels
-    assert relabels == []
+    # only the leaves relabel, each structure once per generator when its
+    # (leaf, degree) compiles; the product compiles from their arrays
+    expected = Counter()  # a structure such as ("subset", ()) recurs at every degree
+    for leaf in (Subsets(), Exp()):
+        for n in range(5):
+            for s in structures_on(leaf, tuple(range(1, n + 1))):
+                expected[leaf, s] += len(generators(n))
+    assert relabels == expected
     # the oracle relabels along every element, so it runs after the count
     assert all(c == brute_equivariant_count(a, b) for a, b, c in counts)
     species.clear_caches()

@@ -42,14 +42,12 @@ from espece.errors import (
     StructureNotOfExpr,
 )
 from espece import species
-from espece.groups import Permutation, all_permutations, generators
+from espece.groups import Permutation, all_permutations, element_images, generators
 from espece.species import (
     Table,
-    act_structure,
     fresh_star,
     generator_arrays,
     structures_on,
-    transport,
 )
 from espece.transforms import DEFAULT_FAMILY, ISO_POINT_CAP
 from helpers import (
@@ -216,6 +214,16 @@ def test_act_rejects_foreign_structure():
         act(Cyc(), Permutation.identity(3), ("lin", (1, 2, 3)))
 
 
+def test_act_on_a_deep_structure():
+    # 1100 nested derivative contexts: the structure nests past the
+    # recursion limit, and act reads the compiled arrays instead
+    e = Exp()
+    for _ in range(1100):
+        e = Derive(e)
+    (s,) = enumerate_degree(e, 2).structures
+    assert act(e, Permutation((2, 1)), s) is s
+
+
 def test_action_laws_on_golden():
     for e in GOLDEN:
         for n in range(4):
@@ -235,11 +243,12 @@ def test_canonicalization_idempotent():
     for e in (Cyc(), Perm(), Substitute(Exp(), Cyc()), Derive(Subsets())):
         for n in range(4):
             data = enumerate_degree(e, n)
+            labels = tuple(range(1, n + 1))
+            ident = {x: x for x in labels}
             for g in generators(n):
                 for s in data.structures:
                     moved = data.action.act(g, s)
-                    ident = {x: x for x in range(1, n + 1)}
-                    assert transport(moved, ident) == moved
+                    assert threading_transport(moved, ident, labels) == moved
 
 
 def test_derivative_star_is_fixed():
@@ -273,22 +282,14 @@ def test_relabel_matches_label_threading_oracle():
                 assert n == 4, e
                 continue
             labels = tuple(range(1, n + 1))
-            structures = enumerate_degree(e, n).structures
-            for sigma in all_permutations(n):
-                mapping = dict(zip(labels, sigma.images))
-                for s in structures:
-                    want = threading_transport(s, mapping, labels)
-                    assert act_structure(sigma, s) == want, (e, sigma, s)
-                    assert transport(s, mapping) == want, (e, sigma, s)
-
-
-def test_transport_on_non_contiguous_labels():
-    labels = (2, 5, 9)
-    mapping = {2: 9, 5: 2, 9: 5}
-    for e in GOLDEN_EXPRS + RESERVED_NESTING:
-        for s in structures_on(e, labels):
-            want = threading_transport(s, mapping, labels)
-            assert transport(s, mapping) == want, (e, s)
+            data = enumerate_degree(e, n)
+            structures = data.structures
+            for sigma, images in element_images(data.action):
+                wants = [threading_transport(s, sigma.mapping, labels) for s in structures]
+                assert [structures[y] for y in images] == wants, (e, sigma)
+                # act spells sigma from the same arrays: the least and the greatest point
+                for i in {0, len(structures) - 1} if structures else ():
+                    assert act(e, sigma, structures[i]) == wants[i], (e, sigma)
 
 
 def test_nested_derivative_star_naming():
@@ -428,8 +429,10 @@ def test_as_table_rows_match_relabels():
             structures = enumerate_degree(e, n).structures
             name = dict(zip(structures, tbl.atoms[n]))
             assert set(tbl.action[n]) == {sigma.images for sigma in all_permutations(n)}
+            labels = tuple(range(1, n + 1))
             for sigma in all_permutations(n):
-                want = {name[s]: name[act_structure(sigma, s)] for s in structures}
+                moved = (threading_transport(s, sigma.mapping, labels) for s in structures)
+                want = {name[s]: name[t] for s, t in zip(structures, moved)}
                 assert tbl.action[n][sigma.images] == want, (e, sigma)
 
 

@@ -29,7 +29,7 @@ from espece import (
     tensor_partial_algebras,
     uniform_subset_coalgebras,
 )
-from espece.errors import InvalidAlgebra, TooManyMaps
+from espece.errors import InvalidAlgebra, ShapeMismatch, TooManyMaps
 from espece.species import structures_on
 from espece.transforms import NatTrans, apply_on_labels, build_nat, exp_mu, nat_to_json
 from helpers import brute_equivariant_count, threading_apply_on_labels
@@ -304,6 +304,23 @@ def test_apply_on_labels_transport():
     mu = lin_concat_mu(3)
     out = apply_on_labels(mu, ("pair", ((2,), ("lin", (2,)), ("lin", (5,)))), (2, 5))
     assert out == ("lin", (2, 5))
+
+
+def test_apply_on_labels_rejects_a_structure_not_on_the_labels():
+    mu = lin_concat_mu(3)
+    t = build_nat(Derive(Lin()), Derive(Lin()), 3, _reversal)
+    for labels, enc in (
+        ((2, 5), ("pair", ((2,), ("lin", (2,)), ("lin", (9,))))),  # label 9 is not in the set
+        ((2, 5), ("lin", (2, 5))),  # a structure of another species
+        ((2, 5), ("pair", 5)),  # not shaped like a structure
+    ):
+        with pytest.raises(ShapeMismatch):
+            apply_on_labels(mu, enc, labels)
+    # with the reserved label 0 of an enclosing derivative context
+    assert apply_on_labels(t, ("deriv", ("lin", (-1, 0, 1))), (0, 1)) == ("deriv", ("lin", (1, 0, -1)))
+    for enc in (("deriv", ("lin", (-1, 0, 2))), ("deriv", ("lin", (0, 1)))):
+        with pytest.raises(ShapeMismatch):
+            apply_on_labels(t, enc, (0, 1))
 
 
 def _swap_halves(k, s):
