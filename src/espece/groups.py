@@ -126,23 +126,14 @@ def permutation_array(gens, images: Tuple[int, ...]) -> Tuple[int, ...]:
     c = (1 2 ... n), composed array by array.  No table of S_n is built,
     so every degree works.
     """
-    n = len(images)
-    lines = _generator_lines(n)
+    lines = _generator_lines(len(images))
     if images in lines:
         return gens[lines.index(images)]
-    # bubble-sort the one-line images: swapping positions i, i+1 of pi
-    # gives pi (i i+1), so images = t_last ... t_first
-    line, swaps = list(images), []
-    for end in range(n - 1, 0, -1):
-        for i in range(end):
-            if line[i] > line[i + 1]:
-                line[i], line[i + 1] = line[i + 1], line[i]
-                swaps.append(i + 1)
     s = gens[0]
     powers = [tuple(range(len(s)))]  # powers[m] is c^m
     transpositions = {1: s}
     out = powers[0]
-    for i in reversed(swaps):
+    for i in reversed(_adjacent_swaps(images)):
         t = transpositions.get(i)
         if t is None:
             while len(powers) < i:
@@ -151,6 +142,21 @@ def permutation_array(gens, images: Tuple[int, ...]) -> Tuple[int, ...]:
             t = transpositions[i] = tuple([p[s[y]] for y in inverse_array(p)])
         out = tuple([out[y] for y in t])
     return out
+
+
+def _adjacent_swaps(images: Tuple[int, ...]) -> list:
+    """The word of ``images`` in adjacent transpositions: i for (i i+1),
+    listed so that the permutation is t_last ... t_first (the first one
+    acts first)."""
+    # bubble-sort the one-line images: swapping positions i, i+1 of pi
+    # gives pi (i i+1)
+    line, swaps = list(images), []
+    for end in range(len(line) - 1, 0, -1):
+        for i in range(end):
+            if line[i] > line[i + 1]:
+                line[i], line[i + 1] = line[i + 1], line[i]
+                swaps.append(i + 1)
+    return swaps
 
 
 def inverse_array(a) -> Tuple[int, ...]:
@@ -340,13 +346,22 @@ class FiniteAction:
         return self._generator_images
 
     def act(self, sigma: Permutation, x):
-        """sigma.x, read off sigma's index array."""
-        if sigma.degree != self.degree:
-            raise DegreeMismatch(f"{sigma.degree} vs {self.degree}")
+        """sigma.x: x's index followed through sigma's word in the generators."""
+        n = self.degree
+        if sigma.degree != n:
+            raise DegreeMismatch(f"{sigma.degree} vs {n}")
         i = self.index.get(x)
         if i is None:
             raise PointNotInAction(repr(x))
-        return self.points[permutation_array(self.generator_images(), sigma.images)[i]]
+        gens = self.generator_images()
+        for t in _adjacent_swaps(sigma.images):
+            # (t t+1) = c^(t-1) (1 2) c^-(t-1), and c^-(t-1) = c^(n-t+1)
+            for _ in range((n - t + 1) % n):
+                i = gens[1][i]
+            i = gens[0][i]
+            for _ in range(t - 1):
+                i = gens[1][i]
+        return self.points[i]
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ from espece import (
 from espece.errors import BudgetExceeded
 from espece.groups import all_permutations, generators
 from espece.species import (
-    _TABLE_REGISTRY,
     _card,
     enumerate_degree,
     fresh_star,
@@ -84,9 +83,20 @@ GOLDEN_EXPRS = (
 )
 
 
-def species_act(sigma, s):
+def species_act(sigma, s, tables=None):
     """sigma.s for a species structure s on 1..n, by ``transport``."""
-    return transport(s, sigma.mapping, tuple(range(1, sigma.degree + 1)))
+    return transport(s, sigma.mapping, tuple(range(1, sigma.degree + 1)), tables)
+
+
+def tables_of(*exprs) -> dict:
+    """{key: Table} for every Table node in the expressions."""
+    out, stack = {}, list(exprs)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Table):
+            out[e.key] = e
+        stack.extend(e.children)
+    return out
 
 
 def relabel_table(a, perms, act=species_act):
@@ -193,9 +203,10 @@ def transport_generator_images(e: SpeciesExpr, n: int):
     """e's generator arrays at degree n by relabeling every structure along
     each of ``generators(n)``: the compile that ``generator_arrays``
     replaced."""
-    data = enumerate_degree(e, n)
+    data, tables = enumerate_degree(e, n), tables_of(e)
     return tuple(
-        tuple(data.index[species_act(g, s)] for s in data.structures) for g in generators(n)
+        tuple(data.index[species_act(g, s, tables)] for s in data.structures)
+        for g in generators(n)
     )
 
 
@@ -204,13 +215,14 @@ def _min_rotation(xs: Tuple[int, ...]) -> Tuple[int, ...]:
     return xs[i:] + xs[:i]
 
 
-def transport(enc, mapping: dict, labels: Tuple[int, ...]):
+def transport(enc, mapping: dict, labels: Tuple[int, ...], tables=None):
     """Relabel a canonical structure on ``labels`` along a bijection.
 
     ``mapping`` must be defined on every member of ``labels``; the result
     is the canonical encoding on the image label set.  Reserved labels
     adjoined by derivative contexts below this node are renumbered so the
-    result stays canonical.
+    result stays canonical.  ``tables`` maps the key of each Table whose
+    atoms occur in ``enc`` to that Table (``tables_of``).
     """
     tag = enc[0]
     if tag in ("set", "subset"):
@@ -230,22 +242,25 @@ def transport(enc, mapping: dict, labels: Tuple[int, ...]):
             tag,
             (
                 tuple(sorted(map(mapping.__getitem__, U))),
-                transport(sf, mapping, U),
-                transport(sg, mapping, rest),
+                transport(sf, mapping, U, tables),
+                transport(sg, mapping, rest, tables),
             ),
         )
     if tag == "both":
         sf, sg = enc[1]
-        return (tag, (transport(sf, mapping, labels), transport(sg, mapping, labels)))
+        return (
+            tag,
+            (transport(sf, mapping, labels, tables), transport(sg, mapping, labels, tables)),
+        )
     if tag in ("inl", "inr"):
-        return (tag, transport(enc[1], mapping, labels))
+        return (tag, transport(enc[1], mapping, labels, tables))
     if tag == "deriv":
         old = fresh_star(labels)
         new = fresh_star([mapping[x] for x in labels])
         inner_labels = tuple(sorted(labels + (old,)))
         m2 = dict(mapping)
         m2[old] = new
-        return (tag, transport(enc[1], m2, inner_labels))
+        return (tag, transport(enc[1], m2, inner_labels, tables))
     if tag == "point":
         a, inner = enc[1]
         rest = tuple([x for x in labels if x != a])
@@ -253,16 +268,16 @@ def transport(enc, mapping: dict, labels: Tuple[int, ...]):
         new = fresh_star([mapping[x] for x in rest])
         m2 = dict(mapping)
         m2[old] = new
-        return (tag, (mapping[a], transport(inner, m2, tuple(sorted(rest + (old,))))))
+        return (tag, (mapping[a], transport(inner, m2, tuple(sorted(rest + (old,))), tables)))
     if tag == "adjl":
         a, inner = enc[1]
         rest = tuple([x for x in labels if x != a])
-        return (tag, (mapping[a], transport(inner, mapping, rest)))
+        return (tag, (mapping[a], transport(inner, mapping, rest, tables)))
     if tag == "tuple":
         out = []
         for a, inner in enc[1]:
             rest = tuple([x for x in labels if x != a])
-            out.append((mapping[a], transport(inner, mapping, rest)))
+            out.append((mapping[a], transport(inner, mapping, rest, tables)))
         return (tag, tuple(sorted(out)))
     if tag == "part":
         blocks, outer, inners = enc[1]
@@ -270,10 +285,10 @@ def transport(enc, mapping: dict, labels: Tuple[int, ...]):
         order = sorted(range(len(new_blocks)), key=lambda i: new_blocks[i])
         rho = {old_i + 1: new_pos + 1 for new_pos, old_i in enumerate(order)}
         k = len(blocks)
-        outer2 = transport(outer, rho, tuple(range(1, k + 1)))
+        outer2 = transport(outer, rho, tuple(range(1, k + 1)), tables)
         blocks2 = tuple(new_blocks[i] for i in order)
         inners2 = tuple(
-            transport(inners[i], mapping, blocks[i]) for i in order
+            transport(inners[i], mapping, blocks[i], tables) for i in order
         )
         return (tag, (blocks2, outer2, inners2))
     if tag == "atom":
@@ -282,7 +297,7 @@ def transport(enc, mapping: dict, labels: Tuple[int, ...]):
         new_sorted = tuple(sorted(mapping[x] for x in old_labels))
         pos = {lab: i for i, lab in enumerate(new_sorted)}
         pi = tuple(pos[mapping[x]] + 1 for x in old_sorted)
-        table = _TABLE_REGISTRY[key]
+        table = (tables or {})[key]
         new_name = table.action[len(old_sorted)][pi][name]
         return (tag, key, new_name, new_sorted)
     if tag == "top":

@@ -27,6 +27,7 @@ from espece.groups import (
     _symmetric_table,
     generators,
     orbits,
+    permutation_array,
     subgroups_conjugate,
 )
 from helpers import (
@@ -191,10 +192,13 @@ def test_stabilizer_point_check():
 
 
 def test_act_reads_the_arrays_and_checks_its_point():
+    for n in range(6):
+        a = regular_action(n)
+        for sigma in all_permutations(n):
+            array = permutation_array(a.generator_images(), sigma.images)
+            for i, x in enumerate(a.points):
+                assert a.act(sigma, x) == (sigma * Permutation(x)).images == a.points[array[i]]
     a = regular_action(3)
-    for sigma in all_permutations(3):
-        for x in a.points:
-            assert a.act(sigma, x) == (sigma * Permutation(x)).images
     with pytest.raises(PointNotInAction):
         a.act(Permutation.identity(3), (1, 2, 4))
     with pytest.raises(PointNotInAction):

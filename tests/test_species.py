@@ -54,6 +54,7 @@ from helpers import (
     GOLDEN_EXPRS,
     ladder_degree_budget,
     recursive_structures_on,
+    tables_of,
     transport_generator_images,
 )
 from helpers import transport as threading_transport
@@ -281,11 +282,11 @@ def test_relabel_matches_label_threading_oracle():
             if cardinality(e, n) > 3000:  # Derive(AdjR(Lin())) at 4 has 24^5
                 assert n == 4, e
                 continue
-            labels = tuple(range(1, n + 1))
+            labels, tables = tuple(range(1, n + 1)), tables_of(e)
             data = enumerate_degree(e, n)
             structures = data.structures
             for sigma, images in element_images(data.action):
-                wants = [threading_transport(s, sigma.mapping, labels) for s in structures]
+                wants = [threading_transport(s, sigma.mapping, labels, tables) for s in structures]
                 assert [structures[y] for y in images] == wants, (e, sigma)
                 # act spells sigma from the same arrays: the least and the greatest point
                 for i in {0, len(structures) - 1} if structures else ():
