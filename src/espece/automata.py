@@ -201,18 +201,19 @@ def check_morphism(f: NatTrans, m1: MealyAutomaton, m2: MealyAutomaton) -> bool:
 # Terminal counts and internal-hom counts
 
 
-def _certified_product(factor_at, start: int, window: int, what) -> int:
+def _certified_product(factor_at, start: int, what) -> int:
     """Product of factor_at(n) for n >= start, certified effectively finite.
 
     A zero factor short-circuits the product to zero.  Otherwise every
-    factor in the trailing stretch of the probe window must equal one,
+    factor in the trailing stretch of the probe window, ``PRODUCT_WINDOW``
+    factors long, must equal one,
     else the tail cannot be certified and DivergentProduct is raised.
     ``what()`` labels that error; it is called only when raising, since
     the label formats the whole expression.
     """
     total = 1
     last_nonone = start - 1
-    for n in range(start, start + window):
+    for n in range(start, start + PRODUCT_WINDOW):
         f = factor_at(n)
         if f == 0:
             return 0
@@ -221,17 +222,12 @@ def _certified_product(factor_at, start: int, window: int, what) -> int:
             last_nonone = n
             if total > PRODUCT_BOUND:
                 raise DivergentProduct(f"{what()}: partial product exceeds {PRODUCT_BOUND}")
-    if last_nonone > start + window - 5:
+    if last_nonone > start + PRODUCT_WINDOW - 5:
         raise DivergentProduct(f"{what()}: factors still nontrivial at the probe horizon")
     return total
 
 
-def hom_day_counts(
-    f: SpeciesExpr,
-    g: SpeciesExpr,
-    N: int,
-    window: int = PRODUCT_WINDOW,
-) -> CountSeq:
+def hom_day_counts(f: SpeciesExpr, g: SpeciesExpr, N: int) -> CountSeq:
     """Counts of the convolution internal hom from f to g, degrees 0..N.
 
     Degree-k entry: product over m of the number of equivariant maps from
@@ -261,7 +257,7 @@ def hom_day_counts(
             return count_equivariant_maps(src, tgt)
 
         out.append(
-            _certified_product(factor, 0, window, lambda k=k: f"hom({f!r},{g!r}) degree {k}")
+            _certified_product(factor, 0, lambda k=k: f"hom({f!r},{g!r}) degree {k}")
         )
     return CountSeq(tuple(out))
 
@@ -291,13 +287,7 @@ def _cauchy_power(a: SpeciesExpr, n: int) -> SpeciesExpr:
     return out
 
 
-def terminal_counts(
-    dyn,
-    B: SpeciesExpr,
-    N: int,
-    moore: bool = False,
-    window: int = PRODUCT_WINDOW,
-) -> CountSeq:
+def terminal_counts(dyn, B: SpeciesExpr, N: int, moore: bool = False) -> CountSeq:
     """Counting shadow of the terminal machine's carrier for a dynamics.
 
     The carrier is the degreewise product of the iterated right adjoints
@@ -320,7 +310,6 @@ def terminal_counts(
                 _certified_product(
                     lambda n, k=k: cardinality(B, k + n),
                     start,
-                    window,
                     lambda k=k: f"terminal(adjL,{B!r}) degree {k}",
                 )
             )
@@ -364,7 +353,7 @@ def terminal_counts(
                 if n == 0:
                     hom_rows[n] = CountSeq(tuple(cardinality(B, k) for k in range(N + 1)))
                 else:
-                    hom_rows[n] = hom_day_counts(_cauchy_power(dyn.a, n), B, N, window)
+                    hom_rows[n] = hom_day_counts(_cauchy_power(dyn.a, n), B, N)
             return hom_rows[n]
 
         out = []
@@ -373,7 +362,6 @@ def terminal_counts(
                 _certified_product(
                     lambda n, k=k: factor_seq(n)[k],
                     start,
-                    window,
                     lambda k=k: f"terminal(tensor,{B!r}) degree {k}",
                 )
             )

@@ -11,6 +11,7 @@ uses that order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Tuple
@@ -94,11 +95,10 @@ class Permutation:
         return Permutation(tuple(range(1, n + 1)))
 
 
-def all_permutations(n: int, max_degree: int | None = None) -> Tuple[Permutation, ...]:
+def all_permutations(n: int) -> Tuple[Permutation, ...]:
     """All of S_n: identity first, then lexicographic one-line order."""
-    cap = MAX_DEGREE if max_degree is None else max_degree
-    if n > cap:
-        raise DegreeTooLarge(f"S_{n} exceeds the configured cap {cap}")
+    if n > MAX_DEGREE:
+        raise DegreeTooLarge(f"S_{n} exceeds the configured cap {MAX_DEGREE}")
     return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
 
 
@@ -167,14 +167,27 @@ def inverse_array(a) -> Tuple[int, ...]:
     return tuple(inv)
 
 
-def restriction(sigma: Permutation, U) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """sigma's image of the label set U, sorted, and the permutation of the
-    ranks 1..|U| that it induces.  For a generator of S_n that permutation
-    is the identity or the same generator of S_|U|."""
-    moved = [sigma(u) for u in U]
-    image = tuple(sorted(moved))
-    rank = {y: i for i, y in enumerate(image, start=1)}
-    return image, tuple([rank[y] for y in moved])
+def restricted(arrays, n: int, j: int, U) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The restriction of ``generators(n)[j]`` to the sorted label tuple U:
+    U's image, sorted, and the array of the permutation it induces on U's
+    ranks 1..|U|, read off ``arrays``, the generator arrays of an
+    S_|U|-action.
+
+    The swap (1 2) induces the swap when U holds 1 and 2; the cycle
+    (1 2 ... n) induces the cycle of S_|U| (the swap when |U| = 2) when U
+    holds n.  Any other restriction keeps the rank order: the identity.
+    """
+    if n < 2:  # the one generator is the identity
+        image = U
+    elif j == 0:
+        if U[:2] == (1, 2):
+            return U, arrays[0]
+        image = tuple([3 - u if u <= 2 else u for u in U])
+    elif U and U[-1] == n:
+        return (1,) + tuple([u + 1 for u in U[:-1]]), arrays[-1]
+    else:
+        image = tuple([u + 1 for u in U])
+    return image, tuple(range(len(arrays[0])))
 
 
 def product_sums(*digits) -> list:
@@ -206,12 +219,12 @@ def induced_arrays(n: int, inner):
     m = len(inner[0])
     labels = range(1, n + 1)
     out = []
-    for sigma in generators(n):
+    for j, line in enumerate(_generator_lines(n)):
         arr = []
         for a in labels:
-            _, on_rest = restriction(sigma, [x for x in labels if x != a])
-            base = (sigma(a) - 1) * m
-            arr += [base + x for x in permutation_array(inner, on_rest)]
+            _, on_rest = restricted(inner, n, j, tuple([x for x in labels if x != a]))
+            base = (line[a - 1] - 1) * m
+            arr += [base + x for x in on_rest]
         out.append(tuple(arr))
     return tuple(out)
 
@@ -255,43 +268,37 @@ def _cycle_types(n: int):
 
 
 class SubgroupElements:
-    """A subgroup of S_n, listed by its elements.
+    """A subgroup of S_n, held as the positions of its elements in
+    ``_symmetric_table``, on which the group algorithms work.
 
-    A stabilizer is made from its ``positions`` in ``_symmetric_table``,
-    on which the group algorithms work; its ``elements``, a frozenset of
-    Permutations, are built from them only when read.  A subgroup made
-    from its elements reads its positions off the table the same way.
+    Made from its elements, it reads their positions off the table, so
+    above ``MAX_DEGREE`` it raises DegreeTooLarge like every other S_n
+    operation; its ``elements``, a frozenset of Permutations, are built
+    from the positions only when read.
     """
 
     def __init__(self, degree: int, elements=None, positions=None):
         self.degree = degree
         if positions is None:
-            self.elements = frozenset(elements)
-            self._order = len(self.elements)
-        else:
-            self.positions = frozenset(positions)
-            self._order = len(self.positions)
+            position = _symmetric_table(degree)[2]
+            positions = [position[p.images] for p in elements]
+        self.positions = frozenset(positions)
 
     @cached_property
     def elements(self) -> frozenset:
         perms = _symmetric_table(self.degree)[0]
         return frozenset(perms[t] for t in self.positions)
 
-    @cached_property
-    def positions(self) -> frozenset:
-        position = _symmetric_table(self.degree)[2]
-        return frozenset(position[p.images] for p in self.elements)
-
     def __len__(self) -> int:
-        return self._order
+        return len(self.positions)
 
     def __eq__(self, other):
         if not isinstance(other, SubgroupElements):
             return NotImplemented
-        return self.degree == other.degree and self.elements == other.elements
+        return self.degree == other.degree and self.positions == other.positions
 
     def __hash__(self):
-        return hash((self.degree, self.elements))
+        return hash((self.degree, self.positions))
 
     def __repr__(self):
         return f"SubgroupElements(degree={self.degree}, elements={self.elements!r})"
@@ -373,34 +380,37 @@ class Orbit:
 def orbits(a: FiniteAction) -> Tuple[Orbit, ...]:
     """Partition of the points into orbits, least point first in each."""
     out = []
-    for orbit in _orbit_indices(a):
-        pts = tuple(a.points[j] for j in orbit)
+    for orbit in _orbit_trees(a)[0]:
+        pts = tuple(a.points[j] for j in sorted(orbit))
         out.append(Orbit(pts[0], pts))
     return tuple(out)
 
 
-def _orbit_indices(a: FiniteAction):
-    """The orbits as sorted lists of point indices, by least point."""
-    gens = a.generator_images()
-    seen = [False] * a.size
-    out = []
-    for i in range(a.size):  # sorted, so each new orbit's seed is its least point
-        if seen[i]:
+def _orbit_trees(a: FiniteAction):
+    """One breadth-first walk per orbit, from its least point.
+
+    Returns ``(orbits, parent, via)``: each orbit lists its point indices
+    in walk order, its least point (the root) first, and each other point
+    z of it is ``generators(n)[via[z]]`` applied to ``parent[z]``, a point
+    listed before z.  A map fixed at the root extends along these steps.
+    """
+    gens = tuple(enumerate(a.generator_images()))
+    parent = [-1] * a.size
+    via = [0] * a.size
+    orbits = []
+    for i in range(a.size):  # sorted, so each new orbit's root is its least point
+        if parent[i] >= 0:
             continue
-        seen[i] = True
+        parent[i] = i
         orbit = [i]
-        frontier = [i]
-        while frontier:
-            y = frontier.pop()
-            for g in gens:
+        for y in orbit:  # a queue: the orbit grows while it is walked
+            for j, g in gens:
                 z = g[y]
-                if not seen[z]:
-                    seen[z] = True
+                if parent[z] < 0:
+                    parent[z], via[z] = y, j
                     orbit.append(z)
-                    frontier.append(z)
-        orbit.sort()
-        out.append(orbit)
-    return out
+        orbits.append(orbit)
+    return orbits, parent, via
 
 
 def stabilizer(a: FiniteAction, x) -> SubgroupElements:
@@ -461,6 +471,21 @@ def _fixed_indices(positions, a: FiniteAction):
     return keep
 
 
+def _root_images(src: FiniteAction, tgt: FiniteAction, orbits):
+    """For each orbit of src (``_orbit_trees``), the indices of the tgt
+    points fixed by the stabilizer of its root: the images an equivariant
+    map may give the root.  Stops after the first orbit with none, since
+    then there is no map."""
+    if src.degree != tgt.degree:
+        raise DegreeMismatch(f"{src.degree} vs {tgt.degree}")
+    out = []
+    for orbit in orbits:
+        out.append(_fixed_indices(_stabilizer_at(src, orbit[0]), tgt))
+        if not out[-1]:
+            break
+    return out
+
+
 def count_equivariant_maps(src: FiniteAction, tgt: FiniteAction) -> int:
     """Number of equivariant maps src -> tgt by orbit-stabilizer counting.
 
@@ -468,36 +493,7 @@ def count_equivariant_maps(src: FiniteAction, tgt: FiniteAction) -> int:
     point fixed by its stabilizer; the count is the product of the fixed
     point set sizes.
     """
-    if src.degree != tgt.degree:
-        raise DegreeMismatch(f"{src.degree} vs {tgt.degree}")
-    total = 1
-    for orbit in _orbit_indices(src):
-        total *= len(_fixed_indices(_stabilizer_at(src, orbit[0]), tgt))
-        if total == 0:
-            return 0
-    return total
-
-
-def _transversal(a: FiniteAction, rep):
-    """rep's orbit in discovery order, as (point, parent, generator) indices.
-
-    Each point is generators(n)[generator] applied to its parent, so an
-    equivariant map fixed at rep extends along the same steps.
-    """
-    gens = a.generator_images()
-    start = a.index[rep]
-    seen = {start}
-    steps = []
-    frontier = [start]
-    while frontier:
-        y = frontier.pop()
-        for j, g in enumerate(gens):
-            z = g[y]
-            if z not in seen:
-                seen.add(z)
-                steps.append((z, y, j))
-                frontier.append(z)
-    return start, steps
+    return math.prod(map(len, _root_images(src, tgt, _orbit_trees(src)[0])))
 
 
 def enumerate_equivariant_maps(src: FiniteAction, tgt: FiniteAction, limit: int):
@@ -505,24 +501,20 @@ def enumerate_equivariant_maps(src: FiniteAction, tgt: FiniteAction, limit: int)
 
     Raises TooManyMaps when the exact count exceeds ``limit``.
     """
-    count = count_equivariant_maps(src, tgt)
+    orbits, parent, via = _orbit_trees(src)
+    choices = _root_images(src, tgt, orbits)
+    count = math.prod(map(len, choices))
     if count > limit:
         raise TooManyMaps(f"{count} equivariant maps exceed limit {limit}")
-    orbs = orbits(src)
-    reps = [o.representative for o in orbs]
-    choices = [fixed_points(stabilizer(src, r), tgt) for r in reps]
-    transversals = [_transversal(src, r) for r in reps]
     tgt_gens = tgt.generator_images()
     maps = []
     for picked in itertools.product(*choices):
-        f = {}
-        for (start, steps), target in zip(transversals, picked):
-            image = {start: tgt.index[target]}
-            for z, y, j in steps:
-                image[z] = tgt_gens[j][image[y]]
-            for z, t in image.items():
-                f[src.points[z]] = tgt.points[t]
-        maps.append(f)
+        image = [0] * src.size
+        for orbit, target in zip(orbits, picked):
+            image[orbit[0]] = target
+            for z in itertools.islice(orbit, 1, None):
+                image[z] = tgt_gens[via[z]][image[parent[z]]]
+        maps.append({x: tgt.points[t] for x, t in zip(src.points, image)})
     assert len(maps) == count
     return tuple(maps)
 
@@ -555,23 +547,22 @@ def subgroups_conjugate(H: SubgroupElements, K: SubgroupElements) -> bool:
 
 
 def _orbit_stabilizers(a: FiniteAction):
-    """(size, stabilizer of the least point) for each orbit."""
-    return [
-        (len(o), SubgroupElements(a.degree, positions=_stabilizer_at(a, o[0])))
-        for o in _orbit_indices(a)
-    ]
+    """(key, stabilizer of the least point) for each orbit, the key being
+    (orbit size, stabilizer order, stabilizer cycle types)."""
+    out = []
+    for orbit in _orbit_trees(a)[0]:
+        stab = SubgroupElements(a.degree, positions=_stabilizer_at(a, orbit[0]))
+        out.append(((len(orbit), len(stab), stab.cycle_type_multiset), stab))
+    return out
 
 
 def action_signature(a: FiniteAction):
-    """Per-orbit (size, stabilizer order, stabilizer cycle types), sorted.
+    """The orbit keys of ``_orbit_stabilizers``, sorted.
 
     Equal signatures are necessary (not sufficient) for isomorphism; the
     signature is also what iso failure reports print.
     """
-    sig = []
-    for size, stab in _orbit_stabilizers(a):
-        sig.append((size, len(stab), stab.cycle_type_multiset))
-    return tuple(sorted(sig))
+    return tuple(sorted(key for key, _ in _orbit_stabilizers(a)))
 
 
 def actions_isomorphic(a: FiniteAction, b: FiniteAction) -> bool:
@@ -580,31 +571,19 @@ def actions_isomorphic(a: FiniteAction, b: FiniteAction) -> bool:
         raise DegreeMismatch(f"{a.degree} vs {b.degree}")
     if a.size != b.size:
         return False
-    sa = _orbit_stabilizers(a)
-    sb = _orbit_stabilizers(b)
+    sa, sb = _orbit_stabilizers(a), _orbit_stabilizers(b)
     if len(sa) != len(sb):
         return False
-
-    def bucket(items):
-        buckets = {}
-        for size, stab in items:
-            key = (size, len(stab), stab.cycle_type_multiset)
-            buckets.setdefault(key, []).append(stab)
-        return buckets
-
-    ba, bb = bucket(sa), bucket(sb)
-    if set(ba) != set(bb):
-        return False
-    for key, stabs_a in ba.items():
-        stabs_b = list(bb[key])
-        if len(stabs_a) != len(stabs_b):
+    # match each stabilizer of a with a conjugate one of b; conjugates share a key
+    unmatched = {}
+    for key, K in sb:
+        unmatched.setdefault(key, []).append(K)
+    for key, H in sa:
+        stabs = unmatched.get(key, [])
+        for i, K in enumerate(stabs):
+            if subgroups_conjugate(H, K):
+                del stabs[i]
+                break
+        else:
             return False
-        # match each stabilizer of a with a conjugate one of b
-        for H in stabs_a:
-            for i, K in enumerate(stabs_b):
-                if subgroups_conjugate(H, K):
-                    del stabs_b[i]
-                    break
-            else:
-                return False
     return True

@@ -45,7 +45,7 @@ from .groups import (
     induced_arrays,
     permutation_array,
     product_sums,
-    restriction,
+    restricted,
     shifted_arrays,
 )
 
@@ -468,13 +468,12 @@ class Cauchy(_Node):
             offset[U] = total
             total += len(fa[len(U)][0]) * len(ga[len(U)][0])
         out = []
-        for sigma in generators(n):
+        for j in range(len(generators(n))):
             arr = []
             for U in blocks:
                 r = len(U)
-                V, on_f = restriction(sigma, U)
-                _, on_g = restriction(sigma, [x for x in labels if x not in U])
-                fs, gs = permutation_array(fa[r], on_f), permutation_array(ga[r], on_g)
+                V, fs = restricted(fa[r], n, j, U)
+                _, gs = restricted(ga[r], n, j, tuple([x for x in labels if x not in U]))
                 m, base = len(gs), offset[V]
                 arr += product_sums([base + x * m for x in fs], gs)
             out.append(tuple(arr))
@@ -551,11 +550,11 @@ class Substitute(_Node):
             offset[p] = total
             total += len(fa[len(p)][0]) * math.prod(len(ga[len(b)][0]) for b in p)
         out = []
-        for sigma in generators(n):
+        for j in range(len(generators(n))):
             outer = {}  # block-rank permutation -> its array on the outer structures
             arr = []
             for p in parts:
-                moved = [restriction(sigma, b) for b in p]
+                moved = [restricted(ga[len(b)], n, j, b) for b in p]
                 order = sorted(range(len(p)), key=lambda i: moved[i][0])
                 new = tuple(moved[i][0] for i in order)
                 # old block rank -> new: (1 2), (1 ... j) or the identity
@@ -565,9 +564,9 @@ class Substitute(_Node):
                 sizes = [len(ga[len(b)][0]) for b in new]
                 base, inner_total = offset[new], math.prod(sizes)
                 digits = [[base + x * inner_total for x in outer[rho]]]
-                for b, (_, on_b), t in zip(p, moved, rho):
+                for (_, on_b), t in zip(moved, rho):
                     w = math.prod(sizes[t:])
-                    digits.append([x * w for x in permutation_array(ga[len(b)], on_b)])
+                    digits.append([x * w for x in on_b])
                 arr += product_sums(*digits)
             out.append(tuple(arr))
         return tuple(out)
@@ -676,12 +675,12 @@ class AdjR(_Node):
         m = len(inner[0])
         labels = range(1, n + 1)
         out = []
-        for sigma in generators(n):
+        for j, sigma in enumerate(generators(n)):
             digits = []
             for a in labels:
-                _, on_rest = restriction(sigma, [x for x in labels if x != a])
-                w = m ** (n - sigma(a))
-                digits.append([x * w for x in permutation_array(inner, on_rest)])
+                _, on_rest = restricted(inner, n, j, tuple([x for x in labels if x != a]))
+                w = m ** (n - sigma.images[a - 1])
+                digits.append([x * w for x in on_rest])
             out.append(tuple(product_sums(*digits)))
         return tuple(out)
 
@@ -996,10 +995,11 @@ def generator_arrays(e: SpeciesExpr, n: int) -> Tuple[Tuple[int, ...], ...]:
 
     Each node compiles from its children's arrays (Bergeron, Labelle and
     Leroux 1998, sections 1.1-1.4, define transport the same way): a
-    generator restricted to a label subset U, in rank order, is the
-    identity or the same generator of S_|U|, and builders list structures
-    in blocks whose order a relabeling keeps, so each image is index
-    arithmetic.  Only leaves relabel, their own structures.
+    generator of S_n restricted to a label subset U, in rank order, is the
+    identity or a generator of S_|U|, so ``restricted`` reads its array
+    off the child's arrays; builders list structures in blocks whose order
+    a relabeling keeps, so each image is index arithmetic.  Only leaves
+    relabel, their own structures.
     """
     return _run(_COMPILE_CACHE, "compile", (e, n))
 
@@ -1076,11 +1076,11 @@ def act(e: SpeciesExpr, sigma: Permutation, s):
 act_structure = act
 
 
-def as_table(e: SpeciesExpr, max_degree: int, name: str | None = None) -> Table:
-    """Materialize an expression as an explicit Table up to a degree."""
+def as_table(e: SpeciesExpr, N: int, name: str | None = None) -> Table:
+    """Materialize an expression as an explicit Table on degrees 0..N."""
     require_valid(e)
     atoms_rows, action_rows = [], []
-    for n in range(max_degree + 1):
+    for n in range(N + 1):
         data = enumerate_degree(e, n)
         names = [f"s{i}" for i in range(data.action.size)]
         row = {

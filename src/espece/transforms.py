@@ -257,17 +257,17 @@ class SuiteReport:
         return out
 
 
-def _feasible_horizon(exprs, N, cap):
+def _feasible_horizon(exprs, N):
     h = N
     for k in range(N + 1):
         for e in exprs:
-            if cardinality(e, k) > cap:
+            if cardinality(e, k) > ISO_POINT_CAP:
                 return min(h, k - 1)
     return h
 
 
-def _iso_case(name, args, lhs, rhs, N, cap):
-    h = _feasible_horizon((lhs, rhs), N, cap)
+def _iso_case(name, args, lhs, rhs, N):
+    h = _feasible_horizon((lhs, rhs), N)
     res = iso_check(lhs, rhs, h)
     return SuiteEntry(name, args, h, res.isomorphic, res.witness_degree, res.detail)
 
@@ -276,9 +276,7 @@ def _positive(family):
     return tuple(e for e in family if cardinality(e, 0) == 0)
 
 
-def canonical_iso_suite(
-    N: int = 5, names=None, family=None, point_cap: int = ISO_POINT_CAP
-) -> SuiteReport:
+def canonical_iso_suite(N: int = 5, names=None, family=None) -> SuiteReport:
     """Verify the named canonical isomorphisms degreewise up to N.
 
     Horizons are clamped per case when enumeration size demands it (the
@@ -300,7 +298,6 @@ def canonical_iso_suite(
                         Derive(Cauchy(f, g)),
                         Sum(Cauchy(Derive(f), g), Cauchy(f, Derive(g))),
                         N,
-                        point_cap,
                     )
                 )
         elif name == "chain_rule":
@@ -313,21 +310,16 @@ def canonical_iso_suite(
                             Derive(Substitute(f, g)),
                             Cauchy(Substitute(Derive(f), g), Derive(g)),
                             N,
-                            point_cap,
                         )
                     )
         elif name == "perm_decomp":
-            entries.append(
-                _iso_case(name, "Perm", Perm(), Substitute(Exp(), Cyc()), N, point_cap)
-            )
+            entries.append(_iso_case(name, "Perm", Perm(), Substitute(Exp(), Cyc()), N))
         elif name == "der_cyc":
-            entries.append(_iso_case(name, "Cyc", Derive(Cyc()), Lin(), N, point_cap))
+            entries.append(_iso_case(name, "Cyc", Derive(Cyc()), Lin(), N))
         elif name == "der_perm":
-            entries.append(
-                _iso_case(name, "Perm", Derive(Perm()), Cauchy(Perm(), Lin()), N, point_cap)
-            )
+            entries.append(_iso_case(name, "Perm", Derive(Perm()), Cauchy(Perm(), Lin()), N))
         elif name == "napier":
-            entries.append(_iso_case(name, "Exp", Derive(Exp()), Exp(), N, point_cap))
+            entries.append(_iso_case(name, "Exp", Derive(Exp()), Exp(), N))
         elif name == "commutation":
             for f in family:
                 entries.append(
@@ -337,7 +329,6 @@ def canonical_iso_suite(
                         DeriveL(f),
                         Sum(f, Pointing(f)),
                         N,
-                        point_cap,
                     )
                 )
         elif name == "der_R":
@@ -349,7 +340,6 @@ def canonical_iso_suite(
                         Derive(AdjR(f)),
                         Hadamard(AdjR(Derive(f)), f),
                         N,
-                        point_cap,
                     )
                 )
         elif name == "R_der":
@@ -369,7 +359,7 @@ def canonical_iso_suite(
             for k in range(N + 1):
                 rep = Representable(k)
                 tower = rep if tower is None else Sum(tower, rep)
-            entries.append(_iso_case(name, "Lin", Lin(), tower, N, point_cap))
+            entries.append(_iso_case(name, "Lin", Lin(), tower, N))
     return SuiteReport(tuple(entries))
 
 

@@ -5,7 +5,8 @@ generator-array and Bell triangle routes: equivariant maps are found by
 backtracking over raw assignments checked against every group element,
 orbits, stabilizers and fixed points by relabeling along every element
 of S_n, compiled actions by relabeling every structure along each
-generator, subgroup conjugacy by multiplying validated permutations, and
+generator, a generator's restriction to a label set by ranking the moved
+labels, subgroup conjugacy by multiplying validated permutations, and
 substitution counts are summed over explicitly generated set partitions
 or over integer partitions.  Every oracle relabels species structures
 through ``transport`` here, which threads the label set of every
@@ -197,6 +198,16 @@ def permutation_subgroups_conjugate(H, K):
 def scan_fixed_points(H, a, act=species_act):
     """Points of a fixed by every element of H, each relabeled along each."""
     return tuple(x for x in a.points if all(act(s, x) == x for s in H.elements))
+
+
+def rank_restriction(sigma, U):
+    """sigma's image of the label set U, sorted, and the permutation of the
+    ranks 1..|U| that it induces (one-line), by ranking the moved labels:
+    the reference for ``groups.restricted``."""
+    moved = [sigma(u) for u in U]
+    image = tuple(sorted(moved))
+    rank = {y: i for i, y in enumerate(image, start=1)}
+    return image, tuple([rank[y] for y in moved])
 
 
 def transport_generator_images(e: SpeciesExpr, n: int):

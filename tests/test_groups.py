@@ -24,10 +24,12 @@ from espece.groups import (
     FiniteAction,
     Permutation,
     SubgroupElements,
+    _orbit_trees,
     _symmetric_table,
     generators,
     orbits,
     permutation_array,
+    restricted,
     subgroups_conjugate,
 )
 from helpers import (
@@ -37,6 +39,7 @@ from helpers import (
     exhaustive_equivariant_count,
     find_equivariant_bijection,
     permutation_subgroups_conjugate,
+    rank_restriction,
     scan_fixed_points,
     scan_orbits,
     scan_stabilizer,
@@ -86,9 +89,6 @@ def test_all_permutations_identity_first_then_lex():
 def test_degree_cap():
     with pytest.raises(DegreeTooLarge):
         all_permutations(9)
-    assert len(all_permutations(4, max_degree=4)) == 24
-    with pytest.raises(DegreeTooLarge):
-        all_permutations(5, max_degree=4)
 
 
 def test_group_laws():
@@ -129,7 +129,39 @@ def test_symmetric_table_walks_all_of_sn():
             assert parent < t and perms[t] == gens[j] * perms[parent]
 
 
+def test_restricted_reads_the_rank_restriction_off_the_arrays():
+    # Lin's action is faithful, so equal arrays mean equal permutations
+    lin = [action_of(Lin(), m).generator_images() for m in range(8)]
+    for n in range(8):
+        for j, sigma in enumerate(generators(n)):
+            for r in range(n + 1):
+                for U in itertools.combinations(range(1, n + 1), r):
+                    image, ranks = rank_restriction(sigma, U)
+                    expected = (image, permutation_array(lin[r], ranks))
+                    assert restricted(lin[r], n, j, U) == expected, (n, j, U)
+
+
 # --- orbits and stabilizers ------------------------------------------------
+
+
+def test_orbit_trees_walk_generator_edges_once_per_point():
+    for e in GOLDEN_EXPRS:
+        for n in range(5):
+            a = action_of(e, n)
+            gens = a.generator_images()
+            orbs, parent, via = _orbit_trees(a)
+            assert [sorted(orbit) for orbit in orbs] == _scanned_orbit_indices(a), (e, n)
+            for orbit in orbs:
+                assert orbit[0] == min(orbit)
+                for t, z in enumerate(orbit[1:], start=1):
+                    # z is reached from a point listed before it, by one generator
+                    assert parent[z] in orbit[:t] and gens[via[z]][parent[z]] == z, (e, n)
+
+
+def _scanned_orbit_indices(a):
+    """The orbits of ``scan_orbits`` as sorted lists of point indices."""
+    return [sorted(a.index[x] for x in pts) for _, pts in scan_orbits(a, species_act)]
+
 
 
 def test_orbits_trivial_action():
@@ -458,6 +490,19 @@ def test_fixed_points_match_per_element_relabels():
         for a in actions:
             for H in subgroups:
                 assert fixed_points(H, a) == scan_fixed_points(H, a), (a.points[:1], H)
+
+
+def test_subgroups_from_elements_equal_those_from_positions():
+    for e in GOLDEN_EXPRS:
+        for n in range(6):
+            a = action_of(e, n)
+            for x in a.points:
+                H = stabilizer(a, x)
+                K = SubgroupElements(n, H.elements)
+                assert K.positions == H.positions and len(K) == len(H)
+                assert K == H and hash(K) == hash(H), (e, n, x)
+    with pytest.raises(DegreeTooLarge):
+        SubgroupElements(9, [Permutation.identity(9)])
 
 
 def test_conjugacy_beyond_cycle_types():
