@@ -102,7 +102,7 @@ def all_permutations(n: int) -> Tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
 
 
-def _generator_lines(n: int) -> Tuple[Tuple[int, ...], ...]:
+def generator_lines(n: int) -> Tuple[Tuple[int, ...], ...]:
     """The one-line images of ``generators(n)``."""
     if n <= 1:
         return (tuple(range(1, n + 1)),)
@@ -114,7 +114,7 @@ def _generator_lines(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 def generators(n: int) -> Tuple[Permutation, ...]:
     """The standard generating set {(1 2), (1 2 ... n)} of S_n."""
-    return tuple(Permutation(g) for g in _generator_lines(n))
+    return tuple(Permutation(g) for g in generator_lines(n))
 
 
 def permutation_array(gens, images: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -126,7 +126,7 @@ def permutation_array(gens, images: Tuple[int, ...]) -> Tuple[int, ...]:
     c = (1 2 ... n), composed array by array.  No table of S_n is built,
     so every degree works.
     """
-    lines = _generator_lines(len(images))
+    lines = generator_lines(len(images))
     if images in lines:
         return gens[lines.index(images)]
     s = gens[0]
@@ -219,7 +219,7 @@ def induced_arrays(n: int, inner):
     m = len(inner[0])
     labels = range(1, n + 1)
     out = []
-    for j, line in enumerate(_generator_lines(n)):
+    for j, line in enumerate(generator_lines(n)):
         arr = []
         for a in labels:
             _, on_rest = restricted(inner, n, j, tuple([x for x in labels if x != a]))
@@ -243,7 +243,7 @@ def _symmetric_table(n: int):
     if table is not None:
         return table
     by_images = {p.images: p for p in all_permutations(n)}
-    gens = [g.images for g in generators(n)]
+    gens = generator_lines(n)
     order = [Permutation.identity(n).images]
     position = {order[0]: 0}
     steps = []

@@ -41,6 +41,7 @@ from .groups import (
     Permutation,
     all_permutations,
     element_images,
+    generator_lines,
     generators,
     induced_arrays,
     permutation_array,
@@ -358,7 +359,7 @@ class Table(SpeciesExpr):
         row = sorted(self._row(n))
         position = {a: i for i, a in enumerate(row)}
         action = self.action[n]
-        return tuple(tuple(position[action[g.images][a]] for a in row) for g in generators(n))
+        return tuple(tuple(position[action[line][a]] for a in row) for line in generator_lines(n))
         yield
 
     def check(self, path, diags):
@@ -468,7 +469,7 @@ class Cauchy(_Node):
             offset[U] = total
             total += len(fa[len(U)][0]) * len(ga[len(U)][0])
         out = []
-        for j in range(len(generators(n))):
+        for j in range(len(generator_lines(n))):
             arr = []
             for U in blocks:
                 r = len(U)
@@ -550,7 +551,7 @@ class Substitute(_Node):
             offset[p] = total
             total += len(fa[len(p)][0]) * math.prod(len(ga[len(b)][0]) for b in p)
         out = []
-        for j in range(len(generators(n))):
+        for j in range(len(generator_lines(n))):
             outer = {}  # block-rank permutation -> its array on the outer structures
             arr = []
             for p in parts:
@@ -675,11 +676,11 @@ class AdjR(_Node):
         m = len(inner[0])
         labels = range(1, n + 1)
         out = []
-        for j, sigma in enumerate(generators(n)):
+        for j, line in enumerate(generator_lines(n)):
             digits = []
             for a in labels:
                 _, on_rest = restricted(inner, n, j, tuple([x for x in labels if x != a]))
-                w = m ** (n - sigma.images[a - 1])
+                w = m ** (n - line[a - 1])
                 digits.append([x * w for x in on_rest])
             out.append(tuple(product_sums(*digits)))
         return tuple(out)
@@ -725,7 +726,7 @@ class _Truncation(_Node):
 
     def compile(self, n):
         if n > self.cutoff:
-            return (tuple(range(len(self.above))),) * len(generators(n))
+            return (tuple(range(len(self.above))),) * len(generator_lines(n))
         return (yield self.f, n)
 
 
@@ -1005,7 +1006,7 @@ def generator_arrays(e: SpeciesExpr, n: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _no_points(n: int):
-    return ((),) * len(generators(n))
+    return ((),) * len(generator_lines(n))
 
 
 @dataclass(frozen=True)
