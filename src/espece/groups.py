@@ -547,22 +547,22 @@ def subgroups_conjugate(H: SubgroupElements, K: SubgroupElements) -> bool:
 
 
 def _orbit_stabilizers(a: FiniteAction):
-    """(key, stabilizer of the least point) for each orbit, the key being
+    """The stabilizers of the orbits' least points, grouped by orbit key:
     (orbit size, stabilizer order, stabilizer cycle types)."""
-    out = []
+    out = {}
     for orbit in _orbit_trees(a)[0]:
         stab = SubgroupElements(a.degree, positions=_stabilizer_at(a, orbit[0]))
-        out.append(((len(orbit), len(stab), stab.cycle_type_multiset), stab))
+        out.setdefault((len(orbit), len(stab), stab.cycle_type_multiset), []).append(stab)
     return out
 
 
 def action_signature(a: FiniteAction):
-    """The orbit keys of ``_orbit_stabilizers``, sorted.
+    """The orbit keys of ``_orbit_stabilizers``, one per orbit, sorted.
 
     Equal signatures are necessary (not sufficient) for isomorphism; the
     signature is also what iso failure reports print.
     """
-    return tuple(sorted(key for key, _ in _orbit_stabilizers(a)))
+    return tuple(sorted(key for key, stabs in _orbit_stabilizers(a).items() for _ in stabs))
 
 
 def actions_isomorphic(a: FiniteAction, b: FiniteAction) -> bool:
@@ -572,18 +572,16 @@ def actions_isomorphic(a: FiniteAction, b: FiniteAction) -> bool:
     if a.size != b.size:
         return False
     sa, sb = _orbit_stabilizers(a), _orbit_stabilizers(b)
-    if len(sa) != len(sb):
+    if sa.keys() != sb.keys() or any(len(sa[key]) != len(sb[key]) for key in sa):
         return False
     # match each stabilizer of a with a conjugate one of b; conjugates share a key
-    unmatched = {}
-    for key, K in sb:
-        unmatched.setdefault(key, []).append(K)
-    for key, H in sa:
-        stabs = unmatched.get(key, [])
-        for i, K in enumerate(stabs):
-            if subgroups_conjugate(H, K):
-                del stabs[i]
-                break
-        else:
-            return False
+    for key, stabs_a in sa.items():
+        stabs_b = sb[key]
+        for H in stabs_a:
+            for i, K in enumerate(stabs_b):
+                if subgroups_conjugate(H, K):
+                    del stabs_b[i]
+                    break
+            else:
+                return False
     return True
