@@ -215,8 +215,9 @@ def transport_generator_images(e: SpeciesExpr, n: int):
     each of ``generators(n)``: the compile that ``generator_arrays``
     replaced."""
     data, tables = enumerate_degree(e, n), tables_of(e)
+    labels = tuple(range(1, n + 1))
     return tuple(
-        tuple(data.index[species_act(g, s, tables)] for s in data.structures)
+        tuple([data.index[transport(s, g.mapping, labels, tables)] for s in data.structures])
         for g in generators(n)
     )
 
