@@ -29,7 +29,9 @@ class CountSeq:
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise ValueError("a counting sequence needs at least the degree-0 entry")
-        if any((not isinstance(c, int)) or c < 0 for c in self.coeffs):
+        # plain nonnegative ints pass in C; the loop decides everything else
+        plain = set(map(type, self.coeffs)) <= {int} and min(self.coeffs) >= 0
+        if not plain and any((not isinstance(c, int)) or c < 0 for c in self.coeffs):
             raise ValueError(f"counts must be nonnegative integers: {self.coeffs}")
 
     @property

@@ -452,33 +452,48 @@ class Cauchy(_Node):
         return tuple(sorted(out))
 
     def compile(self, n):
-        # the pairs on U, ordered by U, form an |f_r| x |g_n-r| block
+        layout = cauchy_layout(self.f, self.g, n)
         labels = tuple(range(1, n + 1))
-        blocks = sorted(
-            U
-            for r in range(n + 1)
-            if _card(self.f, r) and _card(self.g, n - r)
-            for U in itertools.combinations(labels, r)
-        )
         fa, ga = {}, {}  # both keyed by |U|
-        for r in sorted({len(U) for U in blocks}):
+        for r in sorted({len(U) for U in layout}):
             fa[r] = yield self.f, r
             ga[r] = yield self.g, n - r
-        offset, total = {}, 0
-        for U in blocks:
-            offset[U] = total
-            total += len(fa[len(U)][0]) * len(ga[len(U)][0])
         out = []
         for j in range(len(generator_lines(n))):
             arr = []
-            for U in blocks:
+            for U, (_, _, m) in layout.items():
                 r = len(U)
                 V, fs = restricted(fa[r], n, j, U)
                 _, gs = restricted(ga[r], n, j, tuple([x for x in labels if x not in U]))
-                m, base = len(gs), offset[V]
+                base = layout[V][0]
                 arr += product_sums([base + x * m for x in fs], gs)
             out.append(tuple(arr))
         return tuple(out)
+
+
+def cauchy_layout(f: SpeciesExpr, g: SpeciesExpr, n: int) -> dict:
+    """The block layout of Cauchy(f, g) on 1..n (Bergeron, Labelle and
+    Leroux 1998, section 1.4).
+
+    The sorted structures ("pair", (U, s1, s2)) fall in one block per label
+    set U, the blocks in sorted order of U, and each block is row-major:
+    the index i1 of s1 among f's structures on U, then the index i2 of s2
+    among g's on the rest.  Maps each U, in that order, to (offset, rows,
+    cols) = (the block's first position, |f_|U||, |g_(n-|U|)|), so the
+    pair sits at offset + i1 * cols + i2.  Only blocks with structures are
+    listed.
+    """
+    layout, total = {}, 0
+    for U in sorted(
+        U
+        for r in range(n + 1)
+        if _card(f, r) and _card(g, n - r)
+        for U in itertools.combinations(range(1, n + 1), r)
+    ):
+        rows, cols = _card(f, len(U)), _card(g, n - len(U))
+        layout[U] = (total, rows, cols)
+        total += rows * cols
+    return layout
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,8 +22,9 @@ from .groups import (
     actions_isomorphic,
     count_equivariant_maps,
     enumerate_equivariant_maps,
-    generators,
+    generator_lines,
     permutation_array,
+    product_sums,
 )
 from .species import (
     AdjR,
@@ -44,7 +45,9 @@ from .species import (
     Sum,
     X,
     cardinality,
+    cauchy_layout,
     enumerate_degree,
+    generator_arrays,
     structures_on,
 )
 
@@ -118,21 +121,37 @@ def _position(structures, enc, labels) -> int:
     return i
 
 
+def _point_indices(t: NatTrans, k: int) -> list:
+    """The degree-k component as point indices: for each source structure,
+    in order, the position of its image among the target's structures."""
+    points = enumerate_degree(t.source, k).structures
+    target = enumerate_degree(t.target, k)
+    comp = t.component(k)
+    if not points:
+        return []
+    index = target.index
+    try:
+        return [index[comp[s]] for s in points]
+    except KeyError:
+        raise ShapeMismatch(
+            f"the degree-{k} component is not total from {t.source!r} onto {t.target!r}"
+        ) from None
+
+
 def check_naturality(t: NatTrans) -> bool:
     """Totality plus equivariance against the generator permutations."""
     for k in range(t.horizon + 1):
-        src = enumerate_degree(t.source, k)
-        tgt = enumerate_degree(t.target, k)
-        comp = t.components.get(k)
-        if comp is None or set(comp) != set(src.structures):
+        try:
+            c = _point_indices(t, k)
+        except ShapeMismatch:
             return False
-        if any(v not in tgt.index for v in comp.values()):
+        if len(t.components[k]) != len(c):  # a key that is no source structure
             return False
-        if not comp:
+        if not c:
             continue
-        # the component as point indices, checked against each generator
-        c = [tgt.index[comp[s]] for s in src.action.points]
-        for sg, tg in zip(src.action.generator_images(), tgt.action.generator_images()):
+        src = enumerate_degree(t.source, k).action.generator_images()
+        tgt = enumerate_degree(t.target, k).action.generator_images()
+        for sg, tg in zip(src, tgt):
             if any(c[sg[i]] != tg[ci] for i, ci in enumerate(c)):
                 return False
     return True
@@ -372,82 +391,94 @@ class MonoidReport:
     ok: bool
     failures: Tuple  # (law, degree) pairs
 
-    def failing_laws(self):
-        return tuple(sorted({law for law, _ in self.failures}))
-
-
-def _rebracket(enc):
-    """The Cauchy associator ((u,v),w) -> (u,(v,w)) on canonical pairs."""
-    _, (W, inner_pair, s3) = enc
-    _, (U, s1, s2) = inner_pair
-    middle = tuple(x for x in W if x not in U)
-    return ("pair", (U, s1, ("pair", (middle, s2, s3))))
-
 
 def check_monoid(f: SpeciesExpr, mu: NatTrans, eta, N: int) -> MonoidReport:
     """Unit laws, associativity, and shuffle equivariance, degreewise.
 
     ``mu`` is a transformation Cauchy(f,f) -> f and ``eta`` a degree-0
-    structure of f.  Associativity pushes through the explicit associator
-    on canonical pair encodings.
+    structure of f.  Each law is checked on point indices: mu is read once
+    per degree as the array ``m[k]`` of the positions of its images among
+    f's structures, and a pair of Cauchy(f,f) is addressed through
+    ``cauchy_layout``.  A shuffle that keeps the split 1..p moves each
+    factor of a pair by its own generator arrays.  Raises ShapeMismatch
+    when mu misses a structure of Cauchy(f,f) at a degree <= N or sends
+    one off f.
     """
     failures = []
     ff = Cauchy(f, f)
     if mu.source != ff or mu.target != f:
         raise ShapeMismatch("multiplication must map Cauchy(f,f) to f")
-    if eta not in enumerate_degree(f, 0).index:
+    unit = enumerate_degree(f, 0).index
+    if eta not in unit:
         raise ShapeMismatch("unit must be a degree-0 structure of the carrier")
+    e = unit[eta]
+    m = [_point_indices(mu, k) for k in range(N + 1)]
+    layouts = [cauchy_layout(f, f, k) for k in range(N + 1)]
     if not check_naturality(mu):
         failures.append(("naturality", -1))
     for k in range(N + 1):
-        labels = tuple(range(1, k + 1))
-        for s in enumerate_degree(f, k).structures:
-            if mu(k, ("pair", ((), eta, s))) != s:
+        mk, layout = m[k], layouts[k]
+        if () in layout:  # pairs ((), eta, s)
+            off, _, c = layout[()]
+            if mk[off + e * c : off + e * c + c] != list(range(c)):
                 failures.append(("left-unit", k))
-                break
-        for s in enumerate_degree(f, k).structures:
-            if mu(k, ("pair", (labels, s, eta))) != s:
+        whole = tuple(range(1, k + 1))
+        if whole in layout:  # pairs (1..k, s, eta)
+            off, a, c = layout[whole]
+            if mk[off + e : off + a * c : c] != list(range(a)):
                 failures.append(("right-unit", k))
-                break
-        triple = Cauchy(ff, f)
-        for t in enumerate_degree(triple, k).structures:
-            _, (W, inner_pair, s3) = t
-            left_inner = apply_on_labels(mu, inner_pair, W)
-            left = mu(k, ("pair", (W, left_inner, s3)))
-            _, (U, s1, right_pair) = _rebracket(t)
-            rest_u = tuple(x for x in labels if x not in U)
-            right_inner = apply_on_labels(mu, right_pair, rest_u)
-            right = mu(k, ("pair", (U, s1, right_inner)))
-            if left != right:
-                failures.append(("associativity", k))
-                break
-        # explicit shuffle equivariance on split-position pairs, each shuffle
-        # read as a word over the compiled arrays of ff and f
-        ffdata = enumerate_degree(ff, k)
-        fdata = enumerate_degree(f, k)
+        if not _associative(m, layouts, k):
+            failures.append(("associativity", k))
+        arrays = generator_arrays(f, k)
         for p in range(k + 1):
-            q = k - p
-            U = tuple(range(1, p + 1))
-            shuffles = [tuple(gp.images) + tuple(range(p + 1, k + 1)) for gp in generators(p)]
-            shuffles += [
-                tuple(range(1, p + 1)) + tuple(p + gq(j) for j in range(1, q + 1))
-                for gq in generators(q)
+            head = tuple(range(1, p + 1))
+            if head not in layout:
+                continue
+            off, a, c = layout[head]
+            block = mk[off : off + a * c]
+            tail = tuple(range(p + 1, k + 1))
+            # (shuffle, where it sends each point of the block)
+            shuffles = [
+                (line + tail, product_sums([x * c for x in arr], range(c)))
+                for line, arr in zip(generator_lines(p), generator_arrays(f, p))
             ]
-            # mu on the pairs split at p, as point indices (None off f)
-            split = {
-                i: fdata.index.get(mu(k, s))
-                for i, s in enumerate(ffdata.structures)
-                if s[1][0] == U
-            }
-            for images in shuffles:
-                moved = permutation_array(ffdata.action.generator_images(), images)
-                moved_f = permutation_array(fdata.action.generator_images(), images)
-                if any(
-                    y is None or split[moved[i]] != moved_f[y] for i, y in split.items()
-                ):
+            shuffles += [
+                (head + tuple([p + x for x in line]), product_sums(range(0, a * c, c), arr))
+                for line, arr in zip(generator_lines(k - p), generator_arrays(f, k - p))
+            ]
+            for images, moved in shuffles:
+                moved_f = permutation_array(arrays, images)
+                if [block[i] for i in moved] != [moved_f[y] for y in block]:
                     failures.append(("shuffle-equivariance", k))
                     break
     return MonoidReport(not failures, tuple(failures))
+
+
+def _associative(m, layouts, k: int) -> bool:
+    """mu(mu(s1, s2), s3) = mu(s1, mu(s2, s3)) for every triple at degree k.
+
+    A triple is a pair (W, (U', s1, s2), s3) of Cauchy(Cauchy(f,f), f):
+    U' is a block of Cauchy(f,f) at |W|, in ranks of W, and U the labels
+    it ranks.  The right side is the pair (U, s1, (M, s2, s3)), with M the
+    ranks of W minus U among the labels outside U.
+    """
+    mk, layout = m[k], layouts[k]
+    labels = range(1, k + 1)
+    for W, (off_w, _, c) in layout.items():
+        mr = m[len(W)]
+        for inner, (off_u, a, b) in layouts[len(W)].items():
+            U = tuple([W[x - 1] for x in inner])
+            rest = [x for x in labels if x not in U]
+            M = tuple([i + 1 for i, x in enumerate(rest) if x in W])
+            off_r, _, c_r = layout[U]
+            mku = m[k - len(U)]
+            mid = layouts[k - len(U)][M][0]
+            # both sides over (i1, i2, i3), row-major
+            left = [mk[off_w + y * c + i3] for y in mr[off_u : off_u + a * b] for i3 in range(c)]
+            mids = mku[mid : mid + b * c]
+            if left != [mk[x + y] for x in range(off_r, off_r + a * c_r, c_r) for y in mids]:
+                return False
+    return True
 
 
 def lin_concat_mu(N: int) -> NatTrans:

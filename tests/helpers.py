@@ -15,7 +15,9 @@ each one, never through the library's compiled action.
 Enumeration and degree budgets are checked against the recursive
 isinstance ladders the node-kind rules replaced.
 Command lines are checked against the argparse parser the CLI used to
-build on every call.
+build on every call.  Monoid laws are checked on structures, through
+``apply_on_labels`` and the explicit Cauchy associator, against the
+point-index route over Cauchy's block layout.
 """
 
 import argparse
@@ -50,14 +52,19 @@ from espece import (
     X,
     Zero,
 )
-from espece.errors import BudgetExceeded
-from espece.groups import all_permutations, generators
+from espece.errors import BudgetExceeded, ShapeMismatch
+from espece.groups import all_permutations, generators, permutation_array
 from espece.species import (
     _card,
     enumerate_degree,
     fresh_star,
 )
-from espece.transforms import SUITE_NAMES
+from espece.transforms import (
+    SUITE_NAMES,
+    MonoidReport,
+    apply_on_labels,
+    check_naturality,
+)
 
 GOLDEN_EXPRS = (
     One(),
@@ -325,6 +332,66 @@ def threading_apply_on_labels(t, enc, labels):
     up = {i + 1: lab for i, lab in enumerate(L)}
     out = t(m, transport(enc, down, L))
     return transport(out, up, tuple(range(1, m + 1)))
+
+
+def structure_check_monoid(f, mu, eta, N):
+    """``transforms.check_monoid`` on structures: each side of a law is
+    computed by calling mu on encodings, moving a pair between label sets
+    with ``apply_on_labels``, associativity through the explicit Cauchy
+    associator ((u, v), w) -> (u, (v, w)), and each shuffle read over the
+    compiled arrays of the whole product."""
+    failures = []
+    ff = Cauchy(f, f)
+    if mu.source != ff or mu.target != f:
+        raise ShapeMismatch("multiplication must map Cauchy(f,f) to f")
+    if eta not in enumerate_degree(f, 0).index:
+        raise ShapeMismatch("unit must be a degree-0 structure of the carrier")
+    if not check_naturality(mu):
+        failures.append(("naturality", -1))
+    for k in range(N + 1):
+        labels = tuple(range(1, k + 1))
+        for s in enumerate_degree(f, k).structures:
+            if mu(k, ("pair", ((), eta, s))) != s:
+                failures.append(("left-unit", k))
+                break
+        for s in enumerate_degree(f, k).structures:
+            if mu(k, ("pair", (labels, s, eta))) != s:
+                failures.append(("right-unit", k))
+                break
+        for t in enumerate_degree(Cauchy(ff, f), k).structures:
+            _, (W, inner_pair, s3) = t
+            left = mu(k, ("pair", (W, apply_on_labels(mu, inner_pair, W), s3)))
+            _, (U, s1, s2) = inner_pair
+            middle = tuple(x for x in W if x not in U)
+            rest_u = tuple(x for x in labels if x not in U)
+            right_inner = apply_on_labels(mu, ("pair", (middle, s2, s3)), rest_u)
+            if left != mu(k, ("pair", (U, s1, right_inner))):
+                failures.append(("associativity", k))
+                break
+        ffdata = enumerate_degree(ff, k)
+        fdata = enumerate_degree(f, k)
+        for p in range(k + 1):
+            q = k - p
+            U = tuple(range(1, p + 1))
+            shuffles = [tuple(gp.images) + tuple(range(p + 1, k + 1)) for gp in generators(p)]
+            shuffles += [
+                tuple(range(1, p + 1)) + tuple(p + gq(j) for j in range(1, q + 1))
+                for gq in generators(q)
+            ]
+            split = {
+                i: fdata.index.get(mu(k, s))
+                for i, s in enumerate(ffdata.structures)
+                if s[1][0] == U
+            }
+            for images in shuffles:
+                moved = permutation_array(ffdata.action.generator_images(), images)
+                moved_f = permutation_array(fdata.action.generator_images(), images)
+                if any(
+                    y is None or split[moved[i]] != moved_f[y] for i, y in split.items()
+                ):
+                    failures.append(("shuffle-equivariance", k))
+                    break
+    return MonoidReport(not failures, tuple(failures))
 
 
 def set_partitions(labels):

@@ -65,6 +65,35 @@ def test_count_seq_validation():
         CountSeq((1, -1))
 
 
+class _Count(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "coeffs, ok",
+    [
+        ((1, 2, 3), True),
+        ((1, -2, 3), False),
+        ((-1,), False),
+        ((1, 2.0), False),
+        ((1.0,), False),
+        ((1, True, False), True),
+        ((True,), True),
+        ((1, _Count(2)), True),
+        ((1, _Count(-2)), False),
+        ((1, "2"), False),
+        ((1, None), False),
+    ],
+)
+def test_count_seq_accepts_nonnegative_ints_only(coeffs, ok):
+    if ok:
+        assert CountSeq(coeffs).coeffs == coeffs
+    else:
+        with pytest.raises(ValueError) as err:
+            CountSeq(coeffs)
+        assert str(err.value) == f"counts must be nonnegative integers: {coeffs}"
+
+
 def test_egf_examples():
     assert egf(Exp(), 3).coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6))
     assert egf(Lin(), 3).coeffs == (1, 1, 1, 1)

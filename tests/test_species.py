@@ -45,6 +45,7 @@ from espece import species
 from espece.groups import Permutation, all_permutations, element_images, generators
 from espece.species import (
     Table,
+    cauchy_layout,
     fresh_star,
     generator_arrays,
     structures_on,
@@ -521,6 +522,34 @@ def test_compiled_arrays_match_relabeling():
         for n in range(top + 1):
             if cardinality(e, n) <= ISO_POINT_CAP:
                 assert generator_arrays(e, n) == transport_generator_images(e, n), (e, n)
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (Lin(), Lin()),
+        (Cyc(), ExpPlus()),
+        (Derive(Lin()), Subsets()),
+        (ExpPlus(), ExpPlus()),
+        (Cyc(), Cyc()),
+    ],
+)
+def test_cauchy_layout_addresses_every_pair(f, g):
+    """A pair (U, s1, s2) sits at offset[U] + i1 * |g_(n-|U|)| + i2 among
+    the sorted structures of Cauchy(f, g), with i1 and i2 the positions of
+    s1 and s2 among the structures on U and on the rest; the layout lists
+    exactly the label sets that carry a pair."""
+    for n in range(6):
+        labels = tuple(range(1, n + 1))
+        layout = cauchy_layout(f, g, n)
+        pairs = structures_on(Cauchy(f, g), labels)
+        assert list(layout) == sorted({U for _, (U, _, _) in pairs}), n
+        for pos, (_, (U, s1, s2)) in enumerate(pairs):
+            offset, rows, cols = layout[U]
+            on_u = structures_on(f, U)
+            on_rest = structures_on(g, tuple(x for x in labels if x not in U))
+            assert (rows, cols) == (len(on_u), len(on_rest)), (n, U)
+            assert pos == offset + on_u.index(s1) * cols + on_rest.index(s2), (n, U)
 
 
 def test_action_points_are_the_enumeration():

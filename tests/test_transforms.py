@@ -29,10 +29,15 @@ from espece import (
     tensor_partial_algebras,
     uniform_subset_coalgebras,
 )
+from espece import transforms
 from espece.errors import InvalidAlgebra, ShapeMismatch, TooManyMaps
 from espece.species import structures_on
 from espece.transforms import NatTrans, apply_on_labels, build_nat, exp_mu, nat_to_json
-from helpers import brute_equivariant_count, threading_apply_on_labels
+from helpers import (
+    brute_equivariant_count,
+    structure_check_monoid,
+    threading_apply_on_labels,
+)
 
 
 # --- counting and enumerating natural families -----------------------------
@@ -223,6 +228,108 @@ def test_reversed_concatenation_fails_associativity():
     report = check_monoid(Lin(), mu, ("lin", ()), 3)
     assert not report.ok
     assert ("associativity", 3) in report.failures
+
+
+def _mu(f, tag, fn):
+    """N -> the multiplication Cauchy(f, f) -> f that joins the label
+    tuples of the two parts with fn."""
+    return lambda N: build_nat(
+        Cauchy(f, f), f, N, lambda k, s: (tag, fn(s[1][1][1], s[1][2][1]))
+    )
+
+
+def _interleave(a, b):
+    out = ()
+    for i in range(max(len(a), len(b))):
+        out += a[i : i + 1] + b[i : i + 1]
+    return out
+
+
+MONOID_CASES = {
+    "L concatenation": (Lin(), lin_concat_mu, ("lin", ())),
+    "L reversed concatenation": (
+        Lin(),
+        _mu(Lin(), "lin", lambda a, b: tuple(reversed(a + b))),
+        ("lin", ()),
+    ),
+    "L opposite concatenation": (Lin(), _mu(Lin(), "lin", lambda a, b: b + a), ("lin", ())),
+    "L sorted concatenation": (
+        Lin(),
+        _mu(Lin(), "lin", lambda a, b: tuple(sorted(a + b))),
+        ("lin", ()),
+    ),
+    "L interleaving": (Lin(), _mu(Lin(), "lin", _interleave), ("lin", ())),
+    "E union": (Exp(), exp_mu, ("set", ())),
+    "S union": (
+        Subsets(),
+        _mu(Subsets(), "subset", lambda a, b: tuple(sorted(a + b))),
+        ("subset", ()),
+    ),
+    "S left projection": (Subsets(), _mu(Subsets(), "subset", lambda a, b: a), ("subset", ())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOID_CASES))
+def test_monoid_laws_on_indices_match_the_structure_route(name):
+    f, make, eta = MONOID_CASES[name]
+    for N in range(6):
+        mu = make(N)
+        assert check_monoid(f, mu, eta, N) == structure_check_monoid(f, mu, eta, N), N
+
+
+def test_monoid_laws_move_no_structure_between_label_sets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("check_monoid works on point indices only")
+
+    monkeypatch.setattr(transforms, "apply_on_labels", refuse)
+    monkeypatch.setattr(transforms, "structures_on", refuse)
+    assert check_monoid(Lin(), lin_concat_mu(4), ("lin", ()), 4).ok
+
+
+def test_monoid_reports_a_law_once_per_failing_split():
+    f, make, eta = MONOID_CASES["L sorted concatenation"]
+    report = check_monoid(f, make(2), eta, 2)
+    assert report.failures == (
+        ("naturality", -1),
+        ("left-unit", 2),
+        ("right-unit", 2),
+        ("shuffle-equivariance", 2),
+        ("shuffle-equivariance", 2),
+    )
+
+
+def _with_entry(mu, k, key, value=None):
+    comps = {d: dict(c) for d, c in mu.components.items()}
+    if value is None:
+        del comps[k][key]
+    else:
+        comps[k][key] = value
+    return NatTrans(mu.source, mu.target, mu.horizon, comps)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_malformed_multiplication_raises_up_front(k):
+    mu = lin_concat_mu(3)
+    for key in (min(mu.components[k]), max(mu.components[k])):
+        for value in (None, ("lin", (9,))):
+            bad = _with_entry(mu, k, key, value)
+            with pytest.raises(ShapeMismatch):
+                check_monoid(Lin(), bad, ("lin", ()), 3)
+            with pytest.raises(ShapeMismatch):
+                structure_check_monoid(Lin(), bad, ("lin", ()), 3)
+
+
+def test_malformed_multiplication_raises_where_the_structure_route_reported():
+    # the structure route stops its associativity scan at the first failing
+    # triple and reads the shuffles' split with .get, so it never meets
+    # the image off L and returns a report instead
+    _, make, eta = MONOID_CASES["L reversed concatenation"]
+    key = ("pair", ((1,), ("lin", (1,)), ("lin", (2, 3))))
+    bad = _with_entry(make(3), 3, key, ("lin", (9,)))
+    with pytest.raises(ShapeMismatch):
+        check_monoid(Lin(), bad, eta, 3)
+    report = structure_check_monoid(Lin(), bad, eta, 3)
+    assert ("shuffle-equivariance", 3) in report.failures
 
 
 # --- derivative algebras ----------------------------------------------------
