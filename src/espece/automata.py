@@ -287,6 +287,13 @@ def _cauchy_power(a: SpeciesExpr, n: int) -> SpeciesExpr:
     return out
 
 
+def _saturated_power(b: int, j: int) -> int:
+    """b ** j for j >= 1, or PRODUCT_BOUND + 1 when that exceeds PRODUCT_BOUND."""
+    if b > 1 and j * (b.bit_length() - 1) >= PRODUCT_BOUND.bit_length():
+        return PRODUCT_BOUND + 1  # b ** j >= 2 ** (j * (bit_length - 1))
+    return min(b ** j, PRODUCT_BOUND + 1)
+
+
 def terminal_counts(dyn, B: SpeciesExpr, N: int, moore: bool = False) -> CountSeq:
     """Counting shadow of the terminal machine's carrier for a dynamics.
 
@@ -318,10 +325,13 @@ def terminal_counts(dyn, B: SpeciesExpr, N: int, moore: bool = False) -> CountSe
         # The assignment adjoint fixes degree 0 at one structure and
         # raises lower counts to powers; after k iterations every degree
         # <= k is pinned at one, so the product is exactly finite.
-        rows = [[cardinality(B, j) for j in range(N + 1)]]
+        # Entries past PRODUCT_BOUND saturate at PRODUCT_BOUND + 1 (0 and 1
+        # stay exact), so the running product below crosses the bound at
+        # the same factor as with the exact powers, which grow as towers.
+        rows = [[min(cardinality(B, j), PRODUCT_BOUND + 1) for j in range(N + 1)]]
         for _ in range(N + 1):
             prev = rows[-1]
-            rows.append([1] + [prev[j - 1] ** j for j in range(1, N + 1)])
+            rows.append([1] + [_saturated_power(prev[j - 1], j) for j in range(1, N + 1)])
         out = []
         for k in range(N + 1):
             total = 1

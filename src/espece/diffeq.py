@@ -5,6 +5,9 @@ optional constant species, applied at the counting level; the chain for
 its greatest fixpoint starts at the all-ones sequence (the counting
 shadow of the terminal species) and iterates the operator, reporting
 per-degree stabilization.  Divergence is a verdict, never an exception.
+``apply_operator`` and the chain share one step over
+``species.binomial_convolution``; the chain reads the operator once and
+recomputes only the degrees of each iterate that can still move.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from .counting import (
     ConvergenceReport,
     CountSeq,
     contact_order,
-    count_seq,
     detect_convergence,
 )
 from .errors import HorizonExhausted
-from .species import SpeciesExpr, binomial_convolution, require_valid
+from .species import SpeciesExpr, binomial_convolution, counts_upto, require_valid
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,30 @@ class DiffOperator:
             require_valid(self.constant)
 
 
+def _read_counts(D: DiffOperator, h: int):
+    """The constant's and each coefficient's counts through degree h."""
+    constant = counts_upto(D.constant, h) if D.constant is not None else None
+    return constant, tuple((counts_upto(a, h), order) for a, order in D.terms)
+
+
+def _step(counts, x, keep: int, out_h: int) -> tuple:
+    """Entries 0..out_h of D(x) from the operator's counts (``_read_counts``
+    through at least out_h).
+
+    Entries 0..keep-1 are copied from x, the caller vouching that they
+    cannot move; the rest come from one binomial convolution per term.
+    """
+    constant, terms = counts
+    if constant is not None:
+        vals = constant[keep : out_h + 1]
+    else:
+        vals = (0,) * (out_h + 1 - keep)
+    for a, order in terms:
+        row = binomial_convolution(a, x[order:], keep, out_h + 1)
+        vals = [u + v for u, v in zip(vals, row)]
+    return (*x[:keep], *vals)
+
+
 def apply_operator(D: DiffOperator, x: CountSeq, minimum_horizon: int = 0) -> CountSeq:
     """Coefficientwise image of a counting sequence under the operator.
 
@@ -59,14 +85,7 @@ def apply_operator(D: DiffOperator, x: CountSeq, minimum_horizon: int = 0) -> Co
         raise HorizonExhausted(
             f"horizon {x.horizon} leaves only {out_h} after order {D.max_order}"
         )
-    if D.constant is not None:
-        vals = count_seq(D.constant, out_h).coeffs
-    else:
-        vals = (0,) * (out_h + 1)
-    for a, order in D.terms:
-        row = binomial_convolution(count_seq(a, out_h).coeffs, x.coeffs[order:], 0, out_h + 1)
-        vals = tuple(u + v for u, v in zip(vals, row))
-    return CountSeq(vals)
+    return CountSeq(_step(_read_counts(D, out_h), x.coeffs, 0, out_h))
 
 
 @dataclass(frozen=True)
@@ -104,22 +123,39 @@ def adamek_chain(D: DiffOperator, N: int, max_iter: int | None = None) -> ChainR
     A degree is unstable when it still changes between the final two
     iterates; when every degree up to N stabilizes the limit is a
     fixpoint up to contact order N (certified on the report).
+
+    Degree n of D(t) reads t only at degrees up to n + mo, mo the
+    operator's largest derivative order.  So when t_k agrees with t_(k-1)
+    on its first p entries, t_(k+1) agrees with t_k on its first p - mo:
+    each step copies that prefix and convolves only the degrees past it,
+    and a fully stable iterate gives the next one by dropping its last mo
+    degrees.  The operator is validated and its counts read once; only
+    the iterates truncated to degrees 0..N are held, with the current
+    full iterate, so memory is O(h0 + max_iter * N) for the starting
+    horizon h0 = N + mo * (max_iter + 1).
     """
     D.validate()
     if max_iter is None:
         max_iter = default_max_iter(N)
     mo = D.max_order
-    h0 = N + mo * (max_iter + 1)
-    t = CountSeq((1,) * (h0 + 1))
-    iterates = [t]
+    h = N + mo * (max_iter + 1)  # the current iterate's horizon
+    t = (1,) * (h + 1)  # may run past h: only t[0..h] is read
+    counts = _read_counts(D, h - mo)
+    truncated = [CountSeq(t[: N + 1])]
+    p = 0  # the current iterate agrees with the one before on t[0..p-1]
     for _ in range(max_iter):
-        t = apply_operator(D, t)
-        iterates.append(t)
-    truncated = tuple(s.truncate(N) for s in iterates)
+        h -= mo
+        keep = p = max(p - mo, 0)
+        if keep <= h:
+            prev, t = t, _step(counts, t, keep, h)
+            while p <= h and t[p] == prev[p]:
+                p += 1
+        truncated.append(truncated[-1] if p > N else CountSeq(t[: N + 1]))
+    truncated = tuple(truncated)
     convergence = detect_convergence(truncated, N)
     contact = None
     if convergence.converged:
-        contact = fixpoint_check(D, iterates[-1], N)
+        contact = fixpoint_check(D, CountSeq(t[: h + 1]), N)
     return ChainReport(D, N, truncated, convergence, contact)
 
 

@@ -14,6 +14,9 @@ substructure and renumbers the reserved labels of derivative contexts at
 each one, never through the library's compiled action.
 Enumeration and degree budgets are checked against the recursive
 isinstance ladders the node-kind rules replaced.
+Fixpoint chains are checked against the stepwise route: the public
+``apply_operator`` iterated from the all-ones sequence, every full
+iterate kept to the end.
 Command lines are checked against the argparse parser the CLI used to
 build on every call.  Monoid laws are checked on structures, through
 ``apply_on_labels`` and the explicit Cauchy associator, against the
@@ -30,6 +33,8 @@ from espece import (
     AdjL,
     AdjR,
     Cauchy,
+    ChainReport,
+    CountSeq,
     Cyc,
     Derive,
     DeriveL,
@@ -51,7 +56,11 @@ from espece import (
     TruncRight,
     X,
     Zero,
+    apply_operator,
+    detect_convergence,
+    fixpoint_check,
 )
+from espece.diffeq import default_max_iter
 from espece.errors import BudgetExceeded, ShapeMismatch
 from espece.groups import all_permutations, generators, permutation_array
 from espece.species import (
@@ -715,3 +724,20 @@ def reference_parser() -> argparse.ArgumentParser:
 
     return ap
 
+
+def stepwise_adamek_chain(D, N: int, max_iter=None) -> ChainReport:
+    """The fixpoint chain by whole steps: every iterate is the public
+    ``apply_operator`` of the last over its full horizon, and all of them
+    are kept until the chain ends."""
+    D.validate()
+    if max_iter is None:
+        max_iter = default_max_iter(N)
+    t = CountSeq((1,) * (N + D.max_order * (max_iter + 1) + 1))
+    iterates = [t]
+    for _ in range(max_iter):
+        t = apply_operator(D, t)
+        iterates.append(t)
+    truncated = tuple(s.truncate(N) for s in iterates)
+    convergence = detect_convergence(truncated, N)
+    contact = fixpoint_check(D, iterates[-1], N) if convergence.converged else None
+    return ChainReport(D, N, truncated, convergence, contact)

@@ -266,6 +266,26 @@ def test_terminal_and_homday_output():
     assert out == "1, 1, 1, 1\n"
 
 
+def test_terminal_derive_stops_at_the_bound(capsys):
+    # the exact row entries of L grow as towers; each N here is answered at once
+    for n in range(6, 13):
+        code, out = run("terminal", "--dyn", "derive", "L", "--upto", str(n))
+        assert (code, out) == (1, ""), n
+        assert capsys.readouterr().err == f"error: terminal(derive,Lin()) degree 6 exceeds {10**60}\n"
+    assert run("terminal", "--dyn", "derive", "L", "--upto", "5", "--moore") == (
+        0,
+        "1, 1, 2, 48, 127401984, 4027747178726102955105561756869669557370880\n",
+    )
+    assert run("terminal", "--dyn", "derive", "E", "--upto", "6") == (0, "1, 1, 1, 1, 1, 1, 1\n")
+    assert run("terminal", "--dyn", "derive", "E+X", "--upto", "5", "--moore") == (
+        0,
+        "1, 2, 4, 64, 16777216, 1329227995784915872903807060280344576\n",
+    )
+    code, out = run("terminal", "--dyn", "derive", "E+X", "--upto", "6")
+    err = capsys.readouterr().err
+    assert (code, err) == (1, f"error: terminal(derive,Sum(f=Exp(), g=X())) degree 6 exceeds {10**60}\n")
+
+
 def test_suite_monoid_algtensor_smoke():
     code, out = run("suite", "--name", "napier", "--upto", "4")
     assert code == 0

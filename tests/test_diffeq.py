@@ -1,16 +1,22 @@
+import io
 import random
+import tracemalloc
 
 import pytest
+from helpers import stepwise_adamek_chain
 
 from espece import (
     AT_LEAST_HORIZON,
+    Cauchy,
     CountSeq,
     Cyc,
     DiffOperator,
     Exp,
+    ExpPlus,
     Lin,
     One,
     Representable,
+    Sum,
     X,
     adamek_chain,
     apply_operator,
@@ -19,6 +25,7 @@ from espece import (
     fixpoint_check,
     seq_sum,
 )
+from espece.cli import main
 from espece.errors import HorizonExhausted, InvalidExpr
 
 ONES = CountSeq((1,) * 9)
@@ -173,3 +180,64 @@ def test_cycle_counts_solve_euler_style_equation():
     pointed = DiffOperator(((X(), 1),))
     cycles = count_seq(Cyc(), 7)
     assert apply_operator(pointed, cycles) == count_seq(LinPlus(), 6)
+
+
+# --- the incremental chain against the stepwise route ------------------------
+
+COEFFS = (
+    X(),
+    Cauchy(X(), X()),
+    Exp(),
+    ExpPlus(),
+    Lin(),
+    Cyc(),
+    Representable(2),
+    Sum(X(), Exp()),
+    Sum(Cauchy(X(), X()), Cyc()),
+    Sum(Lin(), Representable(2)),
+)
+MIXED_TERMS = (
+    ((X(), 0), (Exp(), 1)),
+    ((Cyc(), 2), (Cauchy(X(), X()), 0)),
+    ((Lin(), 3), (Representable(2), 1)),
+    ((ExpPlus(), 1), (X(), 1), (Sum(X(), Exp()), 0)),
+)
+GRID_OPERATORS = tuple(
+    DiffOperator(terms, constant)
+    for terms in tuple(((a, order),) for a in COEFFS for order in range(4)) + MIXED_TERMS
+    for constant in (None, One(), Exp())
+)
+
+
+@pytest.mark.parametrize("D", GRID_OPERATORS, ids=repr)
+def test_chain_matches_stepwise_route(D):
+    for N in range(13):
+        for max_iter in (None, 0, 1, 3, 17):
+            expected = stepwise_adamek_chain(D, N, max_iter)
+            assert adamek_chain(D, N, max_iter) == expected, (N, max_iter)
+
+
+def test_long_chain_memory_is_bounded():
+    # "1:1" keeps the all-ones iterate: every step after the first is a
+    # stable one, and the full-horizon route held max_iter + 1 iterates of
+    # about max_iter entries each (a 35 MiB traced peak at max_iter 3000)
+    D = DiffOperator(((One(), 1),))
+    tracemalloc.start()
+    try:
+        report = adamek_chain(D, 5, max_iter=3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged and report.limit.coeffs == (1,) * 6
+    assert len(report.iterates) == 3001
+    assert peak < 2 * 2**20, peak
+
+
+def test_long_chain_cli_text_matches_stepwise_route():
+    D = DiffOperator(((One(), 1),))
+    report = stepwise_adamek_chain(D, 5, 3000)
+    lines = [f"iterate {i}: {s.render()}" for i, s in enumerate(report.iterates)]
+    lines += [f"Converged: {report.limit.render()}", f"fixpoint contact: {report.fixpoint_contact}"]
+    out = io.StringIO()
+    assert main(["solve", "--op", "1:1", "--upto", "5", "--max-iter", "3000"], out) == 0
+    assert out.getvalue() == "\n".join(lines) + "\n"
