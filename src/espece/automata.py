@@ -10,7 +10,6 @@ counting shadow, cross-checkable against internal-hom counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .counting import CountSeq
@@ -29,6 +28,7 @@ from .groups import (
     generators,
     permutation_array,
 )
+from .records import Record
 from .species import (
     AdjL,
     Cauchy,
@@ -51,14 +51,13 @@ ENUM_FACTOR_DEGREE_CAP = 6
 # Dynamics
 
 
-class _Dynamics:
+class _Dynamics(Record):
     """A dynamics T: ``apply(e)`` is T(e), ``image(f, enc, k)`` carries a degree-k
     structure of T(E1) along f: E1 -> E2, applying f at degree k + ``shift``."""
 
     shift = 0
 
 
-@dataclass(frozen=True)
 class TensorBy(_Dynamics):
     """Dynamics tensoring the state with a fixed species."""
 
@@ -73,7 +72,6 @@ class TensorBy(_Dynamics):
         return ("pair", (U, sa, apply_on_labels(f, sE, rest)))
 
 
-@dataclass(frozen=True)
 class DeriveDyn(_Dynamics):
     shift = 1  # the derivative consumes a degree
 
@@ -84,7 +82,6 @@ class DeriveDyn(_Dynamics):
         return ("deriv", apply_on_labels(f, enc[1], (*range(1, k + 1), 0)))
 
 
-@dataclass(frozen=True)
 class AdjLDyn(_Dynamics):
     def apply(self, e):
         return AdjL(e)
@@ -95,7 +92,6 @@ class AdjLDyn(_Dynamics):
         return ("adjl", (a, apply_on_labels(f, s, rest)))
 
 
-@dataclass(frozen=True)
 class PointingDyn(_Dynamics):
     def apply(self, e):
         return Pointing(e)
@@ -106,7 +102,6 @@ class PointingDyn(_Dynamics):
         return ("point", (a, apply_on_labels(f, s, rest)))
 
 
-@dataclass(frozen=True)
 class DeriveLDyn(_Dynamics):
     def apply(self, e):
         return DeriveL(e)
@@ -126,8 +121,7 @@ def apply_dynamics(dyn, e: SpeciesExpr) -> SpeciesExpr:
 # Machines
 
 
-@dataclass
-class MealyAutomaton:
+class MealyAutomaton(Record):
     dynamics: object
     state: SpeciesExpr
     output: SpeciesExpr
@@ -136,8 +130,7 @@ class MealyAutomaton:
     horizon: int
 
 
-@dataclass
-class MooreAutomaton:
+class MooreAutomaton(Record):
     dynamics: object
     state: SpeciesExpr
     output: SpeciesExpr
@@ -146,8 +139,7 @@ class MooreAutomaton:
     horizon: int
 
 
-@dataclass(frozen=True)
-class MachineReport:
+class MachineReport(Record):
     ok: bool
     problems: Tuple[str, ...]
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 import json
 import sys
 import types
-from dataclasses import dataclass
 
 from . import automata, counting, diffeq, transforms
 from .errors import EngineError, ParseError
-from .groups import stabilizer
+from .groups import orbits, symmetric_order
+from .records import Record
 from .species import (
     AdjL,
     AdjR,
@@ -62,11 +62,22 @@ _ATOM_START = set("01XELCSPYDpad(")
 _PUNCTUATION = {"+": "op", "*": "op", "&": "op", "(": "lparen", ")": "rparen", ":": "colon"}
 
 
-@dataclass
-class _Token:
+class _Token(Record):
     kind: str  # "atom", "func", "op", "lparen", "rparen", "nat", "colon", "end"
     text: str
     offset: int
+
+    # One token is built per token parsed, so it keeps a mutable object's
+    # plain attribute stores; nothing assigns to a token once built.  Both
+    # methods are restored: either one left to Record routes every store
+    # through Python.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, kind, text, offset):
+        self.kind = kind
+        self.text = text
+        self.offset = offset
 
 
 def _tokenize(text: str):
@@ -405,18 +416,18 @@ def _cmd_enumerate(args, out):
 def _cmd_orbits(args, out):
     e = parse_expr(args.expr)
     data = enumerate_degree(e, args.degree, cap=args.limit)
-    from .groups import orbits as group_orbits
-
-    rows = []
-    for orb in group_orbits(data.action):
-        stab = stabilizer(data.action, orb.representative)
-        rows.append(
-            {
-                "size": len(orb.points),
-                "representative": orb.representative,
-                "stabilizer_order": len(stab),
-            }
-        )
+    parts = orbits(data.action)
+    # orbit-stabilizer: |Stab(x)| = n!/|orbit of x|; S_n's cap applies
+    # only when there is a point to stabilize
+    order = symmetric_order(args.degree) if parts else 0
+    rows = [
+        {
+            "size": len(orb.points),
+            "representative": orb.representative,
+            "stabilizer_order": order // len(orb.points),
+        }
+        for orb in parts
+    ]
 
     def text():
         return "\n".join(
@@ -587,7 +598,13 @@ def _cmd_solve(args, out):
     report = diffeq.adamek_chain(D, args.upto, args.max_iter)
 
     def text():
-        lines = [f"iterate {i}: {s.render()}" for i, s in enumerate(report.iterates)]
+        # once the stable prefix passes N the iterates are one object:
+        # render each distinct one once
+        lines, last, shown = [], None, ""
+        for i, s in enumerate(report.iterates):
+            if s is not last:
+                last, shown = s, s.render()
+            lines.append(f"iterate {i}: {shown}")
         if report.converged:
             lines.append(f"Converged: {report.limit.render()}")
             lines.append(f"fixpoint contact: {report.fixpoint_contact}")

@@ -9,30 +9,30 @@ horizon instead of guessing values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
 from .errors import DegreeMismatch, HorizonExhausted, InnerNotPositive
+from .records import Record
 from .species import SpeciesExpr, binomial_convolution, counts_upto
 
 AT_LEAST_HORIZON = "at-least-horizon"
 NO_CONTACT = "none"
 
 
-@dataclass(frozen=True)
-class CountSeq:
+class CountSeq(Record):
     """Exact nonnegative counts f_0..f_N; values beyond N are unknown."""
 
     coeffs: Tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs):
+        if len(coeffs) == 0:
             raise ValueError("a counting sequence needs at least the degree-0 entry")
         # plain nonnegative ints pass in C; the loop decides everything else
-        plain = set(map(type, self.coeffs)) <= {int} and min(self.coeffs) >= 0
-        if not plain and any((not isinstance(c, int)) or c < 0 for c in self.coeffs):
-            raise ValueError(f"counts must be nonnegative integers: {self.coeffs}")
+        plain = set(map(type, coeffs)) <= {int} and min(coeffs) >= 0
+        if not plain and any((not isinstance(c, int)) or c < 0 for c in coeffs):
+            raise ValueError(f"counts must be nonnegative integers: {coeffs}")
+        self.__dict__["coeffs"] = coeffs
 
     @property
     def horizon(self) -> int:
@@ -52,15 +52,15 @@ class CountSeq:
         return ", ".join(str(c) for c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class EgfSeq:
+class EgfSeq(Record):
     """Exact exponential generating coefficients g_n = f_n/n!."""
 
     coeffs: Tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs):
+        if len(coeffs) == 0:
             raise ValueError("an EGF sequence needs at least the degree-0 entry")
+        self.__dict__["coeffs"] = coeffs
 
     @property
     def horizon(self) -> int:
@@ -154,8 +154,7 @@ def contact_at_least(value, n: int) -> bool:
     return value == AT_LEAST_HORIZON or (isinstance(value, int) and value >= n)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Per-degree stabilization indices and the overall verdict."""
 
     stable_from: Tuple  # index per degree, or None when unstable

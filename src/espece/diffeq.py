@@ -12,7 +12,6 @@ recomputes only the degrees of each iterate that can still move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .counting import (
@@ -22,21 +21,22 @@ from .counting import (
     detect_convergence,
 )
 from .errors import HorizonExhausted
+from .records import Record
 from .species import SpeciesExpr, binomial_convolution, counts_upto, require_valid
 
 
-@dataclass(frozen=True)
-class DiffOperator:
+class DiffOperator(Record):
     """D(G) = constant + sum of coeff (x) d^order (G)."""
 
     terms: Tuple[Tuple[SpeciesExpr, int], ...]
-    constant: SpeciesExpr | None = None
+    constant: SpeciesExpr | None
 
-    def __post_init__(self):
-        if not self.terms and self.constant is None:
+    def __init__(self, terms, constant=None):
+        if not terms and constant is None:
             raise ValueError("an operator needs at least one term or a constant")
-        if any(order < 0 for _, order in self.terms):
+        if any(order < 0 for _, order in terms):
             raise ValueError("derivative orders must be nonnegative")
+        self.__dict__.update(terms=terms, constant=constant)
 
     @property
     def max_order(self) -> int:
@@ -88,8 +88,7 @@ def apply_operator(D: DiffOperator, x: CountSeq, minimum_horizon: int = 0) -> Co
     return CountSeq(_step(_read_counts(D, out_h), x.coeffs, 0, out_h))
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Record):
     """Iterates of the fixpoint chain with the convergence verdict."""
 
     operator: DiffOperator

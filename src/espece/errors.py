@@ -6,7 +6,7 @@ can catch domain failures without masking programming errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Record
 
 
 class EngineError(Exception):
@@ -37,8 +37,7 @@ class EnumerationTooLarge(EngineError):
     """A structure enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One structured finding from expression validation."""
 
     code: str

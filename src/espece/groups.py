@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Tuple
 
@@ -22,6 +21,7 @@ from .errors import (
     PointNotInAction,
     TooManyMaps,
 )
+from .records import Record
 
 # 8! = 40320 permutations; anything past this is no longer desk scale.
 MAX_DEGREE = 8
@@ -34,16 +34,16 @@ _SYMMETRIC_TABLES: dict = {}
 _CYCLE_TYPES: dict = {}
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A permutation of {1,...,n} in one-line notation."""
 
     images: Tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {self.images}")
+    def __init__(self, images):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of 1..{n}: {images}")
+        self.__dict__["images"] = images
 
     @property
     def degree(self) -> int:
@@ -95,10 +95,16 @@ class Permutation:
         return Permutation(tuple(range(1, n + 1)))
 
 
-def all_permutations(n: int) -> Tuple[Permutation, ...]:
-    """All of S_n: identity first, then lexicographic one-line order."""
+def symmetric_order(n: int) -> int:
+    """|S_n| = n!, refused above the cap like every S_n computation."""
     if n > MAX_DEGREE:
         raise DegreeTooLarge(f"S_{n} exceeds the configured cap {MAX_DEGREE}")
+    return math.factorial(n)
+
+
+def all_permutations(n: int) -> Tuple[Permutation, ...]:
+    """All of S_n: identity first, then lexicographic one-line order."""
+    symmetric_order(n)  # the cap
     return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
 
 
@@ -371,8 +377,7 @@ class FiniteAction:
         return self.points[i]
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Record):
     representative: object
     points: Tuple
 

@@ -26,7 +26,6 @@ import hashlib
 import itertools
 import math
 import weakref
-from dataclasses import dataclass, fields
 from typing import Tuple
 
 from .errors import (
@@ -49,6 +48,7 @@ from .groups import (
     restricted,
     shifted_arrays,
 )
+from .records import Record, bind
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -134,32 +134,44 @@ _NODES = weakref.WeakValueDictionary()
 class _Interned(type):
     """Hash-consing (Filliatre & Conchon, 2006): constructing a node equal
     to a live one returns that node, so equality is identity and a node's
-    hash is computed once, from its children's stored hashes.  A new node
-    also records its ``children``: the fields that are expressions."""
+    hash is computed once, from its children's stored hashes.
+
+    The key (class, *fields) is looked up before anything is built, so a
+    hit allocates nothing.  A new node also records its ``children``: the
+    fields that are expressions."""
 
     def __call__(cls, *args, **kwargs):
-        node = super().__call__(*args, **kwargs)
-        key = (cls, *vars(node).values())
+        if kwargs:
+            args = bind(cls, args, kwargs)
+        key = (cls, *args)
         live = _NODES.get(key)
         if live is not None:
             return live
-        object.__setattr__(node, "_hash", hash(key))
-        kids = tuple(v for v in key[1:] if isinstance(v, SpeciesExpr))
-        object.__setattr__(node, "children", kids)
+        if len(args) != len(cls._fields):
+            bind(cls, args, {})  # raises the TypeError
+        node = cls.__new__(cls)
+        attrs = node.__dict__
+        attrs.update(zip(cls._fields, args))
+        attrs["_hash"] = hash(key)
+        attrs["children"] = tuple([v for v in args if isinstance(v, SpeciesExpr)])
         _NODES[key] = node
         return node
 
 
-class _Node(SpeciesExpr, metaclass=_Interned):
+class _Node(SpeciesExpr, Record, metaclass=_Interned):
+    """A node's fields, repr and immutability are a record's (see
+    ``records``); its equality is identity."""
+
+    __eq__ = object.__eq__
+
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
         # copies and unpickled nodes go through the intern table as well
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return type(self), self._values(self)
 
 
-@dataclass(frozen=True, eq=False)
 class Zero(_Node):
     def count(self, n):
         return 0
@@ -183,21 +195,18 @@ class _Representable(_Node):
         return ("rep", tuple(map(get, s[1])))
 
 
-@dataclass(frozen=True, eq=False)
 class One(_Representable):
     """The Cauchy unit y[0]: one structure on the empty label set."""
 
     k = 0
 
 
-@dataclass(frozen=True, eq=False)
 class X(_Representable):
     """The singleton species y[1]."""
 
     k = 1
 
 
-@dataclass(frozen=True, eq=False)
 class Representable(_Representable):
     """y[k]: the k! bijections {1..k} -> A when |A| = k, nothing else."""
 
@@ -208,7 +217,6 @@ class Representable(_Representable):
             diags.append(Diagnostic("NegativeDegree", path, f"Y({self.k})"))
 
 
-@dataclass(frozen=True, eq=False)
 class Exp(_Node):
     """One structure (the label set itself) at every degree."""
 
@@ -222,7 +230,6 @@ class Exp(_Node):
         return s  # the whole label set is its own image
 
 
-@dataclass(frozen=True, eq=False)
 class ExpPlus(_Node):
     def count(self, n):
         return 1 if n >= 1 else 0
@@ -233,7 +240,6 @@ class ExpPlus(_Node):
     relabel = Exp.relabel
 
 
-@dataclass(frozen=True, eq=False)
 class Lin(_Node):
     """Linear orders; the regular (free transitive) action at each degree."""
 
@@ -247,7 +253,6 @@ class Lin(_Node):
         return ("lin", tuple(map(get, s[1])))
 
 
-@dataclass(frozen=True, eq=False)
 class LinPlus(_Node):
     def count(self, n):
         return math.factorial(n) if n >= 1 else 0
@@ -258,7 +263,6 @@ class LinPlus(_Node):
     relabel = Lin.relabel
 
 
-@dataclass(frozen=True, eq=False)
 class Cyc(_Node):
     """Oriented cycles; empty at degree 0 by convention."""
 
@@ -276,7 +280,6 @@ class Cyc(_Node):
         return ("cyc", xs[i:] + xs[:i])
 
 
-@dataclass(frozen=True, eq=False)
 class Perm(_Node):
     """Permutations of the label set, acted on by conjugation."""
 
@@ -290,7 +293,6 @@ class Perm(_Node):
         return ("perm", tuple(sorted([(get(x), get(y)) for x, y in s[1]])))
 
 
-@dataclass(frozen=True, eq=False)
 class Subsets(_Node):
     def count(self, n):
         return 2 ** n
@@ -385,7 +387,6 @@ class Table(SpeciesExpr):
                     break
 
 
-@dataclass(frozen=True, eq=False)
 class Sum(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
@@ -405,7 +406,6 @@ class Sum(_Node):
         return tuple(f + tuple([x + m for x in g]) for f, g in zip(fa, ga))
 
 
-@dataclass(frozen=True, eq=False)
 class Hadamard(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
@@ -430,7 +430,6 @@ class Hadamard(_Node):
         return tuple(tuple(product_sums([x * m for x in f], g)) for f, g in zip(fa, ga))
 
 
-@dataclass(frozen=True, eq=False)
 class Cauchy(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
@@ -496,7 +495,6 @@ def cauchy_layout(f: SpeciesExpr, g: SpeciesExpr, n: int) -> dict:
     return layout
 
 
-@dataclass(frozen=True, eq=False)
 class Substitute(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
@@ -588,7 +586,6 @@ class Substitute(_Node):
         return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
 class Derive(_Node):
     f: SpeciesExpr
 
@@ -606,7 +603,6 @@ class Derive(_Node):
         return shifted_arrays((yield self.f, n + 1), n + 1)
 
 
-@dataclass(frozen=True, eq=False)
 class Pointing(_Node):
     """A chosen label plus a derivative structure on its complement."""
 
@@ -629,7 +625,6 @@ class Pointing(_Node):
         return induced_arrays(n, shifted_arrays((yield self.f, n), n))
 
 
-@dataclass(frozen=True, eq=False)
 class AdjL(_Node):
     """Left adjoint of the derivative: a chosen label plus a structure
     on its complement."""
@@ -655,7 +650,6 @@ class AdjL(_Node):
         return induced_arrays(n, (yield self.f, n - 1))
 
 
-@dataclass(frozen=True, eq=False)
 class AdjR(_Node):
     """Right adjoint of the derivative: one structure on each label's
     complement."""
@@ -701,7 +695,6 @@ class AdjR(_Node):
         return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
 class DeriveL(_Node):
     """The composite derivative-after-left-adjoint."""
 
@@ -717,7 +710,6 @@ class DeriveL(_Node):
         return (yield Derive(AdjL(self.f)), n)
 
 
-@dataclass(frozen=True, eq=False)
 class _Truncation(_Node):
     """The child up to the cutoff, and ``above`` at every degree above it."""
 
@@ -745,14 +737,12 @@ class _Truncation(_Node):
         return (yield self.f, n)
 
 
-@dataclass(frozen=True, eq=False)
 class TruncLeft(_Truncation):
     """Kill every degree above the cutoff."""
 
     above = ()
 
 
-@dataclass(frozen=True, eq=False)
 class TruncRight(_Truncation):
     """Replace every degree above the cutoff by a singleton."""
 
@@ -1024,8 +1014,7 @@ def _no_points(n: int):
     return ((),) * len(generator_lines(n))
 
 
-@dataclass(frozen=True)
-class DegreeData:
+class DegreeData(Record):
     """An expression's S_n-action at one degree; its points, the
     structures, are listed only when first read."""
 

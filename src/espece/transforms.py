@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from . import groups
@@ -26,6 +25,7 @@ from .groups import (
     permutation_array,
     product_sums,
 )
+from .records import Record
 from .species import (
     AdjR,
     Cauchy,
@@ -58,8 +58,7 @@ DEFAULT_FAMILY: Tuple[SpeciesExpr, ...] = (X(), Exp(), Lin(), Cyc(), Subsets())
 ISO_POINT_CAP = 20000
 
 
-@dataclass
-class NatTrans:
+class NatTrans(Record):
     """A degreewise family of maps, stored as explicit lookup tables."""
 
     source: SpeciesExpr
@@ -188,8 +187,7 @@ def enumerate_nat(f: SpeciesExpr, g: SpeciesExpr, N: int, limit: int):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(Record):
     isomorphic: bool
     witness_degree: int | None = None
     detail: tuple = ()
@@ -240,8 +238,7 @@ SUITE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
+class SuiteEntry(Record):
     name: str
     args: str
     horizon: int
@@ -250,8 +247,7 @@ class SuiteEntry:
     detail: tuple = ()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     entries: Tuple[SuiteEntry, ...]
 
     @property
@@ -386,8 +382,7 @@ def canonical_iso_suite(N: int = 5, names=None, family=None) -> SuiteReport:
 # Monoids under the Cauchy product
 
 
-@dataclass(frozen=True)
-class MonoidReport:
+class MonoidReport(Record):
     ok: bool
     failures: Tuple  # (law, degree) pairs
 
@@ -504,8 +499,7 @@ def exp_mu(N: int) -> NatTrans:
 # Derivative algebras and their tensor
 
 
-@dataclass
-class PartialAlgebra:
+class PartialAlgebra(Record):
     """A species with a chosen map from its derivative to itself."""
 
     carrier: SpeciesExpr

@@ -18,7 +18,9 @@ from espece.cli import (
     parse_operator,
     render,
 )
+from espece.diffeq import adamek_chain
 from espece.errors import ParseError
+from espece.groups import orbits, stabilizer
 from espece.species import (
     AdjL,
     AdjR,
@@ -40,6 +42,7 @@ from espece.species import (
     Sum,
     X,
     Zero,
+    enumerate_degree,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -254,6 +257,38 @@ def test_enumerate_and_orbits_output():
     code, out = run("orbits", "P", "--degree", "3")
     assert code == 0
     assert len(out.splitlines()) == 4
+
+
+def test_orbits_cap_bites_only_with_a_point_to_stabilize(capsys):
+    assert run("orbits", "E", "--degree", "9") == (1, "")
+    assert capsys.readouterr().err == "error: S_9 exceeds the configured cap 8\n"
+    assert run("orbits", "X", "--degree", "9") == (0, "\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_orbits_stabilizer_order_is_the_stabilizer_size():
+    # the printed n!/|orbit| against a walk of S_n for each representative
+    for text in ("P", "C*L", "E o C", "X*E+L", "pt(C)", "E&L", "Y(2)*E"):
+        e = parse_expr(text)
+        for n in range(7):
+            code, out = run("orbits", text, "--degree", str(n), "--json")
+            action = enumerate_degree(e, n).action
+            want = [
+                [len(orb.points), len(stabilizer(action, orb.representative))]
+                for orb in orbits(action)
+            ]
+            got = [[r["size"], r["stabilizer_order"]] for r in json.loads(out)["result"]]
+            assert (code, got) == (0, want), (text, n)
+
+
+def test_solve_text_renders_every_iterate():
+    # the chain shares one CountSeq between iterates once it is stable
+    for op in ("1:0 + X:0", "E + X:0", "1:0 + X:1", "1:1"):
+        D = parse_operator(op)
+        report = adamek_chain(D, 6)
+        lines = [f"iterate {i}: {s.render()}" for i, s in enumerate(report.iterates)]
+        code, out = run("solve", "--op", op, "--upto", "6")
+        assert (code, out.splitlines()[: len(lines)]) == (0, lines), op
 
 
 def test_terminal_and_homday_output():
