@@ -21,13 +21,7 @@ from .errors import (
     NotSupported,
     ShapeMismatch,
 )
-from .groups import (
-    FiniteAction,
-    Permutation,
-    count_equivariant_maps,
-    generators,
-    permutation_array,
-)
+from .groups import FiniteAction, count_equivariant_maps, shifted_arrays
 from .records import Record
 from .species import (
     AdjL,
@@ -180,7 +174,7 @@ def check_morphism(f: NatTrans, m1: MealyAutomaton, m2: MealyAutomaton) -> bool:
     horizon = min(m1.horizon, m2.horizon, f.horizon - m1.dynamics.shift)
     shifted = apply_dynamics(m1.dynamics, m1.state)
     for k in range(horizon + 1):
-        for x in enumerate_degree(shifted, k).structures:
+        for x in enumerate_degree(shifted, k).points:
             fx = m1.dynamics.image(f, x, k)
             if f(k, m1.d(k, x)) != m2.d(k, fx):
                 return False
@@ -244,7 +238,7 @@ def hom_day_counts(f: SpeciesExpr, g: SpeciesExpr, N: int) -> CountSeq:
                 raise BudgetExceeded(
                     f"hom factor at inner degree {m} needs enumeration beyond the cap"
                 )
-            src = enumerate_degree(f, m).action
+            src = enumerate_degree(f, m)
             tgt = _restricted_action(g, k, m)
             return count_equivariant_maps(src, tgt)
 
@@ -257,19 +251,17 @@ def hom_day_counts(f: SpeciesExpr, g: SpeciesExpr, N: int) -> CountSeq:
 def _restricted_action(g: SpeciesExpr, k: int, m: int) -> FiniteAction:
     """g at degree k+m as an S_m-action through the last-m-labels embedding.
 
-    Its generator arrays are the embedded generators, each a word over g's
-    compiled arrays at degree k+m."""
-    data = enumerate_degree(g, k + m)
-
-    def embed(sigma: Permutation) -> Permutation:
-        images = tuple(range(1, k + 1)) + tuple(k + sigma(j) for j in range(1, m + 1))
-        return Permutation(images)
+    Its generator arrays are g's compiled arrays at degree k+m, each shift
+    moving the generators of one degree less onto all labels but the first."""
+    action = enumerate_degree(g, k + m)
 
     def arrays():
-        gens = data.action.generator_images()
-        return tuple(permutation_array(gens, embed(sig).images) for sig in generators(m))
+        gens = action.generator_images()
+        for top in range(k + m, m, -1):
+            gens = shifted_arrays(gens, top)
+        return gens
 
-    return FiniteAction(m, data.action.size, arrays, lambda: data.structures)
+    return FiniteAction(m, action.size, arrays, lambda: action.points)
 
 
 def _cauchy_power(a: SpeciesExpr, n: int) -> SpeciesExpr:

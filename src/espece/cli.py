@@ -403,8 +403,7 @@ def _cmd_egf(args, out):
 
 def _cmd_enumerate(args, out):
     e = parse_expr(args.expr)
-    data = enumerate_degree(e, args.degree, cap=args.limit)
-    encs = data.structures
+    encs = enumerate_degree(e, args.degree, cap=args.limit).points
 
     def text():
         head = f"{len(encs)} structure(s) at degree {args.degree}"
@@ -415,8 +414,7 @@ def _cmd_enumerate(args, out):
 
 def _cmd_orbits(args, out):
     e = parse_expr(args.expr)
-    data = enumerate_degree(e, args.degree, cap=args.limit)
-    parts = orbits(data.action)
+    parts = orbits(enumerate_degree(e, args.degree, cap=args.limit))
     # orbit-stabilizer: |Stab(x)| = n!/|orbit of x|; S_n's cap applies
     # only when there is a point to stabilize
     order = symmetric_order(args.degree) if parts else 0

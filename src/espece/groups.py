@@ -56,11 +56,6 @@ class Permutation(Record):
             return self.images[i - 1]
         return i
 
-    @cached_property
-    def mapping(self) -> dict:
-        """The images as a dict on 1..n, for relabeling."""
-        return dict(enumerate(self.images, start=1))
-
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self*other)(i) = self(other(i))."""
         if other.degree != self.degree:

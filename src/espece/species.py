@@ -8,8 +8,8 @@ degree n the engine enumerates every structure on the label set
 {1,...,n} in a canonical nested-tuple encoding, listed in sorted order.
 The S_n-action on them is one point-index array per generator of S_n:
 each combinator compiles its arrays from its children's arrays by index
-arithmetic, and only the primitive leaves relabel structures, their own,
-to build theirs.
+arithmetic.  L, L+ and y[k] compile through L = 1 + X.L; the other
+primitive leaves relabel structures, their own, to build theirs.
 
 Conventions fixed here:
   * Cyc[0] = 0 and Cyc[1] = 1; the (n-1)! count holds for n >= 1.
@@ -41,7 +41,6 @@ from .groups import (
     all_permutations,
     element_images,
     generator_lines,
-    generators,
     induced_arrays,
     permutation_array,
     product_sums,
@@ -107,16 +106,15 @@ class SpeciesExpr:
     def compile(self, n):
         """Generator like ``build``: yields each (child, degree) read, is
         sent back that child's generator arrays, and returns its own: for
-        each of ``generators(n)``, the indices its sorted structures on
-        1..n go to.  A primitive leaf relabels each of its structures along
-        each generator with ``relabel(s, get)``, where ``get`` sends a
-        label to its image; it re-canonicalizes."""
+        each of ``generator_lines(n)``, the indices its sorted structures
+        on 1..n go to.  A primitive leaf without a compile of its own
+        relabels each of its structures along each line with
+        ``relabel(s, get)``, where ``get`` sends label x to ``line[x-1]``;
+        it re-canonicalizes."""
         points = structures_on(self, tuple(range(1, n + 1)))
         index = {s: i for i, s in enumerate(points)}
-        return tuple(
-            tuple([index[self.relabel(s, g.mapping.__getitem__)] for s in points])
-            for g in generators(n)
-        )
+        gets = [((0,) + line).__getitem__ for line in generator_lines(n)]
+        return tuple(tuple([index[self.relabel(s, get)] for s in points]) for get in gets)
         yield
 
     def check(self, path: str, diags: list) -> None:
@@ -191,8 +189,11 @@ class _Representable(_Node):
             return ()
         return tuple(("rep", p) for p in itertools.permutations(labels))
 
-    def relabel(self, s, get):
-        return ("rep", tuple(map(get, s[1])))
+    def compile(self, n):
+        # y[k] lists L's structures at k under another tag
+        if n != self.k:
+            return _no_points(n)
+        return (yield Lin(), n)
 
 
 class One(_Representable):
@@ -249,8 +250,12 @@ class Lin(_Node):
     def structures(self, labels):
         return tuple(("lin", p) for p in itertools.permutations(labels))
 
-    def relabel(self, s, get):
-        return ("lin", tuple(map(get, s[1])))
+    def compile(self, n):
+        # L = 1 + X.L: Cauchy's blocks follow the lexicographic order of
+        # lists.  The base case covers degree 1, which X compiles from.
+        if n <= 1:
+            return ((0,),)
+        return (yield Cauchy(X(), Lin()), n)
 
 
 class LinPlus(_Node):
@@ -260,7 +265,8 @@ class LinPlus(_Node):
     def structures(self, labels):
         return tuple(("lin", p) for p in itertools.permutations(labels)) if labels else ()
 
-    relabel = Lin.relabel
+    def compile(self, n):
+        return (yield Cauchy(X(), Lin()), n)
 
 
 class Cyc(_Node):
@@ -366,6 +372,7 @@ class Table(SpeciesExpr):
 
     def check(self, path, diags):
         for n, row in enumerate(self.atoms):
+            first = len(diags)
             if len(set(row)) != len(row):
                 diags.append(Diagnostic("DuplicateAtoms", path, f"degree {n}"))
             action = self.action[n] if n < len(self.action) else None
@@ -385,6 +392,20 @@ class Table(SpeciesExpr):
                         Diagnostic("NonBijectiveAction", path, f"degree {n}, permutation {sig}")
                     )
                     break
+            if len(diags) == first:
+                _check_homomorphism(action, row, n, path, diags)
+
+
+def _check_homomorphism(action, row, n, path, diags) -> None:
+    """With the identity fixed, the rows are an action of S_n exactly when
+    g.(sigma.a) = (g sigma).a for each generator g, every sigma and atom a."""
+    for sig in sorted(action):
+        on_sig = action[sig]
+        for g in generator_lines(n):
+            on_g, on_g_sig = action[g], action[tuple([g[v - 1] for v in sig])]
+            if any(on_g_sig[a] != on_g[on_sig[a]] for a in row):
+                diags.append(Diagnostic("NotAnAction", path, f"degree {n}, permutation {sig}"))
+                return
 
 
 class Sum(_Node):
@@ -996,7 +1017,7 @@ _COMPILE_CACHE: dict = {}
 
 
 def generator_arrays(e: SpeciesExpr, n: int) -> Tuple[Tuple[int, ...], ...]:
-    """For each of ``generators(n)``, the indices it sends e's sorted
+    """For each of ``generator_lines(n)``, the indices it sends e's sorted
     structures on 1..n to.
 
     Each node compiles from its children's arrays (Bergeron, Labelle and
@@ -1005,7 +1026,8 @@ def generator_arrays(e: SpeciesExpr, n: int) -> Tuple[Tuple[int, ...], ...]:
     identity or a generator of S_|U|, so ``restricted`` reads its array
     off the child's arrays; builders list structures in blocks whose order
     a relabeling keeps, so each image is index arithmetic.  Only leaves
-    relabel, their own structures.
+    relabel, their own structures, and L, L+ and y[k] compile from
+    Cauchy(X, L) instead.
     """
     return _run(_COMPILE_CACHE, "compile", (e, n))
 
@@ -1014,31 +1036,15 @@ def _no_points(n: int):
     return ((),) * len(generator_lines(n))
 
 
-class DegreeData(Record):
-    """An expression's S_n-action at one degree; its points, the
-    structures, are listed only when first read."""
-
-    expr: SpeciesExpr
-    degree: int
-    action: FiniteAction
-
-    @property
-    def structures(self) -> Tuple:
-        return self.action.points
-
-    @property
-    def index(self):
-        return self.action.index
-
-
 _DEGREE_CACHE: dict = {}
 
 
-def enumerate_degree(e: SpeciesExpr, n: int, cap: int | None = None) -> DegreeData:
+def enumerate_degree(e: SpeciesExpr, n: int, cap: int | None = None) -> FiniteAction:
     """e on {1,...,n}: one cached S_n-action per (e, n), whose size is the
-    count and whose generator arrays compile from the children's arrays.
-    Its structures are enumerated only when a point is read; the compile
-    and the enumeration are each checked against the count."""
+    count, whose generator arrays compile from the children's arrays and
+    whose points are the structures.  They are enumerated only when a
+    point is read; the compile and the enumeration are each checked
+    against the count."""
     require_valid(e)
     total = _card(e, n)
     cap = ENUMERATION_CAP if cap is None else cap
@@ -1064,13 +1070,13 @@ def enumerate_degree(e: SpeciesExpr, n: int, cap: int | None = None) -> DegreeDa
         gens = generator_arrays(e, n)
         return counted("compile", gens, len(gens[0]))
 
-    data = _DEGREE_CACHE[key] = DegreeData(e, n, FiniteAction(n, total, arrays, points))
-    return data
+    action = _DEGREE_CACHE[key] = FiniteAction(n, total, arrays, points)
+    return action
 
 
 def act(e: SpeciesExpr, sigma: Permutation, s):
     """sigma.s for a structure s of e, read off e's compiled action."""
-    action = enumerate_degree(e, sigma.degree).action
+    action = enumerate_degree(e, sigma.degree)
     if s not in action:
         raise StructureNotOfExpr(f"{s!r} is not a structure of {e!r} at degree {sigma.degree}")
     return action.act(sigma, s)
@@ -1086,11 +1092,11 @@ def as_table(e: SpeciesExpr, N: int, name: str | None = None) -> Table:
     require_valid(e)
     atoms_rows, action_rows = [], []
     for n in range(N + 1):
-        data = enumerate_degree(e, n)
-        names = [f"s{i}" for i in range(data.action.size)]
+        action = enumerate_degree(e, n)
+        names = [f"s{i}" for i in range(action.size)]
         row = {
             sigma.images: {names[i]: names[y] for i, y in enumerate(images)}
-            for sigma, images in element_images(data.action)
+            for sigma, images in element_images(action)
         }
         atoms_rows.append(tuple(names))
         action_rows.append(row)

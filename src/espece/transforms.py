@@ -84,7 +84,7 @@ def build_nat(source, target, horizon, fn) -> NatTrans:
     """Tabulate fn(k, structure) over every source structure, k <= horizon."""
     comps = {}
     for k in range(horizon + 1):
-        comps[k] = {s: fn(k, s) for s in enumerate_degree(source, k).structures}
+        comps[k] = {s: fn(k, s) for s in enumerate_degree(source, k).points}
     return NatTrans(source, target, horizon, comps)
 
 
@@ -123,7 +123,7 @@ def _position(structures, enc, labels) -> int:
 def _point_indices(t: NatTrans, k: int) -> list:
     """The degree-k component as point indices: for each source structure,
     in order, the position of its image among the target's structures."""
-    points = enumerate_degree(t.source, k).structures
+    points = enumerate_degree(t.source, k).points
     target = enumerate_degree(t.target, k)
     comp = t.component(k)
     if not points:
@@ -148,8 +148,8 @@ def check_naturality(t: NatTrans) -> bool:
             return False
         if not c:
             continue
-        src = enumerate_degree(t.source, k).action.generator_images()
-        tgt = enumerate_degree(t.target, k).action.generator_images()
+        src = enumerate_degree(t.source, k).generator_images()
+        tgt = enumerate_degree(t.target, k).generator_images()
         for sg, tg in zip(src, tgt):
             if any(c[sg[i]] != tg[ci] for i, ci in enumerate(c)):
                 return False
@@ -161,9 +161,7 @@ def count_nat(f: SpeciesExpr, g: SpeciesExpr, N: int):
     per_degree = []
     cumulative = 1
     for k in range(N + 1):
-        n = count_equivariant_maps(
-            enumerate_degree(f, k).action, enumerate_degree(g, k).action
-        )
+        n = count_equivariant_maps(enumerate_degree(f, k), enumerate_degree(g, k))
         per_degree.append(n)
         cumulative *= n
     return tuple(per_degree), cumulative
@@ -176,9 +174,7 @@ def enumerate_nat(f: SpeciesExpr, g: SpeciesExpr, N: int, limit: int):
         raise TooManyMaps(f"{cumulative} transformations exceed limit {limit}")
     degree_maps = []
     for k in range(N + 1):
-        maps = enumerate_equivariant_maps(
-            enumerate_degree(f, k).action, enumerate_degree(g, k).action, limit
-        )
+        maps = enumerate_equivariant_maps(enumerate_degree(f, k), enumerate_degree(g, k), limit)
         degree_maps.append(maps)
     out = []
     for combo in itertools.product(*degree_maps):
@@ -205,18 +201,16 @@ def iso_check(f: SpeciesExpr, g: SpeciesExpr, N: int) -> IsoResult:
     there still meet the cap on S_k in ``actions_isomorphic``.
     """
     for k in range(N + 1):
-        df = enumerate_degree(f, k)
-        dg = enumerate_degree(g, k)
+        a = enumerate_degree(f, k)
+        b = enumerate_degree(g, k)
         if k > groups.MAX_DEGREE:
-            same = df.structures == dg.structures
+            same = a.points == b.points
         else:
-            same = df.action.generator_images() == dg.action.generator_images()
+            same = a.generator_images() == b.generator_images()
         if same:
             continue
-        if not actions_isomorphic(df.action, dg.action):
-            return IsoResult(
-                False, k, (action_signature(df.action), action_signature(dg.action))
-            )
+        if not actions_isomorphic(a, b):
+            return IsoResult(False, k, (action_signature(a), action_signature(b)))
     return IsoResult(True)
 
 
@@ -542,7 +536,7 @@ def tensor_partial_algebras(a: PartialAlgebra, b: PartialAlgebra, N: int) -> Par
     for k in range(N + 1):
         labels = tuple(range(1, k + 1))
         table = {}
-        for s in enumerate_degree(Derive(carrier), k).structures:
+        for s in enumerate_degree(Derive(carrier), k).points:
             _, (U, sA, sB) = s[1]
             if 0 in U:
                 lbls = tuple(x for x in U if x != 0)

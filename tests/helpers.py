@@ -100,9 +100,14 @@ GOLDEN_EXPRS = (
 )
 
 
+def label_map(sigma) -> dict:
+    """sigma's images as a dict on 1..n, the mapping ``transport`` reads."""
+    return dict(enumerate(sigma.images, start=1))
+
+
 def species_act(sigma, s, tables=None):
     """sigma.s for a species structure s on 1..n, by ``transport``."""
-    return transport(s, sigma.mapping, tuple(range(1, sigma.degree + 1)), tables)
+    return transport(s, label_map(sigma), tuple(range(1, sigma.degree + 1)), tables)
 
 
 def tables_of(*exprs) -> dict:
@@ -230,11 +235,23 @@ def transport_generator_images(e: SpeciesExpr, n: int):
     """e's generator arrays at degree n by relabeling every structure along
     each of ``generators(n)``: the compile that ``generator_arrays``
     replaced."""
-    data, tables = enumerate_degree(e, n), tables_of(e)
+    action, tables = enumerate_degree(e, n), tables_of(e)
     labels = tuple(range(1, n + 1))
     return tuple(
-        tuple([data.index[transport(s, g.mapping, labels, tables)] for s in data.structures])
-        for g in generators(n)
+        tuple([action.index[transport(s, mapping, labels, tables)] for s in action.points])
+        for mapping in map(label_map, generators(n))
+    )
+
+
+def embedded_generator_arrays(g: SpeciesExpr, k: int, m: int):
+    """The arrays of ``generators(m)`` acting on g at degree k + m through
+    the embedding that fixes labels 1..k: each embedded generator as a
+    word over g's compiled arrays, the route ``automata._restricted_action``
+    replaced."""
+    gens = enumerate_degree(g, k + m).generator_images()
+    return tuple(
+        permutation_array(gens, tuple(range(1, k + 1)) + tuple(k + y for y in sigma.images))
+        for sigma in generators(m)
     )
 
 
@@ -359,15 +376,15 @@ def structure_check_monoid(f, mu, eta, N):
         failures.append(("naturality", -1))
     for k in range(N + 1):
         labels = tuple(range(1, k + 1))
-        for s in enumerate_degree(f, k).structures:
+        for s in enumerate_degree(f, k).points:
             if mu(k, ("pair", ((), eta, s))) != s:
                 failures.append(("left-unit", k))
                 break
-        for s in enumerate_degree(f, k).structures:
+        for s in enumerate_degree(f, k).points:
             if mu(k, ("pair", (labels, s, eta))) != s:
                 failures.append(("right-unit", k))
                 break
-        for t in enumerate_degree(Cauchy(ff, f), k).structures:
+        for t in enumerate_degree(Cauchy(ff, f), k).points:
             _, (W, inner_pair, s3) = t
             left = mu(k, ("pair", (W, apply_on_labels(mu, inner_pair, W), s3)))
             _, (U, s1, s2) = inner_pair
@@ -377,8 +394,8 @@ def structure_check_monoid(f, mu, eta, N):
             if left != mu(k, ("pair", (U, s1, right_inner))):
                 failures.append(("associativity", k))
                 break
-        ffdata = enumerate_degree(ff, k)
-        fdata = enumerate_degree(f, k)
+        ff_action = enumerate_degree(ff, k)
+        f_action = enumerate_degree(f, k)
         for p in range(k + 1):
             q = k - p
             U = tuple(range(1, p + 1))
@@ -388,13 +405,13 @@ def structure_check_monoid(f, mu, eta, N):
                 for gq in generators(q)
             ]
             split = {
-                i: fdata.index.get(mu(k, s))
-                for i, s in enumerate(ffdata.structures)
+                i: f_action.index.get(mu(k, s))
+                for i, s in enumerate(ff_action.points)
                 if s[1][0] == U
             }
             for images in shuffles:
-                moved = permutation_array(ffdata.action.generator_images(), images)
-                moved_f = permutation_array(fdata.action.generator_images(), images)
+                moved = permutation_array(ff_action.generator_images(), images)
+                moved_f = permutation_array(f_action.generator_images(), images)
                 if any(
                     y is None or split[moved[i]] != moved_f[y] for i, y in split.items()
                 ):

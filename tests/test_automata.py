@@ -35,6 +35,7 @@ from espece import (
 )
 from espece.errors import DivergentProduct, InvalidExpr, NotSupported, ShapeMismatch
 from espece.transforms import NatTrans, build_nat
+from helpers import GOLDEN_EXPRS, embedded_generator_arrays
 
 
 def unique_to_exp(source, N):
@@ -304,6 +305,17 @@ def test_hom_day_nonfree_source():
     got = hom_day_counts(Representable(2), Subsets(), 2)
     # maps from the free two-point orbit to subsets of a (k+2)-set
     assert got.coeffs == (4, 8, 16)
+
+
+def test_restricted_action_matches_embedded_words():
+    from espece.automata import _restricted_action
+
+    for g in GOLDEN_EXPRS:
+        for k in range(7):
+            for m in range(7 - k):
+                got = _restricted_action(g, k, m)
+                assert got.degree == m and got.size == cardinality(g, k + m)
+                assert got.generator_images() == embedded_generator_arrays(g, k, m), (g, k, m)
 
 
 def test_restricted_action_respects_embedding():

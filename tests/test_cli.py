@@ -272,7 +272,7 @@ def test_orbits_stabilizer_order_is_the_stabilizer_size():
         e = parse_expr(text)
         for n in range(7):
             code, out = run("orbits", text, "--degree", str(n), "--json")
-            action = enumerate_degree(e, n).action
+            action = enumerate_degree(e, n)
             want = [
                 [len(orb.points), len(stabilizer(action, orb.representative))]
                 for orb in orbits(action)

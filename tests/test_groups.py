@@ -48,7 +48,7 @@ from helpers import (
 
 
 def action_of(expr, n):
-    return enumerate_degree(expr, n).action
+    return enumerate_degree(expr, n)
 
 
 def listed_action(n, points, act):

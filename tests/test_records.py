@@ -130,7 +130,6 @@ RECORD_REPRS = [
     ),
     (MonoidReport(True, ()), "MonoidReport(ok=True, failures=())"),
     (PartialAlgebra(X, NAT), f"PartialAlgebra(carrier=X(), xi={NAT_TEXT})"),
-    (S.DegreeData(X, 1, "action"), "DegreeData(expr=X(), degree=1, action='action')"),
 ]
 
 

@@ -42,7 +42,7 @@ from espece.errors import (
     StructureNotOfExpr,
 )
 from espece import species
-from espece.groups import Permutation, all_permutations, element_images, generators
+from espece.groups import FiniteAction, Permutation, all_permutations, element_images, generators
 from espece.species import (
     Table,
     cauchy_layout,
@@ -53,6 +53,7 @@ from espece.species import (
 from espece.transforms import DEFAULT_FAMILY, ISO_POINT_CAP
 from helpers import (
     GOLDEN_EXPRS,
+    label_map,
     ladder_degree_budget,
     recursive_structures_on,
     tables_of,
@@ -94,27 +95,27 @@ GOLDEN = (
 
 
 def test_cycle_enumeration_count():
-    assert len(enumerate_degree(Cyc(), 4).structures) == 6
+    assert len(enumerate_degree(Cyc(), 4).points) == 6
 
 
 def test_zero_has_no_structures():
     for n in range(5):
-        assert enumerate_degree(Zero(), n).structures == ()
+        assert enumerate_degree(Zero(), n).points == ()
 
 
 def test_product_of_singletons_swapped():
-    data = enumerate_degree(Cauchy(X(), X()), 2)
-    assert len(data.structures) == 2
+    action = enumerate_degree(Cauchy(X(), X()), 2)
+    assert len(action.points) == 2
     swap = Permutation((2, 1))
-    s, t = data.structures
-    assert data.action.act(swap, s) == t
-    assert data.action.act(swap, t) == s
+    s, t = action.points
+    assert action.act(swap, s) == t
+    assert action.act(swap, t) == s
 
 
 def test_enumeration_matches_counting_on_golden():
     for e in GOLDEN:
         for n in range(6):
-            assert len(enumerate_degree(e, n).structures) == cardinality(e, n), (e, n)
+            assert len(enumerate_degree(e, n).points) == cardinality(e, n), (e, n)
 
 
 def _suite_families():
@@ -162,9 +163,9 @@ def test_deep_truncation_chain():
     for i in range(3000):
         chain = TruncLeft(chain, 3) if i % 2 else TruncRight(chain, 3)
     # the outermost of the 3000 is a TruncLeft
-    assert enumerate_degree(chain, 3).structures == enumerate_degree(Lin(), 3).structures
-    assert enumerate_degree(chain, 4).structures == ()
-    assert enumerate_degree(TruncRight(chain, 3), 4).structures == (("top",),)
+    assert enumerate_degree(chain, 3).points == enumerate_degree(Lin(), 3).points
+    assert enumerate_degree(chain, 4).points == ()
+    assert enumerate_degree(TruncRight(chain, 3), 4).points == (("top",),)
     assert degree_budget(chain, 6) == 3
     assert degree_budget(Derive(chain), 2) == 3
 
@@ -188,16 +189,16 @@ def test_truncations():
     rt = TruncRight(Lin(), 2)
     assert [cardinality(lt, n) for n in range(5)] == [1, 1, 2, 0, 0]
     assert [cardinality(rt, n) for n in range(5)] == [1, 1, 2, 1, 1]
-    assert enumerate_degree(rt, 4).structures == (("top",),)
+    assert enumerate_degree(rt, 4).points == (("top",),)
 
 
 # --- the action ------------------------------------------------------------
 
 
 def test_act_identity():
-    data = enumerate_degree(Cyc(), 3)
+    action = enumerate_degree(Cyc(), 3)
     e = Permutation.identity(3)
-    for s in data.structures:
+    for s in action.points:
         assert act(Cyc(), e, s) == s
 
 
@@ -222,42 +223,42 @@ def test_act_on_a_deep_structure():
     e = Exp()
     for _ in range(1100):
         e = Derive(e)
-    (s,) = enumerate_degree(e, 2).structures
+    (s,) = enumerate_degree(e, 2).points
     assert act(e, Permutation((2, 1)), s) is s
 
 
 def test_action_laws_on_golden():
     for e in GOLDEN:
         for n in range(4):
-            data = enumerate_degree(e, n)
+            action = enumerate_degree(e, n)
             ident = Permutation.identity(n)
             gens = generators(n)
-            for s in data.structures:
-                assert data.action.act(ident, s) == s
+            for s in action.points:
+                assert action.act(ident, s) == s
                 for g1 in gens:
                     for g2 in gens:
-                        lhs = data.action.act(g1, data.action.act(g2, s))
-                        assert lhs == data.action.act(g1 * g2, s)
-                        assert data.action.act(g1, s) in data.index
+                        lhs = action.act(g1, action.act(g2, s))
+                        assert lhs == action.act(g1 * g2, s)
+                        assert action.act(g1, s) in action.index
 
 
 def test_canonicalization_idempotent():
     for e in (Cyc(), Perm(), Substitute(Exp(), Cyc()), Derive(Subsets())):
         for n in range(4):
-            data = enumerate_degree(e, n)
+            action = enumerate_degree(e, n)
             labels = tuple(range(1, n + 1))
             ident = {x: x for x in labels}
             for g in generators(n):
-                for s in data.structures:
-                    moved = data.action.act(g, s)
+                for s in action.points:
+                    moved = action.act(g, s)
                     assert threading_transport(moved, ident, labels) == moved
 
 
 def test_derivative_star_is_fixed():
-    data = enumerate_degree(Derive(Subsets()), 2)
-    assert ("deriv", ("subset", (0,))) in data.index
+    action = enumerate_degree(Derive(Subsets()), 2)
+    assert ("deriv", ("subset", (0,))) in action.index
     for g in generators(2):
-        moved = data.action.act(g, ("deriv", ("subset", (0, 1))))
+        moved = action.act(g, ("deriv", ("subset", (0, 1))))
         assert 0 in moved[1][1]
 
 
@@ -284,10 +285,11 @@ def test_relabel_matches_label_threading_oracle():
                 assert n == 4, e
                 continue
             labels, tables = tuple(range(1, n + 1)), tables_of(e)
-            data = enumerate_degree(e, n)
-            structures = data.structures
-            for sigma, images in element_images(data.action):
-                wants = [threading_transport(s, sigma.mapping, labels, tables) for s in structures]
+            action = enumerate_degree(e, n)
+            structures = action.points
+            for sigma, images in element_images(action):
+                mapping = label_map(sigma)
+                wants = [threading_transport(s, mapping, labels, tables) for s in structures]
                 assert [structures[y] for y in images] == wants, (e, sigma)
                 # act spells sigma from the same arrays: the least and the greatest point
                 for i in {0, len(structures) - 1} if structures else ():
@@ -295,9 +297,9 @@ def test_relabel_matches_label_threading_oracle():
 
 
 def test_nested_derivative_star_naming():
-    data = enumerate_degree(Derive(Derive(Subsets())), 1)
+    action = enumerate_degree(Derive(Derive(Subsets())), 1)
     # the double-derivative subsets live inside {1} plus two reserved labels
-    assert ("deriv", ("deriv", ("subset", (-1, 0, 1)))) in data.index
+    assert ("deriv", ("deriv", ("subset", (-1, 0, 1)))) in action.index
 
 
 # --- combinator semantics --------------------------------------------------
@@ -305,7 +307,7 @@ def test_nested_derivative_star_naming():
 
 def test_napier_fixed_point():
     for n in range(7):
-        assert len(enumerate_degree(Derive(Exp()), n).structures) == 1
+        assert len(enumerate_degree(Derive(Exp()), n).points) == 1
 
 
 def test_pointing_counts():
@@ -333,19 +335,19 @@ def test_derive_after_adjr_count_decomposition():
 
 
 def test_substitution_structures():
-    data = enumerate_degree(Substitute(Exp(), Cyc()), 3)
-    assert len(data.structures) == 6
-    blocks_seen = {s[1][0] for s in data.structures}
+    action = enumerate_degree(Substitute(Exp(), Cyc()), 3)
+    assert len(action.points) == 6
+    blocks_seen = {s[1][0] for s in action.points}
     assert ((1,), (2,), (3,)) in blocks_seen
     assert ((1, 2, 3),) in blocks_seen
 
 
 def test_representable_free_orbit():
-    data = enumerate_degree(Representable(3), 3)
-    assert len(data.structures) == 6
+    action = enumerate_degree(Representable(3), 3)
+    assert len(action.points) == 6
     from espece.groups import orbits
 
-    out = orbits(data.action)
+    out = orbits(action)
     assert len(out) == 1 and len(out[0].points) == 6
 
 
@@ -372,6 +374,26 @@ def test_validate_malformed_table():
     )
     diags = validate(bad)
     assert any(d.code == "NonBijectiveAction" for d in diags)
+
+
+def test_validate_table_that_is_no_action():
+    # (1 2) swaps a and b and every other permutation fixes them: each row
+    # is a bijection and the identity fixes both, but (1 3) = (1 2)(1 3 2)
+    # would have to swap them too
+    swap = {"a": "b", "b": "a"}
+    fix = {"a": "a", "b": "b"}
+    rows = {p.images: (swap if p.images == (2, 1, 3) else fix) for p in all_permutations(3)}
+    lower = [{(): {}}, {(1,): {}}, {(1, 2): {}, (2, 1): {}}]
+    bad = Table("not-an-action", [(), (), (), ("a", "b")], lower + [rows])
+    diags = validate(bad)
+    assert [(d.code, d.message) for d in diags] == [
+        ("NotAnAction", "degree 3, permutation (1, 3, 2)")
+    ]
+
+
+def test_tables_of_expressions_are_actions():
+    for e in GOLDEN_EXPRS:
+        assert validate(as_table(e, 4)) == (), e
 
 
 def test_table_roundtrip_isomorphic():
@@ -409,47 +431,47 @@ def test_fresh_star_progression():
 
 
 def test_hadamard_diagonal_action():
-    data = enumerate_degree(Hadamard(Lin(), Lin()), 2)
-    assert len(data.structures) == 4
+    action = enumerate_degree(Hadamard(Lin(), Lin()), 2)
+    assert len(action.points) == 4
     swap = Permutation((2, 1))
     s = ("both", (("lin", (1, 2)), ("lin", (2, 1))))
-    assert data.action.act(swap, s) == ("both", (("lin", (2, 1)), ("lin", (1, 2))))
+    assert action.act(swap, s) == ("both", (("lin", (2, 1)), ("lin", (1, 2))))
 
 
 def test_perm_conjugation_action():
-    data = enumerate_degree(Perm(), 2)
+    action = enumerate_degree(Perm(), 2)
     swap = Permutation((2, 1))
     # both elements of the degree-2 symmetric group are central
-    for s in data.structures:
-        assert data.action.act(swap, s) == s
+    for s in action.points:
+        assert action.act(swap, s) == s
 
 
 def test_as_table_rows_match_relabels():
     for e in (Cyc(), Derive(Subsets()), Cauchy(Lin(), Exp()), Substitute(Exp(), Cyc())):
         tbl = as_table(e, 4)
         for n in range(5):
-            structures = enumerate_degree(e, n).structures
+            structures = enumerate_degree(e, n).points
             name = dict(zip(structures, tbl.atoms[n]))
             assert set(tbl.action[n]) == {sigma.images for sigma in all_permutations(n)}
             labels = tuple(range(1, n + 1))
             for sigma in all_permutations(n):
-                moved = (threading_transport(s, sigma.mapping, labels) for s in structures)
+                moved = (threading_transport(s, label_map(sigma), labels) for s in structures)
                 want = {name[s]: name[t] for s, t in zip(structures, moved)}
                 assert tbl.action[n][sigma.images] == want, (e, sigma)
 
 
 def test_act_structure_matches_table_action():
     tbl = as_table(Subsets(), 3)
-    data = enumerate_degree(tbl, 3)
+    action = enumerate_degree(tbl, 3)
     ref = enumerate_degree(Subsets(), 3)
     swap = Permutation((2, 1, 3))
-    moved_tbl = sorted(data.action.act(swap, s) for s in data.structures)
-    assert moved_tbl == sorted(data.structures)
+    moved_tbl = sorted(action.act(swap, s) for s in action.points)
+    assert moved_tbl == sorted(action.points)
     # table transport respects the original species' orbit sizes
     from espece.groups import orbits
 
-    assert sorted(len(o.points) for o in orbits(data.action)) == sorted(
-        len(o.points) for o in orbits(ref.action)
+    assert sorted(len(o.points) for o in orbits(action)) == sorted(
+        len(o.points) for o in orbits(ref)
     )
 
 
@@ -483,7 +505,7 @@ def test_clear_caches_empties_every_counting_cache():
         species._DEGREE_CACHE,
         species._COMPILE_CACHE,
     )
-    enumerate_degree(Substitute(Exp(), Cyc()), 3).action.generator_images()
+    enumerate_degree(Substitute(Exp(), Cyc()), 3).generator_images()
     assert all(caches)
     species.clear_caches()
     assert not any(caches)
@@ -524,6 +546,39 @@ def test_compiled_arrays_match_relabeling():
                 assert generator_arrays(e, n) == transport_generator_images(e, n), (e, n)
 
 
+def test_equation_leaves_match_relabeling_to_degree_7():
+    """L, L+ and y[k] compile through L = 1 + X.L; their arrays equal
+    relabeling every structure along each generator one degree past the
+    compile oracle."""
+    for n in range(8):
+        for e in (Lin(), LinPlus()):
+            assert generator_arrays(e, n) == transport_generator_images(e, n), (e, n)
+    for k in range(8):
+        assert generator_arrays(Representable(k), k) == transport_generator_images(
+            Representable(k), k
+        ), k
+
+
+def test_equation_leaves_compile_without_relabeling(monkeypatch):
+    relabels = []
+
+    def counted(real):
+        def relabel(self, s, get):
+            relabels.append(s)
+            return real(self, s, get)
+
+        return relabel
+
+    for leaf in vars(species).values():
+        if isinstance(leaf, type) and "relabel" in vars(leaf):
+            monkeypatch.setattr(leaf, "relabel", counted(vars(leaf)["relabel"]))
+    for e, n in ((Lin(), 7), (LinPlus(), 7), (Representable(5), 5)):
+        species.clear_caches()
+        assert len(generator_arrays(e, n)[0]) == cardinality(e, n)
+    assert relabels == []
+    species.clear_caches()
+
+
 @pytest.mark.parametrize(
     "f, g",
     [
@@ -553,21 +608,20 @@ def test_cauchy_layout_addresses_every_pair(f, g):
 
 
 def test_action_points_are_the_enumeration():
-    """enumerate_degree's action has the count as its size and the
-    compiled arrays, and lists no structure until a point is read; its
-    points are then the enumeration.  Same expressions and degrees as the
-    compile oracle."""
+    """enumerate_degree returns one cached FiniteAction per (e, n), with
+    the count as its size and the compiled arrays, which lists no
+    structure until a point is read; its points are then the enumeration.
+    Same expressions and degrees as the compile oracle."""
     exprs = _compile_oracle_exprs()
     species.clear_caches()
     for e, top in exprs:
         for n in range(top + 1):
             if cardinality(e, n) > ISO_POINT_CAP:
                 continue
-            data = enumerate_degree(e, n)
-            a = data.action
+            a = enumerate_degree(e, n)
+            assert isinstance(a, FiniteAction)
             assert a.size == cardinality(e, n)
             assert a.generator_images() == generator_arrays(e, n)
             assert "points" not in vars(a), (e, n)
-            assert data.structures is a.points
             assert a.points == structures_on(e, tuple(range(1, n + 1))), (e, n)
-            assert enumerate_degree(e, n) is data
+            assert enumerate_degree(e, n) is a

@@ -92,8 +92,8 @@ def test_count_nat_matches_brute_force():
     )
     for f, g in pairs:
         for k in range(4):
-            src = enumerate_degree(f, k).action
-            tgt = enumerate_degree(g, k).action
+            src = enumerate_degree(f, k)
+            tgt = enumerate_degree(g, k)
             if len(src.points) > 8 or len(tgt.points) > 8:
                 continue
             assert count_nat(f, g, k)[0][k] == brute_equivariant_count(src, tgt)
@@ -381,14 +381,14 @@ def test_tensor_nontrivial_algebras():
         assert prod.carrier == Cauchy(a.carrier, b.carrier)
         for k in range(4):
             comp = prod.xi.components[k]
-            assert len(comp) == len(enumerate_degree(Derive(prod.carrier), k).structures)
+            assert len(comp) == len(enumerate_degree(Derive(prod.carrier), k).points)
 
 
 def test_tensor_rejects_bad_algebra():
     from espece.transforms import PartialAlgebra
 
     comps = {
-        k: {s: ("lin", tuple(range(1, k + 1))) for s in enumerate_degree(Derive(Lin()), k).structures}
+        k: {s: ("lin", tuple(range(1, k + 1))) for s in enumerate_degree(Derive(Lin()), k).points}
         for k in range(3)
     }
     bad = PartialAlgebra(Lin(), NatTrans(Derive(Lin()), Lin(), 2, comps))
@@ -465,10 +465,10 @@ def test_apply_on_labels_under_a_derivative_context():
     for t in _nats_with_derivative_contexts(4):
         for k in range(4):
             labels = tuple(range(1, k + 1))
-            for s in enumerate_degree(Derive(t.source), k).structures:
+            for s in enumerate_degree(Derive(t.source), k).points:
                 got = apply_on_labels(t, s[1], labels + (0,))
                 assert got == threading_apply_on_labels(t, s[1], labels + (0,)), (t.source, s)
-            for s in enumerate_degree(Pointing(t.source), k).structures:
+            for s in enumerate_degree(Pointing(t.source), k).points:
                 a, inner = s[1]
                 rest = tuple(x for x in labels if x != a) + (0,)
                 assert apply_on_labels(t, inner, rest) == threading_apply_on_labels(t, inner, rest)
