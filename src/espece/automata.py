@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from . import caches
 from .counting import CountSeq
 from .errors import (
     BudgetExceeded,
@@ -213,6 +214,7 @@ def _certified_product(factor_at, start: int, what) -> int:
     return total
 
 
+@caches.memo
 def hom_day_counts(f: SpeciesExpr, g: SpeciesExpr, N: int) -> CountSeq:
     """Counts of the convolution internal hom from f to g, degrees 0..N.
 
@@ -278,6 +280,7 @@ def _saturated_power(b: int, j: int) -> int:
     return min(b ** j, PRODUCT_BOUND + 1)
 
 
+@caches.memo
 def terminal_counts(dyn, B: SpeciesExpr, N: int, moore: bool = False) -> CountSeq:
     """Counting shadow of the terminal machine's carrier for a dynamics.
 

@@ -25,7 +25,7 @@ import json
 import sys
 import types
 
-from . import automata, counting, diffeq, transforms
+from . import automata, caches, counting, diffeq, transforms
 from .errors import EngineError, ParseError
 from .groups import orbits, symmetric_order
 from .records import Record
@@ -222,6 +222,7 @@ class _Parser:
         )
 
 
+@caches.memo
 def parse_expr(text: str) -> SpeciesExpr:
     if not text.strip():
         raise ParseError("empty expression", 0)
@@ -281,6 +282,7 @@ def render(e: SpeciesExpr) -> str:
     return "".join(out)
 
 
+@caches.memo
 def parse_operator(text: str) -> diffeq.DiffOperator:
     """Parse an operator specification "COEFF:ORDER + ... [+ CONST]"."""
     if not text.strip():
@@ -561,6 +563,8 @@ def _parse_dynamics(args):
         if not args.by:
             raise ParseError("tensor dynamics needs --by EXPR", 0)
         return automata.TensorBy(parse_expr(args.by))
+    if args.by is not None:
+        raise ParseError("--by applies only to tensor dynamics", 0)
     return _DYNAMICS[args.dyn]()
 
 
@@ -639,6 +643,8 @@ def _parse_counts(text: str):
 
 
 def _cmd_fixcheck(args, out):
+    if args.expr is not None and args.seq is not None:
+        raise ParseError("fixcheck takes --expr or --seq, not both", 0)
     D = parse_operator(args.op)
     if args.expr:
         e = parse_expr(args.expr)
@@ -816,8 +822,10 @@ def main(argv=None, out=None) -> int:
 
     Exact integers print in full however long they are: the interpreter's
     limit on int/str conversion (Python 3.11, and 3.10 from 3.10.7) is
-    lifted for the call and put back after it.
+    lifted for the call and put back after it.  The memo tables are
+    emptied first if they hold more than ``caches.CAP`` slots.
     """
+    caches.check_cap()  # no computation is in flight between commands
     limit = getattr(sys, "get_int_max_str_digits", None)
     if limit is None:
         return _main(argv, out)

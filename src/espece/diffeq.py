@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from . import caches
 from .counting import (
     ConvergenceReport,
     CountSeq,
@@ -116,6 +117,7 @@ def default_max_iter(N: int) -> int:
     return 2 * (N + 2)
 
 
+@caches.memo
 def adamek_chain(D: DiffOperator, N: int, max_iter: int | None = None) -> ChainReport:
     """Iterate the operator from the all-ones sequence and judge stability.
 

@@ -15,6 +15,7 @@ import math
 from functools import cached_property
 from typing import Callable, Tuple
 
+from . import caches
 from .errors import (
     DegreeMismatch,
     DegreeTooLarge,
@@ -28,10 +29,11 @@ MAX_DEGREE = 8
 
 # degree -> S_n as a generator walk (see _symmetric_table); at most
 # MAX_DEGREE + 1 entries, since each is built from all_permutations.
-_SYMMETRIC_TABLES: dict = {}
+_SYMMETRIC_TABLES = caches.register("S_n tables", {}, caches.nested)
 # degree -> the cycle type of each element of that table, in table order;
-# filled on first use, so each cycle type is computed once per process.
-_CYCLE_TYPES: dict = {}
+# filled on first use, so each cycle type is computed once until the memo
+# tables are cleared.
+_CYCLE_TYPES = caches.register("cycle types", {}, len)
 
 
 class Permutation(Record):
@@ -257,6 +259,7 @@ def _symmetric_table(n: int):
                 steps.append((parent, j))
     table = (tuple(by_images[s] for s in order), tuple(steps), position)
     _SYMMETRIC_TABLES[n] = table
+    caches.held += caches.nested(table)
     return table
 
 
@@ -265,6 +268,7 @@ def _cycle_types(n: int):
     types = _CYCLE_TYPES.get(n)
     if types is None:
         types = _CYCLE_TYPES[n] = tuple(p.cycle_type() for p in _symmetric_table(n)[0])
+        caches.held += len(types)
     return types
 
 
@@ -380,23 +384,26 @@ class Orbit(Record):
 def orbits(a: FiniteAction) -> Tuple[Orbit, ...]:
     """Partition of the points into orbits, least point first in each."""
     out = []
-    for orbit in _orbit_trees(a)[0]:
+    for orbit in _orbit_trees(a):
         pts = tuple(a.points[j] for j in sorted(orbit))
         out.append(Orbit(pts[0], pts))
     return tuple(out)
 
 
-def _orbit_trees(a: FiniteAction):
+def _orbit_trees(a: FiniteAction, steps: bool = False):
     """One breadth-first walk per orbit, from its least point.
 
-    Returns ``(orbits, parent, via)``: each orbit lists its point indices
-    in walk order, its least point (the root) first, and each other point
-    z of it is ``generators(n)[via[z]]`` applied to ``parent[z]``, a point
-    listed before z.  A map fixed at the root extends along these steps.
+    Returns the orbits: each lists its point indices in walk order, its
+    least point (the root) first.  With ``steps``, returns ``(orbits,
+    parent, via)``: each other point z of an orbit is
+    ``generators(n)[via[z]]`` applied to ``parent[z]``, a point listed
+    before z.  A map fixed at the root extends along these steps; only
+    ``enumerate_equivariant_maps`` reads them, so no other walk keeps
+    ``via``.
     """
     gens = tuple(enumerate(a.generator_images()))
     parent = [-1] * a.size
-    via = [0] * a.size
+    via = [0] * a.size if steps else None
     orbits = []
     for i in range(a.size):  # sorted, so each new orbit's root is its least point
         if parent[i] >= 0:
@@ -407,10 +414,12 @@ def _orbit_trees(a: FiniteAction):
             for j, g in gens:
                 z = g[y]
                 if parent[z] < 0:
-                    parent[z], via[z] = y, j
+                    parent[z] = y
                     orbit.append(z)
+                    if steps:
+                        via[z] = j
         orbits.append(orbit)
-    return orbits, parent, via
+    return (orbits, parent, via) if steps else orbits
 
 
 def stabilizer(a: FiniteAction, x) -> SubgroupElements:
@@ -493,7 +502,7 @@ def count_equivariant_maps(src: FiniteAction, tgt: FiniteAction) -> int:
     point fixed by its stabilizer; the count is the product of the fixed
     point set sizes.
     """
-    return math.prod(map(len, _root_images(src, tgt, _orbit_trees(src)[0])))
+    return math.prod(map(len, _root_images(src, tgt, _orbit_trees(src))))
 
 
 def enumerate_equivariant_maps(src: FiniteAction, tgt: FiniteAction, limit: int):
@@ -501,7 +510,7 @@ def enumerate_equivariant_maps(src: FiniteAction, tgt: FiniteAction, limit: int)
 
     Raises TooManyMaps when the exact count exceeds ``limit``.
     """
-    orbits, parent, via = _orbit_trees(src)
+    orbits, parent, via = _orbit_trees(src, steps=True)
     choices = _root_images(src, tgt, orbits)
     count = math.prod(map(len, choices))
     if count > limit:
@@ -550,7 +559,7 @@ def _orbit_stabilizers(a: FiniteAction):
     """The stabilizers of the orbits' least points, grouped by orbit key:
     (orbit size, stabilizer order, stabilizer cycle types)."""
     out = {}
-    for orbit in _orbit_trees(a)[0]:
+    for orbit in _orbit_trees(a):
         stab = SubgroupElements(a.degree, positions=_stabilizer_at(a, orbit[0]))
         out.setdefault((len(orbit), len(stab), stab.cycle_type_multiset), []).append(stab)
     return out

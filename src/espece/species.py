@@ -28,6 +28,7 @@ import math
 import weakref
 from typing import Tuple
 
+from . import caches
 from .errors import (
     BudgetExceeded,
     Diagnostic,
@@ -774,7 +775,7 @@ class TruncRight(_Truncation):
 # Validation
 
 
-_VALIDATED: set = set()
+_VALIDATED = caches.register("validated", set())
 
 
 def validate(e: SpeciesExpr) -> Tuple[Diagnostic, ...]:
@@ -785,6 +786,7 @@ def validate(e: SpeciesExpr) -> Tuple[Diagnostic, ...]:
     remembered for later calls.
     """
     diags: list = []
+    size = len(_VALIDATED)
     stack = [(e, "root", None)]
     while stack:
         node, path, mark = stack.pop()
@@ -805,6 +807,7 @@ def validate(e: SpeciesExpr) -> Tuple[Diagnostic, ...]:
         kids = node.children
         for i in reversed(range(len(kids))):
             stack.append((kids[i], f"{path}.{i}", None))
+    caches.held += len(_VALIDATED) - size
     return tuple(diags)
 
 
@@ -819,9 +822,9 @@ def require_valid(e: SpeciesExpr) -> None:
 
 
 # node -> [|e[0]|, ..., |e[h]|]; a sequence is only ever extended
-_COUNT_CACHE: dict = {}
+_COUNT_CACHE = caches.register("counts", {}, len)
 # inner species g -> rows of its partial Bell triangle, B(m, k) at [k][m]
-_BELL_CACHE: dict = {}
+_BELL_CACHE = caches.register("Bell rows", {}, caches.nested)
 
 
 def binomial_convolution(a, b, start: int, stop: int) -> list:
@@ -874,7 +877,10 @@ def _substitute_counts(g, fs, gs, start: int, stop: int) -> list:
     1..n-k+1, so g is consulted exactly where the sum over integer
     partitions consulted it.
     """
-    rows = _BELL_CACHE.setdefault(g, [[1]])
+    rows = _BELL_CACHE.setdefault(g, [])
+    size = caches.nested(rows)
+    if not rows:
+        rows.append([1])  # B(0, 0)
     ks = [k for k in range(1, stop) if fs[k]]
     support = [i for i in range(1, len(gs)) if gs[i]]
     out = []
@@ -886,6 +892,7 @@ def _substitute_counts(g, fs, gs, start: int, stop: int) -> list:
         for j in range(1, used[-1] + 1):
             _fill_bell_row(rows, j, n - max(j, used[0]) + j, gs, support)
         out.append(sum(fs[k] * rows[k][n] for k in used))
+    caches.held += caches.nested(rows) - size
     return out
 
 
@@ -914,7 +921,9 @@ def _counts(e, N: int) -> list:
             continue
         stack.pop()
         kids = [_COUNT_CACHE.get(c, ()) for c in node.children]
-        seq.extend(node.counts(len(seq), n + 1, *kids))
+        new = node.counts(len(seq), n + 1, *kids)
+        caches.held += len(new)
+        seq.extend(new)
     return _COUNT_CACHE[e]
 
 
@@ -967,7 +976,8 @@ def fresh_star(labels) -> int:
 # Enumeration
 
 
-_ENUM_CACHE: dict = {}
+# (node, labels) -> its sorted structures
+_ENUM_CACHE = caches.register("enumerations", {}, len)
 
 
 def _set_partitions(labels: Tuple[int, ...]):
@@ -981,12 +991,13 @@ def _set_partitions(labels: Tuple[int, ...]):
         yield ((first,),) + part
 
 
-def _run(cache: dict, rule: str, key):
+def _run(cache: dict, rule: str, key, slots):
     """The result of ``rule`` ("build" or "compile") at key = (node, arg).
 
     Each rule is suspended at every (child, arg) it reads and runs on an
     explicit stack (a post-order over the reads), so nesting depth is not
-    bounded by the recursion limit; every result is cached by its key.
+    bounded by the recursion limit; every result is cached by its key, and
+    its ``slots`` added to the cache owner's count.
     """
     out = cache.get(key)
     stack = [] if out is not None else [(key, getattr(key[0], rule)(key[1]))]
@@ -997,6 +1008,7 @@ def _run(cache: dict, rule: str, key):
         except StopIteration as done:
             stack.pop()
             out = cache[key] = done.value
+            caches.held += slots(out)
             continue
         out = cache.get(read)
         if out is None:
@@ -1006,14 +1018,15 @@ def _run(cache: dict, rule: str, key):
 
 def structures_on(e: SpeciesExpr, labels: Tuple[int, ...]) -> Tuple:
     """All canonical e-structures on an arbitrary sorted label tuple, sorted."""
-    return _run(_ENUM_CACHE, "build", (e, labels))
+    return _run(_ENUM_CACHE, "build", (e, labels), len)
 
 
 # ---------------------------------------------------------------------------
 # Compiled actions
 
 
-_COMPILE_CACHE: dict = {}
+# (node, n) -> its generator arrays
+_COMPILE_CACHE = caches.register("compiled arrays", {}, caches.nested)
 
 
 def generator_arrays(e: SpeciesExpr, n: int) -> Tuple[Tuple[int, ...], ...]:
@@ -1029,14 +1042,16 @@ def generator_arrays(e: SpeciesExpr, n: int) -> Tuple[Tuple[int, ...], ...]:
     relabel, their own structures, and L, L+ and y[k] compile from
     Cauchy(X, L) instead.
     """
-    return _run(_COMPILE_CACHE, "compile", (e, n))
+    return _run(_COMPILE_CACHE, "compile", (e, n), caches.nested)
 
 
 def _no_points(n: int):
     return ((),) * len(generator_lines(n))
 
 
-_DEGREE_CACHE: dict = {}
+# (node, n) -> its FiniteAction, one slot: its arrays and points are the
+# two tables above
+_DEGREE_CACHE = caches.register("actions", {})
 
 
 def enumerate_degree(e: SpeciesExpr, n: int, cap: int | None = None) -> FiniteAction:
@@ -1071,6 +1086,7 @@ def enumerate_degree(e: SpeciesExpr, n: int, cap: int | None = None) -> FiniteAc
         return counted("compile", gens, len(gens[0]))
 
     action = _DEGREE_CACHE[key] = FiniteAction(n, total, arrays, points)
+    caches.held += 1
     return action
 
 
@@ -1103,12 +1119,8 @@ def as_table(e: SpeciesExpr, N: int, name: str | None = None) -> Table:
     return Table(name or f"table<{type(e).__name__}>", atoms_rows, action_rows)
 
 
-def clear_caches() -> None:
-    """Drop all memoized enumerations, counts and compiled actions (mainly
-    for tests)."""
-    _COUNT_CACHE.clear()
-    _BELL_CACHE.clear()
-    _ENUM_CACHE.clear()
-    _DEGREE_CACHE.clear()
-    _COMPILE_CACHE.clear()
-    _VALIDATED.clear()
+# Empty every memo table: counts, structures, compiled actions, the S_n
+# tables and the remembered queries.  A caller that changes a module
+# constant (a cap, a window) calls it, since remembered answers were
+# computed under the old value.
+clear_caches = caches.clear

@@ -14,7 +14,7 @@ import itertools
 from bisect import bisect_left
 from typing import Dict, Tuple
 
-from . import groups
+from . import caches, groups
 from .errors import InvalidAlgebra, ShapeMismatch, TooManyMaps
 from .groups import (
     action_signature,
@@ -156,6 +156,7 @@ def check_naturality(t: NatTrans) -> bool:
     return True
 
 
+@caches.memo
 def count_nat(f: SpeciesExpr, g: SpeciesExpr, N: int):
     """Per-degree equivariant-map counts and their product."""
     per_degree = []
@@ -192,6 +193,7 @@ class IsoResult(Record):
         return self.isomorphic
 
 
+@caches.memo
 def iso_check(f: SpeciesExpr, g: SpeciesExpr, N: int) -> IsoResult:
     """Degreewise S_k-set isomorphism up to horizon N.
 
@@ -285,6 +287,7 @@ def _positive(family):
     return tuple(e for e in family if cardinality(e, 0) == 0)
 
 
+@caches.memo
 def canonical_iso_suite(N: int = 5, names=None, family=None) -> SuiteReport:
     """Verify the named canonical isomorphisms degreewise up to N.
 

@@ -376,6 +376,19 @@ def test_fixcheck_malformed_seq_is_parse_error(capsys):
         assert err.startswith("parse error:") and f"at offset {offset}" in err, err
 
 
+def test_options_a_command_would_ignore_exit_2(capsys):
+    cases = (
+        (("terminal", "--dyn", "derive", "--by", "X", "E", "--upto", "3"), "--by applies only"),
+        (("terminal", "--dyn", "adjL", "--by", "X", "E", "--json"), "--by applies only"),
+        (("fixcheck", "--op", "1:1", "--expr", "E", "--seq", "1,1", "--upto", "3"), "not both"),
+    )
+    for argv, message in cases:
+        code, out = run(*argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("parse error:") and message in err and err.count("\n") == 1, err
+
+
 def test_deep_sum_counts_without_recursion():
     deep = "+".join(["X"] * 1500)
     code, out = run("coeffs", deep, "--upto", "3")

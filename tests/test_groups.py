@@ -149,8 +149,9 @@ def test_orbit_trees_walk_generator_edges_once_per_point():
         for n in range(5):
             a = action_of(e, n)
             gens = a.generator_images()
-            orbs, parent, via = _orbit_trees(a)
+            orbs, parent, via = _orbit_trees(a, steps=True)
             assert [sorted(orbit) for orbit in orbs] == _scanned_orbit_indices(a), (e, n)
+            assert _orbit_trees(a) == orbs, (e, n)  # the same walk without the steps
             for orbit in orbs:
                 assert orbit[0] == min(orbit)
                 for t, z in enumerate(orbit[1:], start=1):
@@ -534,12 +535,13 @@ def test_conjugacy_beyond_cycle_types():
 
 
 def test_cycle_types_are_computed_once_per_element_of_s_n(monkeypatch):
-    from espece import canonical_iso_suite, groups
+    from espece import canonical_iso_suite, groups, species
 
     calls = []
     real = Permutation.cycle_type
     monkeypatch.setattr(Permutation, "cycle_type", lambda p: calls.append(p) or real(p))
     monkeypatch.setattr(groups, "_CYCLE_TYPES", {})
+    species.clear_caches()  # a remembered suite would compute no cycle type
     assert canonical_iso_suite(5).passed
     used = groups._CYCLE_TYPES
     assert used and len(calls) == sum(math.factorial(n) for n in used)

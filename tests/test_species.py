@@ -495,20 +495,27 @@ def test_nodes_are_interned():
 
 
 def test_clear_caches_empties_every_counting_cache():
+    """Every table of the owner's registry holds entries after these calls,
+    the S_n tables and the remembered queries included, and none after
+    clear_caches."""
+    from espece import DeriveDyn, adamek_chain, canonical_iso_suite, count_nat, caches
+    from espece import hom_day_counts, iso_check, terminal_counts
+    from espece.cli import parse_expr, parse_operator
+
     cardinality(Substitute(Exp(), Cyc()), 6)
     enumerate_degree(Substitute(Exp(), as_table(Cyc(), 3)), 3)
-    caches = (
-        species._COUNT_CACHE,
-        species._BELL_CACHE,
-        species._VALIDATED,
-        species._ENUM_CACHE,
-        species._DEGREE_CACHE,
-        species._COMPILE_CACHE,
-    )
     enumerate_degree(Substitute(Exp(), Cyc()), 3).generator_images()
-    assert all(caches)
+    assert not iso_check(parse_expr("S"), parse_expr("L"), 3)  # S_n and cycle types
+    count_nat(Exp(), Subsets(), 3)
+    canonical_iso_suite(2, names=("napier",))
+    adamek_chain(parse_operator("1:0 + X:0"), 3)
+    terminal_counts(DeriveDyn(), Exp(), 3)
+    hom_day_counts(X(), Lin(), 2)
+    tables = caches.report()
+    assert {"S_n tables", "cycle types", "counts", "transforms.iso_check"} <= set(tables)
+    assert [name for name, (entries, _) in tables.items() if not entries] == []
     species.clear_caches()
-    assert not any(caches)
+    assert set(caches.report().values()) == {(0, 0)}
 
 
 def _compile_oracle_exprs():
