@@ -8,10 +8,11 @@ costs what a module global's does.
 
 ``clear`` empties every table.  ``report`` gives each table's entries and
 stored slots, the total length of the sequences and arrays it stores, so a
-degree-8 compile weighs its arrays, not one entry.  Each writer adds the
-slots it stores to ``held``, which is the report's total, so the cap costs
-one comparison: ``check_cap`` empties every table when ``held`` passes
-``CAP``.  It acts only when no remembered query is computing
+degree-8 compile weighs its arrays, not one entry.  A table's slot rule is
+given once, to ``register``; a writer hands ``add`` what it stored, and
+``add`` counts it by that rule into ``held``, the report's total, so the
+cap costs one comparison: ``check_cap`` empties every table when ``held``
+passes ``CAP``.  It acts only when no remembered query is computing
 (``cli.main`` calls it on entry, ``memo`` before an outermost query
 computes), since ``species._counts`` reads its children's entries off the
 table while it works.
@@ -28,8 +29,9 @@ from .records import Record
 # session stays under a tenth of it.
 CAP = 1_000_000
 
-_TABLES: dict = {}  # name -> (table, the slots of one value or None)
-held = 0  # stored slots of all tables, added by each writer
+_TABLES: dict = {}  # name -> (table, the slots of one value)
+_RULES: dict = {}  # id(table) -> the slots of one value
+held = 0  # stored slots of all tables, counted by ``add``
 _computing = 0  # remembered queries now computing
 _KEYWORDS = object()  # parts a call's positional arguments from its keywords
 _SCALARS = frozenset((int, bool, type(None)))  # not opened: a sequence of them is its length
@@ -40,12 +42,29 @@ def nested(value) -> int:
     return sum(map(len, value))
 
 
-def register(name: str, table, slots=None):
-    """Own ``table`` (a dict or set) under ``name``; returns it.  A value
-    stores ``slots(value)`` slots, or one without ``slots``, and the
-    writer adds them to ``held``."""
+def _one(value) -> int:
+    return 1
+
+
+def register(name: str, table, slots=_one):
+    """Own ``table`` (a dict, or a set of keys) under ``name``; returns it.
+    A value, or a set's key, stores ``slots(value)`` slots."""
     _TABLES[name] = (table, slots)
+    _RULES[id(table)] = slots
     return table
+
+
+def measure(table, value) -> int:
+    """The slots of ``value`` by ``table``'s rule."""
+    return _RULES[id(table)](value)
+
+
+def add(table, value, before: int = 0) -> None:
+    """Count ``value``, just stored in ``table``, into ``held``.  A writer
+    that extends a stored value in place passes the extension, or the
+    whole value and ``before``, what ``measure`` gave before it grew."""
+    global held
+    held += _RULES[id(table)](value) - before
 
 
 def clear() -> None:
@@ -59,7 +78,7 @@ def clear() -> None:
 def report() -> dict:
     """name -> (entries, stored slots), measured on every registered table."""
     return {
-        name: (len(table), sum(map(slots, table.values())) if slots else len(table))
+        name: (len(table), sum(map(slots, table.values() if isinstance(table, dict) else table)))
         for name, (table, slots) in _TABLES.items()
     }
 
@@ -105,7 +124,7 @@ def memo(fn):
 
     @wraps(fn)
     def remembered(*args, **kwargs):
-        global _computing, held
+        global _computing
         key = (*args, _KEYWORDS, *kwargs.items()) if kwargs else args
         try:
             hit = table.get(key)
@@ -120,9 +139,8 @@ def memo(fn):
         finally:
             _computing -= 1
         if key is not None:
-            slots = 1 + _slots((key, result))
-            table[key] = (result, slots)
-            held += slots
+            table[key] = entry = (result, 1 + _slots((key, result)))
+            add(table, entry)
         return result
 
     return remembered

@@ -259,7 +259,7 @@ def _symmetric_table(n: int):
                 steps.append((parent, j))
     table = (tuple(by_images[s] for s in order), tuple(steps), position)
     _SYMMETRIC_TABLES[n] = table
-    caches.held += caches.nested(table)
+    caches.add(_SYMMETRIC_TABLES, table)
     return table
 
 
@@ -268,7 +268,7 @@ def _cycle_types(n: int):
     types = _CYCLE_TYPES.get(n)
     if types is None:
         types = _CYCLE_TYPES[n] = tuple(p.cycle_type() for p in _symmetric_table(n)[0])
-        caches.held += len(types)
+        caches.add(_CYCLE_TYPES, types)
     return types
 
 
@@ -384,26 +384,25 @@ class Orbit(Record):
 def orbits(a: FiniteAction) -> Tuple[Orbit, ...]:
     """Partition of the points into orbits, least point first in each."""
     out = []
-    for orbit in _orbit_trees(a):
+    for orbit in _orbit_trees(a)[0]:
         pts = tuple(a.points[j] for j in sorted(orbit))
         out.append(Orbit(pts[0], pts))
     return tuple(out)
 
 
-def _orbit_trees(a: FiniteAction, steps: bool = False):
+def _orbit_trees(a: FiniteAction, via=None):
     """One breadth-first walk per orbit, from its least point.
 
-    Returns the orbits: each lists its point indices in walk order, its
-    least point (the root) first.  With ``steps``, returns ``(orbits,
-    parent, via)``: each other point z of an orbit is
-    ``generators(n)[via[z]]`` applied to ``parent[z]``, a point listed
-    before z.  A map fixed at the root extends along these steps; only
-    ``enumerate_equivariant_maps`` reads them, so no other walk keeps
-    ``via``.
+    Returns ``(orbits, parent)``: each orbit lists its point indices in
+    walk order, its least point (the root) first, and each other point z of
+    it is reached from ``parent[z]``, a point listed before z.  Given a list
+    ``via`` of ``a.size`` slots, the walk also records that z is
+    ``generators(n)[via[z]]`` applied to ``parent[z]``.  A map fixed at the
+    root extends along these steps; only ``enumerate_equivariant_maps``
+    reads them, so no other walk keeps ``via``.
     """
     gens = tuple(enumerate(a.generator_images()))
     parent = [-1] * a.size
-    via = [0] * a.size if steps else None
     orbits = []
     for i in range(a.size):  # sorted, so each new orbit's root is its least point
         if parent[i] >= 0:
@@ -416,10 +415,10 @@ def _orbit_trees(a: FiniteAction, steps: bool = False):
                 if parent[z] < 0:
                     parent[z] = y
                     orbit.append(z)
-                    if steps:
+                    if via is not None:
                         via[z] = j
         orbits.append(orbit)
-    return (orbits, parent, via) if steps else orbits
+    return orbits, parent
 
 
 def stabilizer(a: FiniteAction, x) -> SubgroupElements:
@@ -502,7 +501,7 @@ def count_equivariant_maps(src: FiniteAction, tgt: FiniteAction) -> int:
     point fixed by its stabilizer; the count is the product of the fixed
     point set sizes.
     """
-    return math.prod(map(len, _root_images(src, tgt, _orbit_trees(src))))
+    return math.prod(map(len, _root_images(src, tgt, _orbit_trees(src)[0])))
 
 
 def enumerate_equivariant_maps(src: FiniteAction, tgt: FiniteAction, limit: int):
@@ -510,7 +509,8 @@ def enumerate_equivariant_maps(src: FiniteAction, tgt: FiniteAction, limit: int)
 
     Raises TooManyMaps when the exact count exceeds ``limit``.
     """
-    orbits, parent, via = _orbit_trees(src, steps=True)
+    via = [0] * src.size
+    orbits, parent = _orbit_trees(src, via)
     choices = _root_images(src, tgt, orbits)
     count = math.prod(map(len, choices))
     if count > limit:
@@ -559,7 +559,7 @@ def _orbit_stabilizers(a: FiniteAction):
     """The stabilizers of the orbits' least points, grouped by orbit key:
     (orbit size, stabilizer order, stabilizer cycle types)."""
     out = {}
-    for orbit in _orbit_trees(a):
+    for orbit in _orbit_trees(a)[0]:
         stab = SubgroupElements(a.degree, positions=_stabilizer_at(a, orbit[0]))
         out.setdefault((len(orbit), len(stab), stab.cycle_type_multiset), []).append(stab)
     return out

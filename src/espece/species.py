@@ -786,7 +786,6 @@ def validate(e: SpeciesExpr) -> Tuple[Diagnostic, ...]:
     remembered for later calls.
     """
     diags: list = []
-    size = len(_VALIDATED)
     stack = [(e, "root", None)]
     while stack:
         node, path, mark = stack.pop()
@@ -798,6 +797,7 @@ def validate(e: SpeciesExpr) -> Tuple[Diagnostic, ...]:
                 node.check_with_children(path, diags)
             if len(diags) == first:
                 _VALIDATED.add(node)
+                caches.add(_VALIDATED, node)
             continue
         if node in _VALIDATED:
             continue
@@ -807,7 +807,6 @@ def validate(e: SpeciesExpr) -> Tuple[Diagnostic, ...]:
         kids = node.children
         for i in reversed(range(len(kids))):
             stack.append((kids[i], f"{path}.{i}", None))
-    caches.held += len(_VALIDATED) - size
     return tuple(diags)
 
 
@@ -878,7 +877,7 @@ def _substitute_counts(g, fs, gs, start: int, stop: int) -> list:
     partitions consulted it.
     """
     rows = _BELL_CACHE.setdefault(g, [])
-    size = caches.nested(rows)
+    before = caches.measure(_BELL_CACHE, rows)
     if not rows:
         rows.append([1])  # B(0, 0)
     ks = [k for k in range(1, stop) if fs[k]]
@@ -892,7 +891,7 @@ def _substitute_counts(g, fs, gs, start: int, stop: int) -> list:
         for j in range(1, used[-1] + 1):
             _fill_bell_row(rows, j, n - max(j, used[0]) + j, gs, support)
         out.append(sum(fs[k] * rows[k][n] for k in used))
-    caches.held += caches.nested(rows) - size
+    caches.add(_BELL_CACHE, rows, before)
     return out
 
 
@@ -922,7 +921,7 @@ def _counts(e, N: int) -> list:
         stack.pop()
         kids = [_COUNT_CACHE.get(c, ()) for c in node.children]
         new = node.counts(len(seq), n + 1, *kids)
-        caches.held += len(new)
+        caches.add(_COUNT_CACHE, new)
         seq.extend(new)
     return _COUNT_CACHE[e]
 
@@ -991,13 +990,13 @@ def _set_partitions(labels: Tuple[int, ...]):
         yield ((first,),) + part
 
 
-def _run(cache: dict, rule: str, key, slots):
+def _run(cache: dict, rule: str, key):
     """The result of ``rule`` ("build" or "compile") at key = (node, arg).
 
     Each rule is suspended at every (child, arg) it reads and runs on an
     explicit stack (a post-order over the reads), so nesting depth is not
-    bounded by the recursion limit; every result is cached by its key, and
-    its ``slots`` added to the cache owner's count.
+    bounded by the recursion limit; every result is cached by its key and
+    counted by the cache owner.
     """
     out = cache.get(key)
     stack = [] if out is not None else [(key, getattr(key[0], rule)(key[1]))]
@@ -1008,7 +1007,7 @@ def _run(cache: dict, rule: str, key, slots):
         except StopIteration as done:
             stack.pop()
             out = cache[key] = done.value
-            caches.held += slots(out)
+            caches.add(cache, out)
             continue
         out = cache.get(read)
         if out is None:
@@ -1018,7 +1017,7 @@ def _run(cache: dict, rule: str, key, slots):
 
 def structures_on(e: SpeciesExpr, labels: Tuple[int, ...]) -> Tuple:
     """All canonical e-structures on an arbitrary sorted label tuple, sorted."""
-    return _run(_ENUM_CACHE, "build", (e, labels), len)
+    return _run(_ENUM_CACHE, "build", (e, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -1042,7 +1041,7 @@ def generator_arrays(e: SpeciesExpr, n: int) -> Tuple[Tuple[int, ...], ...]:
     relabel, their own structures, and L, L+ and y[k] compile from
     Cauchy(X, L) instead.
     """
-    return _run(_COMPILE_CACHE, "compile", (e, n), caches.nested)
+    return _run(_COMPILE_CACHE, "compile", (e, n))
 
 
 def _no_points(n: int):
@@ -1086,7 +1085,7 @@ def enumerate_degree(e: SpeciesExpr, n: int, cap: int | None = None) -> FiniteAc
         return counted("compile", gens, len(gens[0]))
 
     action = _DEGREE_CACHE[key] = FiniteAction(n, total, arrays, points)
-    caches.held += 1
+    caches.add(_DEGREE_CACHE, action)
     return action
 
 

@@ -149,9 +149,10 @@ def test_orbit_trees_walk_generator_edges_once_per_point():
         for n in range(5):
             a = action_of(e, n)
             gens = a.generator_images()
-            orbs, parent, via = _orbit_trees(a, steps=True)
+            via = [0] * a.size
+            orbs, parent = _orbit_trees(a, via)
             assert [sorted(orbit) for orbit in orbs] == _scanned_orbit_indices(a), (e, n)
-            assert _orbit_trees(a) == orbs, (e, n)  # the same walk without the steps
+            assert _orbit_trees(a) == (orbs, parent), (e, n)  # the same walk without via
             for orbit in orbs:
                 assert orbit[0] == min(orbit)
                 for t, z in enumerate(orbit[1:], start=1):
@@ -535,17 +536,24 @@ def test_conjugacy_beyond_cycle_types():
 
 
 def test_cycle_types_are_computed_once_per_element_of_s_n(monkeypatch):
-    from espece import canonical_iso_suite, groups, species
+    from espece import Perm, canonical_iso_suite, groups, species
 
     calls = []
     real = Permutation.cycle_type
     monkeypatch.setattr(Permutation, "cycle_type", lambda p: calls.append(p) or real(p))
-    monkeypatch.setattr(groups, "_CYCLE_TYPES", {})
-    species.clear_caches()  # a remembered suite would compute no cycle type
+    reads = []
+    read = groups._cycle_types
+    monkeypatch.setattr(groups, "_cycle_types", lambda n: reads.append(n) or read(n))
+    species.clear_caches()  # no cycle type is left over from earlier tests
     assert canonical_iso_suite(5).passed
     used = groups._CYCLE_TYPES
     assert used and len(calls) == sum(math.factorial(n) for n in used)
-    assert canonical_iso_suite(5).passed and len(calls) == sum(math.factorial(n) for n in used)
+    # another family is not a remembered suite: it reads the cycle types of
+    # every degree again and computes none of them
+    reads.clear()
+    assert canonical_iso_suite(5, family=(Perm(), Cyc(), Lin())).passed
+    assert set(reads) == set(used)
+    assert len(calls) == sum(math.factorial(n) for n in used)
 
 
 def test_group_algorithms_relabel_only_generator_images(monkeypatch):
