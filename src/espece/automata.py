@@ -22,7 +22,7 @@ from .errors import (
     NotSupported,
     ShapeMismatch,
 )
-from .groups import FiniteAction, count_equivariant_maps, shifted_arrays
+from .groups import FiniteAction, count_equivariant_maps, product_sums, shifted_arrays
 from .records import Record
 from .species import (
     AdjL,
@@ -32,10 +32,11 @@ from .species import (
     Pointing,
     SpeciesExpr,
     cardinality,
+    cauchy_layout,
     enumerate_degree,
     require_valid,
 )
-from .transforms import NatTrans, apply_on_labels, check_naturality
+from .transforms import NatTrans, check_naturality
 
 PRODUCT_WINDOW = 12
 PRODUCT_BOUND = 10 ** 60
@@ -47,10 +48,20 @@ ENUM_FACTOR_DEGREE_CAP = 6
 
 
 class _Dynamics(Record):
-    """A dynamics T: ``apply(e)`` is T(e), ``image(f, enc, k)`` carries a degree-k
-    structure of T(E1) along f: E1 -> E2, applying f at degree k + ``shift``."""
+    """A dynamics T: ``apply(e)`` is T(e), and ``image(f, k)`` is T(f)'s
+    component at degree k for f: E1 -> E2, index arithmetic over f's
+    component at degree at most k + ``shift``."""
 
     shift = 0
+
+
+def _blocks(f: NatTrans, n: int, k: int) -> Tuple[int, ...]:
+    """T(f) where T(E) lists n blocks of E's structures at degree k: f's
+    component at k on each block."""
+    if n == 0:
+        return ()
+    width = cardinality(f.target, k)
+    return tuple(product_sums([j * width for j in range(n)], f.component(k)))
 
 
 class TensorBy(_Dynamics):
@@ -61,10 +72,14 @@ class TensorBy(_Dynamics):
     def apply(self, e):
         return Cauchy(self.a, e)
 
-    def image(self, f, enc, k):
-        _, (U, sa, sE) = enc
-        rest = tuple(x for x in range(1, k + 1) if x not in U)
-        return ("pair", (U, sa, apply_on_labels(f, sE, rest)))
+    def image(self, f, k):
+        # the pair (U, i_a, i_E) goes to (U, i_a, f at k - |U| of i_E)
+        target = cauchy_layout(self.a, f.target, k)
+        out = []
+        for U, (_, rows, _) in cauchy_layout(self.a, f.source, k).items():
+            off, _, width = target[U]
+            out += product_sums(range(off, off + rows * width, width), f.component(k - len(U)))
+        return tuple(out)
 
 
 class DeriveDyn(_Dynamics):
@@ -73,38 +88,32 @@ class DeriveDyn(_Dynamics):
     def apply(self, e):
         return Derive(e)
 
-    def image(self, f, enc, k):
-        return ("deriv", apply_on_labels(f, enc[1], (*range(1, k + 1), 0)))
+    def image(self, f, k):
+        return f.component(k + 1)
 
 
 class AdjLDyn(_Dynamics):
     def apply(self, e):
         return AdjL(e)
 
-    def image(self, f, enc, k):
-        a, s = enc[1]
-        rest = tuple(x for x in range(1, k + 1) if x != a)
-        return ("adjl", (a, apply_on_labels(f, s, rest)))
+    def image(self, f, k):
+        return _blocks(f, k, k - 1)
 
 
 class PointingDyn(_Dynamics):
     def apply(self, e):
         return Pointing(e)
 
-    def image(self, f, enc, k):
-        a, s = enc[1]
-        rest = tuple(x for x in range(1, k + 1) if x != a) + (0,)
-        return ("point", (a, apply_on_labels(f, s, rest)))
+    def image(self, f, k):
+        return _blocks(f, k, k)
 
 
 class DeriveLDyn(_Dynamics):
     def apply(self, e):
         return DeriveL(e)
 
-    def image(self, f, enc, k):
-        _, (b, s) = enc[1]
-        inner_labels = tuple(x for x in (*range(1, k + 1), 0) if x != b)
-        return ("deriv", ("adjl", (b, apply_on_labels(f, s, inner_labels))))
+    def image(self, f, k):
+        return _blocks(f, k + 1, k)
 
 
 def apply_dynamics(dyn, e: SpeciesExpr) -> SpeciesExpr:
@@ -173,14 +182,13 @@ def check_morphism(f: NatTrans, m1: MealyAutomaton, m2: MealyAutomaton) -> bool:
     if f.source != m1.state or f.target != m2.state:
         raise ShapeMismatch("morphism endpoints do not match the machines")
     horizon = min(m1.horizon, m2.horizon, f.horizon - m1.dynamics.shift)
-    shifted = apply_dynamics(m1.dynamics, m1.state)
     for k in range(horizon + 1):
-        for x in enumerate_degree(shifted, k).points:
-            fx = m1.dynamics.image(f, x, k)
-            if f(k, m1.d(k, x)) != m2.d(k, fx):
-                return False
-            if m1.s(k, x) != m2.s(k, fx):
-                return False
+        fx = m1.dynamics.image(f, k)
+        fk, d2, s2 = f.component(k), m2.d.component(k), m2.s.component(k)
+        if [fk[y] for y in m1.d.component(k)] != [d2[y] for y in fx]:
+            return False
+        if list(m1.s.component(k)) != [s2[y] for y in fx]:
+            return False
     return True
 
 

@@ -560,7 +560,7 @@ _DYNAMICS = {
 
 def _parse_dynamics(args):
     if args.dyn == "tensor":
-        if not args.by:
+        if args.by is None:
             raise ParseError("tensor dynamics needs --by EXPR", 0)
         return automata.TensorBy(parse_expr(args.by))
     if args.by is not None:
@@ -646,10 +646,10 @@ def _cmd_fixcheck(args, out):
     if args.expr is not None and args.seq is not None:
         raise ParseError("fixcheck takes --expr or --seq, not both", 0)
     D = parse_operator(args.op)
-    if args.expr:
+    if args.expr is not None:
         e = parse_expr(args.expr)
         x = counting.count_seq(e, args.upto + D.max_order)
-    elif args.seq:
+    elif args.seq is not None:
         x = counting.CountSeq(_parse_counts(args.seq))
     else:
         raise ParseError("fixcheck needs --expr or --seq", 0)

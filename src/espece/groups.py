@@ -505,7 +505,8 @@ def count_equivariant_maps(src: FiniteAction, tgt: FiniteAction) -> int:
 
 
 def enumerate_equivariant_maps(src: FiniteAction, tgt: FiniteAction, limit: int):
-    """Materialize every equivariant map src -> tgt as a dict.
+    """Materialize every equivariant map src -> tgt as the tuple of the
+    target point indices of src's points, in order.
 
     Raises TooManyMaps when the exact count exceeds ``limit``.
     """
@@ -523,7 +524,7 @@ def enumerate_equivariant_maps(src: FiniteAction, tgt: FiniteAction, limit: int)
             image[orbit[0]] = target
             for z in itertools.islice(orbit, 1, None):
                 image[z] = tgt_gens[via[z]][image[parent[z]]]
-        maps.append({x: tgt.points[t] for x, t in zip(src.points, image)})
+        maps.append(tuple(image))
     assert len(maps) == count
     return tuple(maps)
 

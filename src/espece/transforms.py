@@ -11,7 +11,6 @@ strictly stronger than equality of counting sequences.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from typing import Dict, Tuple
 
 from . import caches, groups
@@ -48,7 +47,6 @@ from .species import (
     cauchy_layout,
     enumerate_degree,
     generator_arrays,
-    structures_on,
 )
 
 DEFAULT_FAMILY: Tuple[SpeciesExpr, ...] = (X(), Exp(), Lin(), Cyc(), Subsets())
@@ -59,98 +57,67 @@ ISO_POINT_CAP = 20000
 
 
 class NatTrans(Record):
-    """A degreewise family of maps, stored as explicit lookup tables."""
+    """A degreewise family of maps: ``components[k]`` lists, for each
+    source structure on 1..k in sorted order, the index of its image among
+    the target's sorted structures, for k = 0..horizon."""
 
     source: SpeciesExpr
     target: SpeciesExpr
     horizon: int
-    components: Dict[int, dict]
+    components: Tuple[Tuple[int, ...], ...]
 
-    def component(self, k: int) -> dict:
-        try:
-            return self.components[k]
-        except KeyError:
-            raise ShapeMismatch(f"no component at degree {k}") from None
+    def component(self, k: int) -> Tuple[int, ...]:
+        if not 0 <= k < len(self.components):
+            raise ShapeMismatch(f"no component at degree {k}")
+        return self.components[k]
 
     def __call__(self, k: int, enc):
+        """The image of the structure ``enc`` on 1..k."""
         comp = self.component(k)
         try:
-            return comp[enc]
-        except KeyError:
-            raise ShapeMismatch(f"structure {enc!r} not in the degree-{k} component") from None
+            i = comp[enumerate_degree(self.source, k).index[enc]]
+            return enumerate_degree(self.target, k).points[i]
+        except (KeyError, IndexError):
+            raise ShapeMismatch(f"no image of {enc!r} in the degree-{k} component") from None
 
 
 def build_nat(source, target, horizon, fn) -> NatTrans:
-    """Tabulate fn(k, structure) over every source structure, k <= horizon."""
-    comps = {}
+    """Tabulate fn(k, structure) over every source structure, k <= horizon.
+
+    Raises ShapeMismatch when fn returns a structure that is not one of
+    the target's at that degree."""
+    comps = []
     for k in range(horizon + 1):
-        comps[k] = {s: fn(k, s) for s in enumerate_degree(source, k).points}
-    return NatTrans(source, target, horizon, comps)
+        points = enumerate_degree(source, k).points
+        index = enumerate_degree(target, k).index
+        comp = tuple([index.get(fn(k, s)) for s in points])
+        if None in comp:
+            bad = points[comp.index(None)]
+            raise ShapeMismatch(f"the image of {bad!r} is not a degree-{k} structure of {target!r}")
+        comps.append(comp)
+    return NatTrans(source, target, horizon, tuple(comps))
 
 
 def identity_nat(e: SpeciesExpr, N: int) -> NatTrans:
-    return build_nat(e, e, N, lambda k, s: s)
+    return NatTrans(e, e, N, tuple(tuple(range(enumerate_degree(e, k).size)) for k in range(N + 1)))
 
 
-def apply_on_labels(t: NatTrans, enc, labels) -> object:
-    """Apply a component to a structure sitting on an arbitrary label set.
-
-    Relabeling along the order isomorphism of the label set with 1..m
-    keeps the sorted order of structures (a reserved label <= 0 turns
-    ordinary and renumbers the reserved labels inside, in the same order),
-    so the structure and its image sit at the same positions on both
-    label sets; equivariance of the component makes the choice of the
-    isomorphism immaterial.
-    """
-    L = tuple(sorted(labels))
-    canon = tuple(range(1, len(L) + 1))
-    i = _position(structures_on(t.source, L), enc, L)
-    out = t(len(L), structures_on(t.source, canon)[i])
-    return structures_on(t.target, L)[_position(structures_on(t.target, canon), out, canon)]
-
-
-def _position(structures, enc, labels) -> int:
-    """The index of enc in a sorted tuple of structures on ``labels``."""
-    try:
-        i = bisect_left(structures, enc)
-    except TypeError:  # not shaped like these structures
-        i = len(structures)
-    if i == len(structures) or structures[i] != enc:
-        raise ShapeMismatch(f"structure {enc!r} not on labels {labels}")
-    return i
-
-
-def _point_indices(t: NatTrans, k: int) -> list:
-    """The degree-k component as point indices: for each source structure,
-    in order, the position of its image among the target's structures."""
-    points = enumerate_degree(t.source, k).points
-    target = enumerate_degree(t.target, k)
-    comp = t.component(k)
-    if not points:
-        return []
-    index = target.index
-    try:
-        return [index[comp[s]] for s in points]
-    except KeyError:
-        raise ShapeMismatch(
-            f"the degree-{k} component is not total from {t.source!r} onto {t.target!r}"
-        ) from None
+def _maps_into(c, m: int, n: int) -> bool:
+    """c lists m indices, each below n."""
+    return len(c) == m and (not c or (0 <= min(c) and max(c) < n))
 
 
 def check_naturality(t: NatTrans) -> bool:
-    """Totality plus equivariance against the generator permutations."""
+    """Each component a map from the source's points into the target's,
+    equivariant against the generator arrays."""
+    if len(t.components) <= t.horizon:
+        return False
     for k in range(t.horizon + 1):
-        try:
-            c = _point_indices(t, k)
-        except ShapeMismatch:
+        c = t.components[k]
+        src, tgt = enumerate_degree(t.source, k), enumerate_degree(t.target, k)
+        if not _maps_into(c, src.size, tgt.size):
             return False
-        if len(t.components[k]) != len(c):  # a key that is no source structure
-            return False
-        if not c:
-            continue
-        src = enumerate_degree(t.source, k).generator_images()
-        tgt = enumerate_degree(t.target, k).generator_images()
-        for sg, tg in zip(src, tgt):
+        for sg, tg in zip(src.generator_images(), tgt.generator_images()):
             if any(c[sg[i]] != tg[ci] for i, ci in enumerate(c)):
                 return False
     return True
@@ -173,15 +140,13 @@ def enumerate_nat(f: SpeciesExpr, g: SpeciesExpr, N: int, limit: int):
     per_degree, cumulative = count_nat(f, g, N)
     if cumulative > limit:
         raise TooManyMaps(f"{cumulative} transformations exceed limit {limit}")
-    degree_maps = []
-    for k in range(N + 1):
-        maps = enumerate_equivariant_maps(enumerate_degree(f, k), enumerate_degree(g, k), limit)
-        degree_maps.append(maps)
-    out = []
-    for combo in itertools.product(*degree_maps):
-        out.append(NatTrans(f, g, N, {k: dict(m) for k, m in enumerate(combo)}))
+    degree_maps = [
+        enumerate_equivariant_maps(enumerate_degree(f, k), enumerate_degree(g, k), limit)
+        for k in range(N + 1)
+    ]
+    out = tuple(NatTrans(f, g, N, combo) for combo in itertools.product(*degree_maps))
     assert len(out) == cumulative
-    return tuple(out)
+    return out
 
 
 class IsoResult(Record):
@@ -388,11 +353,11 @@ def check_monoid(f: SpeciesExpr, mu: NatTrans, eta, N: int) -> MonoidReport:
     """Unit laws, associativity, and shuffle equivariance, degreewise.
 
     ``mu`` is a transformation Cauchy(f,f) -> f and ``eta`` a degree-0
-    structure of f.  Each law is checked on point indices: mu is read once
-    per degree as the array ``m[k]`` of the positions of its images among
-    f's structures, and a pair of Cauchy(f,f) is addressed through
-    ``cauchy_layout``.  A shuffle that keeps the split 1..p moves each
-    factor of a pair by its own generator arrays.  Raises ShapeMismatch
+    structure of f.  Each law is checked on point indices: mu's component
+    ``m[k]`` lists the positions of its images among f's structures, and a
+    pair of Cauchy(f,f) is addressed through ``cauchy_layout``.  A shuffle
+    that keeps the split 1..p moves each factor of a pair by its own
+    generator arrays.  Raises ShapeMismatch
     when mu misses a structure of Cauchy(f,f) at a degree <= N or sends
     one off f.
     """
@@ -404,7 +369,10 @@ def check_monoid(f: SpeciesExpr, mu: NatTrans, eta, N: int) -> MonoidReport:
     if eta not in unit:
         raise ShapeMismatch("unit must be a degree-0 structure of the carrier")
     e = unit[eta]
-    m = [_point_indices(mu, k) for k in range(N + 1)]
+    m = [mu.component(k) for k in range(N + 1)]
+    for k, mk in enumerate(m):
+        if not _maps_into(mk, cardinality(ff, k), cardinality(f, k)):
+            raise ShapeMismatch(f"the degree-{k} component is not a map from {ff!r} to {f!r}")
     layouts = [cauchy_layout(f, f, k) for k in range(N + 1)]
     if not check_naturality(mu):
         failures.append(("naturality", -1))
@@ -412,12 +380,12 @@ def check_monoid(f: SpeciesExpr, mu: NatTrans, eta, N: int) -> MonoidReport:
         mk, layout = m[k], layouts[k]
         if () in layout:  # pairs ((), eta, s)
             off, _, c = layout[()]
-            if mk[off + e * c : off + e * c + c] != list(range(c)):
+            if mk[off + e * c : off + e * c + c] != tuple(range(c)):
                 failures.append(("left-unit", k))
         whole = tuple(range(1, k + 1))
         if whole in layout:  # pairs (1..k, s, eta)
             off, a, c = layout[whole]
-            if mk[off + e : off + a * c : c] != list(range(a)):
+            if mk[off + e : off + a * c : c] != tuple(range(a)):
                 failures.append(("right-unit", k))
         if not _associative(m, layouts, k):
             failures.append(("associativity", k))
@@ -520,7 +488,7 @@ def exp_algebra(N: int) -> PartialAlgebra:
 
 def one_algebra(N: int) -> PartialAlgebra:
     """The unit algebra: the derivative of the unit is empty."""
-    xi = NatTrans(Derive(One()), One(), N, {k: {} for k in range(N + 1)})
+    xi = NatTrans(Derive(One()), One(), N, ((),) * (N + 1))
     return PartialAlgebra(One(), xi)
 
 
@@ -530,31 +498,34 @@ def tensor_partial_algebras(a: PartialAlgebra, b: PartialAlgebra, N: int) -> Par
     A derivative structure of the product either holds the adjoined point
     in its left part (route it through a's structure map) or in its right
     part (route it through b's); the result is an algebra on the Cauchy
-    product of the carriers.
+    product of the carriers.  Derive(Cauchy(A, B)) at k lists the pairs of
+    Cauchy(A, B) at k + 1 in the same order, the adjoined point as label 1,
+    so each block U of that layout goes whole to the block of U's other
+    labels, each lowered by one, at degree k: moved row by row along
+    a's map at |U| - 1 when U holds label 1, else column by column along
+    b's map at k - |U|.
     """
     _check_algebra(a, N)
     _check_algebra(b, N)
-    carrier = Cauchy(a.carrier, b.carrier)
-    comps = {}
+    A, B = a.carrier, b.carrier
+    carrier = Cauchy(A, B)
+    comps = []
     for k in range(N + 1):
-        labels = tuple(range(1, k + 1))
-        table = {}
-        for s in enumerate_degree(Derive(carrier), k).points:
-            _, (U, sA, sB) = s[1]
-            if 0 in U:
-                lbls = tuple(x for x in U if x != 0)
-                res = apply_on_labels(a.xi, ("deriv", sA), lbls)
-                table[s] = ("pair", (lbls, res, sB))
+        target = cauchy_layout(A, B, k)
+        comp = []
+        for U, (_, rows, cols) in cauchy_layout(A, B, k + 1).items():
+            r = len(U)
+            if U[:1] == (1,):
+                off, _, _ = target[tuple([x - 1 for x in U[1:]])]
+                comp += product_sums([off + x * cols for x in a.xi.components[r - 1]], range(cols))
             else:
-                comp_lbls = tuple(x for x in labels if x not in U)
-                res = apply_on_labels(b.xi, ("deriv", sB), comp_lbls)
-                table[s] = ("pair", (U, sA, res))
-        comps[k] = table
-    xi = NatTrans(Derive(carrier), carrier, N, comps)
-    out = PartialAlgebra(carrier, xi)
+                off, _, width = target[tuple([x - 1 for x in U])]
+                comp += product_sums(range(off, off + rows * width, width), b.xi.components[k - r])
+        comps.append(tuple(comp))
+    xi = NatTrans(Derive(carrier), carrier, N, tuple(comps))
     if not check_naturality(xi):
         raise InvalidAlgebra("tensored structure map failed naturality")
-    return out
+    return PartialAlgebra(carrier, xi)
 
 
 def uniform_subset_coalgebras(N: int) -> Dict[str, NatTrans]:
@@ -582,10 +553,11 @@ def uniform_subset_coalgebras(N: int) -> Dict[str, NatTrans]:
 
 
 def nat_to_json(t: NatTrans):
+    def pairs(k):
+        source, target = enumerate_degree(t.source, k), enumerate_degree(t.target, k)
+        return [[s, target.points[i]] for s, i in zip(source.points, t.components[k])]
+
     return {
         "horizon": t.horizon,
-        "components": {
-            str(k): sorted([s, v] for s, v in t.components[k].items())
-            for k in range(t.horizon + 1)
-        },
+        "components": {str(k): pairs(k) for k in range(t.horizon + 1)},
     }

@@ -18,9 +18,13 @@ Fixpoint chains are checked against the stepwise route: the public
 ``apply_operator`` iterated from the all-ones sequence, every full
 iterate kept to the end.
 Command lines are checked against the argparse parser the CLI used to
-build on every call.  Monoid laws are checked on structures, through
-``apply_on_labels`` and the explicit Cauchy associator, against the
-point-index route over Cauchy's block layout.
+build on every call.  Natural transformations are point-index tuples in
+the library; the label route here moves a structure on any label set
+along a transformation by ``transport`` down to 1..m and back
+(``threading_apply_on_labels``).  Through it, monoid laws are checked on
+structures with the explicit Cauchy associator, and each dynamics' image
+and the derivative-algebra tensor on structures, against the library's
+index arithmetic over block layouts.
 """
 
 import argparse
@@ -31,12 +35,14 @@ from typing import Tuple
 
 from espece import (
     AdjL,
+    AdjLDyn,
     AdjR,
     Cauchy,
     ChainReport,
     CountSeq,
     Cyc,
     Derive,
+    DeriveDyn,
     DeriveL,
     Exp,
     ExpPlus,
@@ -46,12 +52,14 @@ from espece import (
     One,
     Perm,
     Pointing,
+    PointingDyn,
     Representable,
     SpeciesExpr,
     Subsets,
     Substitute,
     Sum,
     Table,
+    TensorBy,
     TruncLeft,
     TruncRight,
     X,
@@ -71,7 +79,6 @@ from espece.species import (
 from espece.transforms import (
     SUITE_NAMES,
     MonoidReport,
-    apply_on_labels,
     check_naturality,
 )
 
@@ -351,7 +358,9 @@ def transport(enc, mapping: dict, labels: Tuple[int, ...], tables=None):
 
 
 def threading_apply_on_labels(t, enc, labels):
-    """``transforms.apply_on_labels`` through the label-threading ``transport``."""
+    """t applied to a structure on any label set, the reserved labels of a
+    derivative context included: moved to 1..m along the order isomorphism
+    by ``transport``, through t's component at m, and back."""
     L = tuple(sorted(labels))
     m = len(L)
     down = {lab: i + 1 for i, lab in enumerate(L)}
@@ -363,7 +372,7 @@ def threading_apply_on_labels(t, enc, labels):
 def structure_check_monoid(f, mu, eta, N):
     """``transforms.check_monoid`` on structures: each side of a law is
     computed by calling mu on encodings, moving a pair between label sets
-    with ``apply_on_labels``, associativity through the explicit Cauchy
+    with ``threading_apply_on_labels``, associativity through the explicit Cauchy
     associator ((u, v), w) -> (u, (v, w)), and each shuffle read over the
     compiled arrays of the whole product."""
     failures = []
@@ -386,11 +395,11 @@ def structure_check_monoid(f, mu, eta, N):
                 break
         for t in enumerate_degree(Cauchy(ff, f), k).points:
             _, (W, inner_pair, s3) = t
-            left = mu(k, ("pair", (W, apply_on_labels(mu, inner_pair, W), s3)))
+            left = mu(k, ("pair", (W, threading_apply_on_labels(mu, inner_pair, W), s3)))
             _, (U, s1, s2) = inner_pair
             middle = tuple(x for x in W if x not in U)
             rest_u = tuple(x for x in labels if x not in U)
-            right_inner = apply_on_labels(mu, ("pair", (middle, s2, s3)), rest_u)
+            right_inner = threading_apply_on_labels(mu, ("pair", (middle, s2, s3)), rest_u)
             if left != mu(k, ("pair", (U, s1, right_inner))):
                 failures.append(("associativity", k))
                 break
@@ -419,6 +428,60 @@ def structure_check_monoid(f, mu, eta, N):
                     break
     return MonoidReport(not failures, tuple(failures))
 
+
+
+def _moved_along(dyn, f, enc, k):
+    """A degree-k structure of T(E1) with its E1-part moved along f on
+    its own labels."""
+    labels = tuple(range(1, k + 1))
+    if isinstance(dyn, TensorBy):
+        _, (U, sa, s) = enc
+        rest = tuple(x for x in labels if x not in U)
+        return ("pair", (U, sa, threading_apply_on_labels(f, s, rest)))
+    if isinstance(dyn, DeriveDyn):
+        return ("deriv", threading_apply_on_labels(f, enc[1], labels + (0,)))
+    if isinstance(dyn, AdjLDyn):
+        a, s = enc[1]
+        return ("adjl", (a, threading_apply_on_labels(f, s, tuple(x for x in labels if x != a))))
+    if isinstance(dyn, PointingDyn):
+        a, s = enc[1]
+        rest = tuple(x for x in labels if x != a) + (0,)
+        return ("point", (a, threading_apply_on_labels(f, s, rest)))
+    _, (b, s) = enc[1]  # DeriveLDyn
+    rest = tuple(x for x in labels + (0,) if x != b)
+    return ("deriv", ("adjl", (b, threading_apply_on_labels(f, s, rest))))
+
+
+def label_route_image(dyn, f, k):
+    """``dyn.image(f, k)`` on structures: each structure of T(f.source) at
+    degree k moved along f on its own labels, as the index of the result
+    among T(f.target)'s structures."""
+    target = enumerate_degree(dyn.apply(f.target), k).index
+    source = enumerate_degree(dyn.apply(f.source), k).points
+    return tuple(target[_moved_along(dyn, f, x, k)] for x in source)
+
+
+def label_route_tensor(a, b, N):
+    """The components of ``tensor_partial_algebras(a, b, N).xi`` on
+    structures: the part of each derivative pair holding the adjoined
+    label 0 moved along its algebra's structure map on its own labels."""
+    carrier = Cauchy(a.carrier, b.carrier)
+    comps = []
+    for k in range(N + 1):
+        labels = tuple(range(1, k + 1))
+        index = enumerate_degree(carrier, k).index
+        comp = []
+        for s in enumerate_degree(Derive(carrier), k).points:
+            _, (U, sa, sb) = s[1]
+            if 0 in U:
+                left = tuple(x for x in U if x != 0)
+                pair = (left, threading_apply_on_labels(a.xi, ("deriv", sa), left), sb)
+            else:
+                rest = tuple(x for x in labels if x not in U)
+                pair = (U, sa, threading_apply_on_labels(b.xi, ("deriv", sb), rest))
+            comp.append(index[("pair", pair)])
+        comps.append(tuple(comp))
+    return tuple(comps)
 
 def set_partitions(labels):
     labels = tuple(labels)

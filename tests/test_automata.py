@@ -85,15 +85,8 @@ def test_check_mealy_invalid_shape():
 def test_check_mealy_unnatural_component():
     dyn = AdjLDyn()
     d = build_nat(AdjL(Lin()), Lin(), 2, lambda k, s: ("lin", (s[1][0],) + s[1][1][1]))
-    comps = {
-        0: {},
-        1: {("adjl", (1, ("lin", ()))): ("lin", (1,))},
-        2: {
-            ("adjl", (1, ("lin", (2,)))): ("lin", (1, 2)),
-            ("adjl", (2, ("lin", (1,)))): ("lin", (1, 2)),
-        },
-    }
-    s = NatTrans(AdjL(Lin()), Lin(), 2, comps)
+    # both degree-2 structures, (1, [2]) and (2, [1]), go to the order 1 2
+    s = NatTrans(AdjL(Lin()), Lin(), 2, ((), (0,), (0, 0)))
     m = MealyAutomaton(dyn, Lin(), Lin(), d, s, 2)
     report = check_mealy(m)
     assert not report.ok

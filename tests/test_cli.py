@@ -369,7 +369,7 @@ def test_numeric_flags_reject_negative_values(capsys):
 
 
 def test_fixcheck_malformed_seq_is_parse_error(capsys):
-    for seq, offset in (("1,a", 2), ("1, -1", 3), ("1,,2", 2), ("2.5", 0)):
+    for seq, offset in (("1,a", 2), ("1, -1", 3), ("1,,2", 2), ("2.5", 0), ("", 0)):
         code, out = run("fixcheck", "--op", "1:1", "--seq", seq)
         err = capsys.readouterr().err
         assert (code, out) == (2, ""), seq
@@ -381,6 +381,9 @@ def test_options_a_command_would_ignore_exit_2(capsys):
         (("terminal", "--dyn", "derive", "--by", "X", "E", "--upto", "3"), "--by applies only"),
         (("terminal", "--dyn", "adjL", "--by", "X", "E", "--json"), "--by applies only"),
         (("fixcheck", "--op", "1:1", "--expr", "E", "--seq", "1,1", "--upto", "3"), "not both"),
+        # an empty value is given, not missing
+        (("fixcheck", "--op", "1:1", "--expr", "", "--upto", "3"), "empty expression"),
+        (("terminal", "--dyn", "tensor", "--by", "", "E"), "empty expression"),
     )
     for argv, message in cases:
         code, out = run(*argv)

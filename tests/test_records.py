@@ -65,8 +65,8 @@ NODE_REPRS = [
 COUNTS = CountSeq((1, 2, 3))
 CONV = ConvergenceReport((0, 1, None), False, None, 2)
 OP = DiffOperator(((X, 1),), E)
-NAT = NatTrans(X, X, 1, {0: {}})
-NAT_TEXT = "NatTrans(source=X(), target=X(), horizon=1, components={0: {}})"
+NAT = NatTrans(X, X, 1, ((), (0,)))
+NAT_TEXT = "NatTrans(source=X(), target=X(), horizon=1, components=((), (0,)))"
 
 RECORD_REPRS = [
     (TensorBy(X), "TensorBy(a=X())"),
@@ -190,6 +190,7 @@ def test_equal_records_hash_equal():
         (TensorBy(E), TensorBy(E)),
         (SuiteEntry("a", "b", 1, True), SuiteEntry("a", "b", 1, True, None, ())),
         (Diagnostic("c", "w", "m"), Diagnostic(code="c", where="w", message="m")),
+        (NAT, NatTrans(X, X, 1, ((), (0,)))),
     ]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)

@@ -1,17 +1,24 @@
+import itertools
+
 import pytest
 
 from espece import (
     AT_LEAST_HORIZON,
+    AdjLDyn,
     AdjR,
     Cauchy,
     Cyc,
     Derive,
+    DeriveDyn,
+    DeriveLDyn,
     Exp,
     Lin,
     Perm,
     Pointing,
+    PointingDyn,
     Subsets,
     Substitute,
+    TensorBy,
     X,
     canonical_iso_suite,
     check_monoid,
@@ -29,14 +36,14 @@ from espece import (
     tensor_partial_algebras,
     uniform_subset_coalgebras,
 )
-from espece import transforms
+from espece import species
 from espece.errors import InvalidAlgebra, ShapeMismatch, TooManyMaps
-from espece.species import structures_on
-from espece.transforms import NatTrans, apply_on_labels, build_nat, exp_mu, nat_to_json
+from espece.transforms import NatTrans, PartialAlgebra, build_nat, exp_mu, nat_to_json
 from helpers import (
     brute_equivariant_count,
+    label_route_image,
+    label_route_tensor,
     structure_check_monoid,
-    threading_apply_on_labels,
 )
 
 
@@ -132,19 +139,39 @@ def test_order_reversal_is_natural():
 
 
 def test_constructed_unnatural_map():
-    comps = {
-        0: {("lin", ()): ("lin", ())},
-        1: {("lin", (1,)): ("lin", (1,))},
-        2: {("lin", (1, 2)): ("lin", (1, 2)), ("lin", (2, 1)): ("lin", (1, 2))},
-    }
-    t = NatTrans(Lin(), Lin(), 2, comps)
+    # both orders on 1 2 go to the order 1 2
+    t = NatTrans(Lin(), Lin(), 2, ((0,), (0,), (0, 0)))
     assert not check_naturality(t)
 
 
 def test_partial_component_fails():
-    comps = {0: {}, 1: {}}
-    t = NatTrans(Lin(), Lin(), 1, comps)
-    assert not check_naturality(t)
+    assert check_naturality(NatTrans(Lin(), Lin(), 1, ((0,), (0,))))
+    for comps in (
+        ((), ()),  # short: L has one structure at each of degrees 0 and 1
+        ((0,), (1,)),  # out of range
+        ((0,), (-1,)),
+        ((0,),),  # no component at degree 1
+    ):
+        assert not check_naturality(NatTrans(Lin(), Lin(), 1, comps)), comps
+
+
+def test_build_nat_rejects_an_image_off_the_target():
+    with pytest.raises(ShapeMismatch, match="not a degree-2 structure of Lin"):
+        build_nat(Lin(), Lin(), 2, lambda k, s: ("lin", s[1] + (9,)) if k == 2 else s)
+    with pytest.raises(ShapeMismatch):
+        build_nat(Lin(), Exp(), 1, lambda k, s: s)
+
+
+def test_components_are_hashable_index_tuples():
+    mu = lin_concat_mu(3)
+    assert hash(mu) == hash(lin_concat_mu(3))
+    # the pairs in blocks (), (1,), (1, 2), (2,); L's orders 1 2 and 2 1
+    assert mu.components[2] == (0, 1, 0, 0, 1, 1)
+    assert mu(2, ("pair", ((2,), ("lin", (2,)), ("lin", (1,))))) == ("lin", (2, 1))
+    with pytest.raises(ShapeMismatch):
+        mu(2, ("lin", (1, 2)))
+    with pytest.raises(ShapeMismatch):
+        mu(4, ("pair", ((), ("lin", ()), ("lin", (1, 2, 3, 4)))))
 
 
 # --- isomorphism checks ----------------------------------------------------
@@ -278,12 +305,19 @@ def test_monoid_laws_on_indices_match_the_structure_route(name):
 
 
 def test_monoid_laws_move_no_structure_between_label_sets(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("check_monoid works on point indices only")
+    real = species.structures_on
 
-    monkeypatch.setattr(transforms, "apply_on_labels", refuse)
-    monkeypatch.setattr(transforms, "structures_on", refuse)
-    assert check_monoid(Lin(), lin_concat_mu(4), ("lin", ()), 4).ok
+    def refuse(e, labels):
+        # leaves list their structures to compile their arrays
+        assert not e.children, "the laws and the tensor work on point indices only"
+        return real(e, labels)
+
+    mu, a = lin_concat_mu(4), exp_algebra(4)
+    species.clear_caches()
+    monkeypatch.setattr(species, "structures_on", refuse)
+    assert check_monoid(Lin(), mu, ("lin", ()), 4).ok
+    assert check_naturality(tensor_partial_algebras(a, a, 4).xi)
+    species.clear_caches()
 
 
 def test_monoid_reports_a_law_once_per_failing_split():
@@ -298,38 +332,39 @@ def test_monoid_reports_a_law_once_per_failing_split():
     )
 
 
-def _with_entry(mu, k, key, value=None):
-    comps = {d: dict(c) for d, c in mu.components.items()}
-    if value is None:
-        del comps[k][key]
-    else:
-        comps[k][key] = value
-    return NatTrans(mu.source, mu.target, mu.horizon, comps)
+def _with_component(mu, k, c):
+    """mu with its degree-k component replaced by c."""
+    comps = mu.components
+    return NatTrans(mu.source, mu.target, mu.horizon, comps[:k] + (c,) + comps[k + 1 :])
 
 
 @pytest.mark.parametrize("k", range(4))
 def test_malformed_multiplication_raises_up_front(k):
     mu = lin_concat_mu(3)
-    for key in (min(mu.components[k]), max(mu.components[k])):
-        for value in (None, ("lin", (9,))):
-            bad = _with_entry(mu, k, key, value)
-            with pytest.raises(ShapeMismatch):
-                check_monoid(Lin(), bad, ("lin", ()), 3)
-            with pytest.raises(ShapeMismatch):
-                structure_check_monoid(Lin(), bad, ("lin", ()), 3)
+    c = mu.components[k]
+    off_l = len(enumerate_degree(Lin(), k).points)  # an index past L's structures
+    # the last pair's image missing; the first or the last pair sent off L
+    for bad in (c[:-1], (off_l,) + c[1:], c[:-1] + (off_l,)):
+        with pytest.raises(ShapeMismatch):
+            check_monoid(Lin(), _with_component(mu, k, bad), ("lin", ()), 3)
+        with pytest.raises(ShapeMismatch):
+            structure_check_monoid(Lin(), _with_component(mu, k, bad), ("lin", ()), 3)
 
 
-def test_malformed_multiplication_raises_where_the_structure_route_reported():
-    # the structure route stops its associativity scan at the first failing
-    # triple and reads the shuffles' split with .get, so it never meets
-    # the image off L and returns a report instead
+def test_malformed_multiplication_raises_although_laws_fail_first():
+    # the index route checks every component before any law; the structure
+    # route fails its unit and associativity laws first, then meets the
+    # image off L in the shuffles' split and raises as well
     _, make, eta = MONOID_CASES["L reversed concatenation"]
+    mu = make(3)
     key = ("pair", ((1,), ("lin", (1,)), ("lin", (2, 3))))
-    bad = _with_entry(make(3), 3, key, ("lin", (9,)))
+    i = enumerate_degree(Cauchy(Lin(), Lin()), 3).index[key]
+    c = mu.components[3]
+    bad = _with_component(mu, 3, c[:i] + (6,) + c[i + 1 :])  # L has 6 orders at degree 3
     with pytest.raises(ShapeMismatch):
         check_monoid(Lin(), bad, eta, 3)
-    report = structure_check_monoid(Lin(), bad, eta, 3)
-    assert ("shuffle-equivariance", 3) in report.failures
+    with pytest.raises(ShapeMismatch):
+        structure_check_monoid(Lin(), bad, eta, 3)
 
 
 # --- derivative algebras ----------------------------------------------------
@@ -359,21 +394,27 @@ def test_tensor_associativity_up_to_iso():
     assert check_naturality(left.xi) and check_naturality(right.xi)
 
 
+def _drop_label(tag, star):
+    """The structure map D(F) -> F of an order-like species that deletes the
+    reserved label ``star``."""
+    if tag == "deriv":
+        return lambda k, s: ("deriv", ("lin", tuple(x for x in s[1][1][1] if x != star)))
+    return lambda k, s: (tag, tuple(x for x in s[1][1] if x != star))
+
+
+def _algebras(N):
+    yield exp_algebra(N)
+    yield one_algebra(N)
+    yield PartialAlgebra(Lin(), build_nat(Derive(Lin()), Lin(), N, _drop_label("lin", 0)))
+    drop = _drop_label("subset", 0)
+    yield PartialAlgebra(Subsets(), build_nat(Derive(Subsets()), Subsets(), N, drop))
+    dl = Derive(Lin())  # its structures hold the reserved label 0 already
+    yield PartialAlgebra(dl, build_nat(Derive(dl), dl, N, _drop_label("deriv", -1)))
+
+
 def test_tensor_nontrivial_algebras():
-    # delete-the-adjoined-point structure maps on orders and on subsets;
-    # tensoring them exercises label transport on rich structures
-    def drop_star_lin(k, s):
-        return ("lin", tuple(x for x in s[1][1] if x != 0))
-
-    def drop_star_subset(k, s):
-        return ("subset", tuple(x for x in s[1][1] if x != 0))
-
-    from espece.transforms import PartialAlgebra
-
-    lin_alg = PartialAlgebra(Lin(), build_nat(Derive(Lin()), Lin(), 3, drop_star_lin))
-    sub_alg = PartialAlgebra(
-        Subsets(), build_nat(Derive(Subsets()), Subsets(), 3, drop_star_subset)
-    )
+    # delete-the-adjoined-point structure maps on orders and on subsets
+    _, _, lin_alg, sub_alg, _ = _algebras(3)
     assert check_naturality(lin_alg.xi)
     assert check_naturality(sub_alg.xi)
     for a, b in ((lin_alg, lin_alg), (lin_alg, sub_alg), (sub_alg, exp_algebra(3))):
@@ -385,16 +426,15 @@ def test_tensor_nontrivial_algebras():
 
 
 def test_tensor_rejects_bad_algebra():
-    from espece.transforms import PartialAlgebra
-
-    comps = {
-        k: {s: ("lin", tuple(range(1, k + 1))) for s in enumerate_degree(Derive(Lin()), k).points}
-        for k in range(3)
-    }
-    bad = PartialAlgebra(Lin(), NatTrans(Derive(Lin()), Lin(), 2, comps))
-    assert not check_naturality(bad.xi)
-    with pytest.raises(InvalidAlgebra):
-        tensor_partial_algebras(bad, exp_algebra(2), 2)
+    # every structure to the order 1..k, the first of L's structures
+    constant = tuple((0,) * enumerate_degree(Derive(Lin()), k).size for k in range(3))
+    short = ((0,), (0,), (0,))
+    off_l = ((0,), (0, 1), (0, 1, 0, 1, 0, 2))  # index 2 is past L's two orders
+    for comps in (constant, short, off_l):
+        bad = PartialAlgebra(Lin(), NatTrans(Derive(Lin()), Lin(), 2, comps))
+        assert not check_naturality(bad.xi)
+        with pytest.raises(InvalidAlgebra):
+            tensor_partial_algebras(bad, exp_algebra(2), 2)
 
 
 def test_uniform_subset_maps_natural():
@@ -403,31 +443,7 @@ def test_uniform_subset_maps_natural():
     for t in quad.values():
         assert check_naturality(t)
     # the four maps are pairwise distinct at degree 1
-    tables = {tuple(sorted(t.components[1].items())) for t in quad.values()}
-    assert len(tables) == 4
-
-
-def test_apply_on_labels_transport():
-    mu = lin_concat_mu(3)
-    out = apply_on_labels(mu, ("pair", ((2,), ("lin", (2,)), ("lin", (5,)))), (2, 5))
-    assert out == ("lin", (2, 5))
-
-
-def test_apply_on_labels_rejects_a_structure_not_on_the_labels():
-    mu = lin_concat_mu(3)
-    t = build_nat(Derive(Lin()), Derive(Lin()), 3, _reversal)
-    for labels, enc in (
-        ((2, 5), ("pair", ((2,), ("lin", (2,)), ("lin", (9,))))),  # label 9 is not in the set
-        ((2, 5), ("lin", (2, 5))),  # a structure of another species
-        ((2, 5), ("pair", 5)),  # not shaped like a structure
-    ):
-        with pytest.raises(ShapeMismatch):
-            apply_on_labels(mu, enc, labels)
-    # with the reserved label 0 of an enclosing derivative context
-    assert apply_on_labels(t, ("deriv", ("lin", (-1, 0, 1))), (0, 1)) == ("deriv", ("lin", (1, 0, -1)))
-    for enc in (("deriv", ("lin", (-1, 0, 2))), ("deriv", ("lin", (0, 1)))):
-        with pytest.raises(ShapeMismatch):
-            apply_on_labels(t, enc, (0, 1))
+    assert len({t.components[1] for t in quad.values()}) == 4
 
 
 def _swap_halves(k, s):
@@ -449,29 +465,33 @@ def _nats_with_derivative_contexts(N):
     blocks = Substitute(Exp(), Cauchy(X(), Derive(Lin())))
     for e in (Pointing(Derive(Subsets())), Derive(blocks), AdjR(Derive(X()))):
         yield identity_nat(e, N)
+    yield from uniform_subset_coalgebras(N).values()  # S -> D(S): the sizes differ
 
 
-def test_apply_on_labels_on_non_contiguous_labels():
-    for t in _nats_with_derivative_contexts(3):
-        assert check_naturality(t)
-        for s in structures_on(t.source, (2, 5, 9)):
-            want = threading_apply_on_labels(t, s, (2, 5, 9))
-            assert apply_on_labels(t, s, (2, 5, 9)) == want, (t.source, s)
+DYNAMICS = {
+    "tensor by X": TensorBy(X()),
+    "tensor by S": TensorBy(Subsets()),
+    "derive": DeriveDyn(),
+    "adjL": AdjLDyn(),
+    "pointing": PointingDyn(),
+    "deriveL": DeriveLDyn(),
+}
 
 
-def test_apply_on_labels_under_a_derivative_context():
-    # the label set holds the reserved label 0 of the enclosing context, as
-    # in the derivative, pointing and derivative-of-adjoint dynamics
+@pytest.mark.parametrize("route", [*DYNAMICS, "algebra tensor"])
+def test_index_routes_match_the_label_route(route):
+    # each transformation moved on label sets holding reserved labels, as
+    # under the derivative, pointing and derivative-of-adjoint dynamics
+    if route == "algebra tensor":
+        for a, b in itertools.product(list(_algebras(3)), repeat=2):
+            got = tensor_partial_algebras(a, b, 3).xi.components
+            assert got == label_route_tensor(a, b, 3), (a.carrier, b.carrier)
+        return
+    dyn = DYNAMICS[route]
     for t in _nats_with_derivative_contexts(4):
+        assert check_naturality(t)
         for k in range(4):
-            labels = tuple(range(1, k + 1))
-            for s in enumerate_degree(Derive(t.source), k).points:
-                got = apply_on_labels(t, s[1], labels + (0,))
-                assert got == threading_apply_on_labels(t, s[1], labels + (0,)), (t.source, s)
-            for s in enumerate_degree(Pointing(t.source), k).points:
-                a, inner = s[1]
-                rest = tuple(x for x in labels if x != a) + (0,)
-                assert apply_on_labels(t, inner, rest) == threading_apply_on_labels(t, inner, rest)
+            assert dyn.image(t, k) == label_route_image(dyn, t, k), (t.source, k)
 
 
 def test_nat_to_json_shape():
