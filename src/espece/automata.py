@@ -36,7 +36,7 @@ from .species import (
     enumerate_degree,
     require_valid,
 )
-from .transforms import NatTrans, check_naturality
+from .transforms import NatTrans, _maps_into, check_naturality
 
 PRODUCT_WINDOW = 12
 PRODUCT_BOUND = 10 ** 60
@@ -175,14 +175,31 @@ def check_moore(m: MooreAutomaton) -> MachineReport:
     return _check_machine(m, moore=True)
 
 
+def _require_map(t: NatTrans, k: int, source: SpeciesExpr, target: SpeciesExpr) -> None:
+    """t's degree-k component maps source's structures into target's."""
+    if not _maps_into(t.component(k), cardinality(source, k), cardinality(target, k)):
+        raise ShapeMismatch(f"the degree-{k} component is not a map from {source!r} to {target!r}")
+
+
 def check_morphism(f: NatTrans, m1: MealyAutomaton, m2: MealyAutomaton) -> bool:
-    """Morphism laws: f after d equals d' after T(f), and s equals s' after T(f)."""
+    """Morphism laws: f after d equals d' after T(f), and s equals s' after T(f).
+
+    Raises ShapeMismatch when the machines differ in dynamics or output,
+    when f's endpoints are not their states, or when a component that the
+    laws read is not a map between the sizes of its shape."""
     if m1.dynamics != m2.dynamics or m1.output != m2.output:
         raise ShapeMismatch("machines must share dynamics and output")
     if f.source != m1.state or f.target != m2.state:
         raise ShapeMismatch("morphism endpoints do not match the machines")
-    horizon = min(m1.horizon, m2.horizon, f.horizon - m1.dynamics.shift)
+    shift = m1.dynamics.shift
+    horizon = min(m1.horizon, m2.horizon, f.horizon - shift)
+    for k in range(horizon + shift + 1 if horizon >= 0 else 0):  # f's degrees T(f) reads
+        _require_map(f, k, f.source, f.target)
+    shapes = [(m, apply_dynamics(m.dynamics, m.state)) for m in (m1, m2)]
     for k in range(horizon + 1):
+        for m, shifted in shapes:
+            _require_map(m.d, k, shifted, m.state)
+            _require_map(m.s, k, shifted, m.output)
         fx = m1.dynamics.image(f, k)
         fk, d2, s2 = f.component(k), m2.d.component(k), m2.s.component(k)
         if [fk[y] for y in m1.d.component(k)] != [d2[y] for y in fx]:

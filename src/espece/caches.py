@@ -1,8 +1,8 @@
 """The one owner of the engine's memo tables.
 
 Every table that outlives a call is registered here: the counting,
-enumeration, compile, action and validation tables of ``species``, the
-S_n tables of ``groups``, and one table per remembered query (``memo``).
+Cauchy layout, enumeration, compile, action and validation tables of
+``species``, the S_n tables of ``groups``, and one table per remembered query (``memo``).
 Modules keep aliases bound to the same dict and set objects, so a lookup
 costs what a module global's does.
 

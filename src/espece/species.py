@@ -22,7 +22,6 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import weakref
@@ -334,6 +333,8 @@ class Table(SpeciesExpr):
                 for row in self.action
             ),
         )
+        import hashlib  # only a Table digests; most processes build none
+
         digest = hashlib.sha1(repr(normal).encode()).hexdigest()[:16]
         self.key = f"{self.name}:{digest}"
         self._hash = hash(("Table", self.key))
@@ -492,6 +493,10 @@ class Cauchy(_Node):
         return tuple(out)
 
 
+# (f, g, n) -> the block layout of Cauchy(f, g) on 1..n
+_LAYOUT_CACHE = caches.register("Cauchy layouts", {}, len)
+
+
 def cauchy_layout(f: SpeciesExpr, g: SpeciesExpr, n: int) -> dict:
     """The block layout of Cauchy(f, g) on 1..n (Bergeron, Labelle and
     Leroux 1998, section 1.4).
@@ -502,8 +507,12 @@ def cauchy_layout(f: SpeciesExpr, g: SpeciesExpr, n: int) -> dict:
     among g's on the rest.  Maps each U, in that order, to (offset, rows,
     cols) = (the block's first position, |f_|U||, |g_(n-|U|)|), so the
     pair sits at offset + i1 * cols + i2.  Only blocks with structures are
-    listed.
+    listed.  The layout is kept per (f, g, n); callers only read it.
     """
+    key = (f, g, n)
+    layout = _LAYOUT_CACHE.get(key)
+    if layout is not None:
+        return layout
     layout, total = {}, 0
     for U in sorted(
         U
@@ -514,6 +523,8 @@ def cauchy_layout(f: SpeciesExpr, g: SpeciesExpr, n: int) -> dict:
         rows, cols = _card(f, len(U)), _card(g, n - len(U))
         layout[U] = (total, rows, cols)
         total += rows * cols
+    _LAYOUT_CACHE[key] = layout
+    caches.add(_LAYOUT_CACHE, layout)
     return layout
 
 
@@ -614,8 +625,8 @@ class Derive(_Node):
     def child_degree(self, n):
         return n + 1
 
-    def count(self, n, f):
-        return f[n + 1]
+    def counts(self, start, stop, f):
+        return f[start + 1 : stop + 1]
 
     def build(self, labels):
         inner = yield self.f, (fresh_star(labels),) + labels

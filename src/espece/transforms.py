@@ -349,6 +349,7 @@ class MonoidReport(Record):
     failures: Tuple  # (law, degree) pairs
 
 
+@caches.memo
 def check_monoid(f: SpeciesExpr, mu: NatTrans, eta, N: int) -> MonoidReport:
     """Unit laws, associativity, and shuffle equivariance, degreewise.
 
@@ -441,6 +442,7 @@ def _associative(m, layouts, k: int) -> bool:
     return True
 
 
+@caches.memo
 def lin_concat_mu(N: int) -> NatTrans:
     """Concatenation of linear orders as a transformation L*L -> L."""
 
@@ -451,6 +453,7 @@ def lin_concat_mu(N: int) -> NatTrans:
     return build_nat(Cauchy(Lin(), Lin()), Lin(), N, fn)
 
 
+@caches.memo
 def exp_mu(N: int) -> NatTrans:
     """The unique multiplication E*E -> E (union of the two parts)."""
 
@@ -480,18 +483,21 @@ def _check_algebra(a: PartialAlgebra, N: int) -> None:
         raise InvalidAlgebra("structure map is not equivariant")
 
 
+@caches.memo
 def exp_algebra(N: int) -> PartialAlgebra:
     """The unique derivative algebra on the exponential species."""
     xi = build_nat(Derive(Exp()), Exp(), N, lambda k, s: ("set", tuple(range(1, k + 1))))
     return PartialAlgebra(Exp(), xi)
 
 
+@caches.memo
 def one_algebra(N: int) -> PartialAlgebra:
     """The unit algebra: the derivative of the unit is empty."""
     xi = NatTrans(Derive(One()), One(), N, ((),) * (N + 1))
     return PartialAlgebra(One(), xi)
 
 
+@caches.memo
 def tensor_partial_algebras(a: PartialAlgebra, b: PartialAlgebra, N: int) -> PartialAlgebra:
     """Tensor two derivative algebras along the Leibniz decomposition.
 

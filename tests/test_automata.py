@@ -155,6 +155,17 @@ def test_morphism_shape_mismatch():
         check_morphism(identity_nat(Subsets(), 2), m, other)
 
 
+def test_morphism_with_an_index_off_its_shape_is_refused():
+    m = exp_adjl_machine(2)
+    with pytest.raises(ShapeMismatch):  # E at 1 has one structure, not six
+        check_morphism(NatTrans(Exp(), Exp(), 2, ((0,), (5,), (0,))), m, m)
+    d = NatTrans(m.d.source, m.d.target, 2, ((), (9,), (0, 0)))
+    bad = MealyAutomaton(m.dynamics, m.state, m.output, d, m.s, 2)
+    for m1, m2 in ((bad, m), (m, bad)):
+        with pytest.raises(ShapeMismatch):
+            check_morphism(identity_nat(Exp(), 2), m1, m2)
+
+
 def test_reversal_intertwines_prepend_and_append():
     # under the tensor dynamics, order reversal carries the prepend
     # machine onto the append machine

@@ -47,6 +47,20 @@ QUERIES = (
     (adamek_chain, (parse_operator("1:0 + X:0"), 8), ("solve", "--op", "1:0 + X:0", "--upto", "9")),
     (terminal_counts, (TensorBy(X()), Exp(), 3), ("terminal", "--dyn", "tensor", "--by", "X", "E")),
     (hom_day_counts, (X(), Lin(), 4), ("homday", "X", "L", "--upto", "4")),
+    (
+        transforms.check_monoid,
+        (Lin(), transforms.lin_concat_mu(5), ("lin", ()), 5),
+        ("monoid", "lin", "--upto", "5", "--json"),
+    ),
+    (transforms.lin_concat_mu, (5,), ("monoid", "lin", "--upto", "5", "--json")),
+    (transforms.exp_mu, (4,), ("monoid", "exp", "--upto", "4")),
+    (
+        transforms.tensor_partial_algebras,
+        (transforms.exp_algebra(4), transforms.exp_algebra(4), 4),
+        ("algtensor", "--upto", "4", "--json"),
+    ),
+    (transforms.exp_algebra, (4,), ("algtensor", "--upto", "4", "--json")),
+    (transforms.one_algebra, (3,), ("algtensor", "--upto", "3")),
 )
 
 
@@ -90,6 +104,45 @@ def test_repeated_request_does_no_group_work(argv, monkeypatch):
     calls.clear()
     assert run(argv) == cold
     assert calls == []
+    species.clear_caches()
+
+
+@pytest.mark.parametrize(
+    "argv, after_repeat",
+    [
+        (("monoid", "lin", "--upto", "5", "--json"), []),
+        # the command's own report checks the remembered product's map
+        (("algtensor", "--upto", "4", "--json"), ["check_naturality"]),
+    ],
+)
+def test_repeated_request_checks_no_law(argv, after_repeat, monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(transforms, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("check_naturality", "_associative"):
+        monkeypatch.setattr(transforms, name, counted(name))
+    species.clear_caches()
+    cold = run(argv)
+    assert cold[0] == 0 and "check_naturality" in calls
+    calls.clear()
+    assert run(argv) == cold
+    assert calls == after_repeat
+    species.clear_caches()
+    assert run(argv) == cold
+    species.clear_caches()
+
+
+def test_cauchy_layouts_are_kept():
+    species.clear_caches()
+    layout = species.cauchy_layout(Lin(), Exp(), 4)
+    assert species.cauchy_layout(Lin(), Exp(), 4) is layout
+    assert caches.report()["Cauchy layouts"] == (1, len(layout)) == (1, 16)
+    species.clear_caches()
+    assert caches.report()["Cauchy layouts"] == (0, 0)
+    assert species.cauchy_layout(Lin(), Exp(), 4) == layout
     species.clear_caches()
 
 

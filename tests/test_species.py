@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 
 import pytest
@@ -46,6 +47,7 @@ from espece.groups import FiniteAction, Permutation, all_permutations, element_i
 from espece.species import (
     Table,
     cauchy_layout,
+    counts_upto,
     fresh_star,
     generator_arrays,
     structures_on,
@@ -411,6 +413,20 @@ def test_table_budget():
         cardinality(Derive(tbl), 3)
 
 
+def test_derivative_counts_shift_the_inner_counts():
+    # D^j(e) at n has e's count at n + j, on every golden expression
+    for e in GOLDEN_EXPRS:
+        inner = [cardinality(e, n) for n in range(10)]
+        d = e
+        for j in range(1, 4):
+            d = Derive(d)
+            assert counts_upto(d, 6) == tuple(inner[j : j + 7]), (e, j)
+    d = Cyc()
+    for _ in range(150):
+        d = Derive(d)
+    assert counts_upto(d, 20) == tuple(math.factorial(n + 149) for n in range(21))
+
+
 # --- degree budget ---------------------------------------------------------
 
 
@@ -501,6 +517,14 @@ def test_clear_caches_empties_every_counting_cache():
     from espece import DeriveDyn, adamek_chain, canonical_iso_suite, count_nat, caches
     from espece import hom_day_counts, iso_check, terminal_counts
     from espece.cli import parse_expr, parse_operator
+    from espece.transforms import (
+        check_monoid,
+        exp_algebra,
+        exp_mu,
+        lin_concat_mu,
+        one_algebra,
+        tensor_partial_algebras,
+    )
 
     cardinality(Substitute(Exp(), Cyc()), 6)
     enumerate_degree(Substitute(Exp(), as_table(Cyc(), 3)), 3)
@@ -511,6 +535,9 @@ def test_clear_caches_empties_every_counting_cache():
     adamek_chain(parse_operator("1:0 + X:0"), 3)
     terminal_counts(DeriveDyn(), Exp(), 3)
     hom_day_counts(X(), Lin(), 2)
+    assert check_monoid(Lin(), lin_concat_mu(2), ("lin", ()), 2).ok  # and the Cauchy layouts
+    exp_mu(2)
+    tensor_partial_algebras(exp_algebra(2), one_algebra(2), 2)
     tables = caches.report()
     assert {"S_n tables", "cycle types", "counts", "transforms.iso_check"} <= set(tables)
     assert [name for name, (entries, _) in tables.items() if not entries] == []
