@@ -364,22 +364,20 @@ def _dumps(doc, sort_keys=False) -> str:
     return "".join(out)
 
 
-def _json_out(command, inputs, horizon, result, diagnostics=()):
-    doc = {
-        "command": command,
-        "inputs": inputs,
-        "horizon": horizon,
-        "result": result,
-        "diagnostics": list(diagnostics),
-    }
-    return _dumps(doc, sort_keys=True) + "\n"
-
-
 def _emit(args, inputs, horizon, result_json, text, out):
     """Write the JSON envelope or, without --json, ``text()``: the text is
-    rendered only when it is printed."""
+    rendered only when it is printed.  The newline is written on its own,
+    so a large document is not copied to append it."""
     if args.json:
-        out.write(_json_out(args.command, inputs, horizon, result_json))
+        doc = {
+            "command": args.command,
+            "inputs": inputs,
+            "horizon": horizon,
+            "result": result_json,
+            "diagnostics": [],
+        }
+        out.write(_dumps(doc, sort_keys=True))
+        out.write("\n")
     else:
         out.write(text() + "\n")
 
@@ -524,18 +522,18 @@ def _cmd_monoid(args, out):
 def _cmd_algtensor(args, out):
     N = args.upto
     a = transforms.exp_algebra(N)
+    # tensor_partial_algebras raises InvalidAlgebra when xi is not natural
     product = transforms.tensor_partial_algebras(a, a, N)
-    natural = transforms.check_naturality(product.xi)
     unit = transforms.tensor_partial_algebras(a, transforms.one_algebra(N), N)
     unit_ok = iso_check(unit.carrier, a.carrier, N).isomorphic
     left = transforms.tensor_partial_algebras(product, a, N)
     right = transforms.tensor_partial_algebras(a, product, N)
     assoc_ok = iso_check(left.carrier, right.carrier, min(N, 3)).isomorphic
-    ok = natural and unit_ok and assoc_ok
+    ok = unit_ok and assoc_ok
 
     def text():
         return (
-            f"tensor algebra on E*E: naturality={'pass' if natural else 'fail'}, "
+            "tensor algebra on E*E: naturality=pass, "
             f"unit={'pass' if unit_ok else 'fail'}, "
             f"associativity={'pass' if assoc_ok else 'fail'}"
         )
@@ -544,7 +542,7 @@ def _cmd_algtensor(args, out):
         args,
         {},
         N,
-        {"naturality": natural, "unit": unit_ok, "associativity": assoc_ok, "ok": ok},
+        {"naturality": True, "unit": unit_ok, "associativity": assoc_ok, "ok": ok},
         text,
         out,
     )

@@ -66,12 +66,17 @@ class SpeciesExpr:
     sections 1.1-1.4): ``children``, its subexpressions in field order;
     ``child_degree(n)``, the degree at which it reads them when evaluated
     at n; ``count(n, *child_counts)`` (or ``counts`` for a range of
-    degrees); ``build(labels)``, its sorted structures; ``compile(n)``,
-    the S_n-action on them; and ``check``, ``check_with_children``, its
+    degrees); ``composed_counts``, the counts of itself substituted into;
+    ``build(labels)``, its sorted structures; ``compile(n)``, the
+    S_n-action on them; and ``check``, ``check_with_children``, its
     validation.
     """
 
     children: Tuple["SpeciesExpr", ...] = ()
+    # composed_counts(hs, gs, start, stop): the counts of self o g at
+    # start..stop-1 from self's differential equation, given g's counts gs
+    # and the composite's own hs at 0..start-1.  None: the Bell triangle.
+    composed_counts = None
 
     def __add__(self, other):
         return Sum(self, other)
@@ -230,6 +235,9 @@ class Exp(_Node):
     def relabel(self, s, get):
         return s  # the whole label set is its own image
 
+    def composed_counts(self, hs, gs, start, stop):
+        return _unit_composed(hs, gs, start, stop, 1, 1)
+
 
 class ExpPlus(_Node):
     def count(self, n):
@@ -239,6 +247,9 @@ class ExpPlus(_Node):
         return (("set", labels),) if labels else ()
 
     relabel = Exp.relabel
+
+    def composed_counts(self, hs, gs, start, stop):
+        return _unit_composed(hs, gs, start, stop, 0, 1)
 
 
 class Lin(_Node):
@@ -257,6 +268,9 @@ class Lin(_Node):
             return ((0,),)
         return (yield Cauchy(X(), Lin()), n)
 
+    def composed_counts(self, hs, gs, start, stop):
+        return _unit_composed(hs, gs, start, stop, 1, 0)
+
 
 class LinPlus(_Node):
     def count(self, n):
@@ -267,6 +281,9 @@ class LinPlus(_Node):
 
     def compile(self, n):
         return (yield Cauchy(X(), Lin()), n)
+
+    def composed_counts(self, hs, gs, start, stop):
+        return _unit_composed(hs, gs, start, stop, 0, 0)
 
 
 class Cyc(_Node):
@@ -285,6 +302,9 @@ class Cyc(_Node):
         i = xs.index(min(xs))  # the least label first
         return ("cyc", xs[i:] + xs[:i])
 
+    def composed_counts(self, hs, gs, start, stop):
+        return _cyc_composed(hs, gs, start, stop)
+
 
 class Perm(_Node):
     """Permutations of the label set, acted on by conjugation."""
@@ -298,6 +318,9 @@ class Perm(_Node):
     def relabel(self, s, get):
         return ("perm", tuple(sorted([(get(x), get(y)) for x, y in s[1]])))
 
+    # S o G = E o (C o G) = 1/(1 - G) = L o G
+    composed_counts = Lin.composed_counts
+
 
 class Subsets(_Node):
     def count(self, n):
@@ -309,6 +332,9 @@ class Subsets(_Node):
 
     def relabel(self, s, get):
         return ("subset", tuple(sorted(map(get, s[1]))))
+
+    def composed_counts(self, hs, gs, start, stop):
+        return _unit_composed(hs, gs, start, stop, 1, 1, 2)  # P = E * E = exp(2X)
 
 
 class Table(SpeciesExpr):
@@ -543,7 +569,10 @@ class Substitute(_Node):
         return ((self.f, N), (self.g, N - kmin + 1))
 
     def counts(self, start, stop, f, g):
-        return _substitute_counts(self.g, f, g, start, stop)
+        rule = self.f.composed_counts
+        if rule is None:
+            return _substitute_counts(self.g, f, g, start, stop)
+        return rule(_COUNT_CACHE[self], g, start, stop)
 
     def check_with_children(self, path, diags):
         try:
@@ -904,6 +933,46 @@ def _substitute_counts(g, fs, gs, start: int, stop: int) -> list:
         out.append(sum(fs[k] * rows[k][n] for k in used))
     caches.add(_BELL_CACHE, rows, before)
     return out
+
+
+# The outers whose composite satisfies a differential equation (Flajolet and
+# Sedgewick 2009, chapter II; Bergeron, Labelle and Leroux 1998, section
+# 1.4) count f o g in O(N^2): degree n reads g_1..g_n and the composite's
+# own counts below n, O(n) per degree.  g_0 is not read, as on the Bell
+# route, and the unit u_0 = 1 counts inside the sums also when h_0 = 0.
+
+
+def _unit_composed(hs, gs, start, stop, h0: int, shift: int, scale: int = 1) -> list:
+    """u_n = scale sum_k C(n-s, k-s) g_k u_(n-k) from u_0 = 1, with h_0 = h0.
+
+    s = 1: exp(scale G), from U' = scale G' U; s = 0: 1/(1 - G), from
+    U = 1 + G U.
+    """
+    u = [1, *hs[1:start]]
+    support = [k for k in range(1, stop) if gs[k]]
+    for n in range(len(u), stop):
+        total = 0
+        for k in support:
+            if k > n:
+                break
+            total += math.comb(n - shift, k - shift) * gs[k] * u[n - k]
+        u.append(scale * total)
+    return [h0, *u[1:]] if start == 0 else u[start:]
+
+
+def _cyc_composed(hs, gs, start, stop) -> list:
+    """-log(1 - G) from (1 - G) H' = G':
+    h_n = g_n + sum_(k<n) C(n-1, k) g_k h_(n-k); h_0 = 0."""
+    h = [0, *hs[1:start]]
+    support = [k for k in range(1, stop) if gs[k]]
+    for n in range(len(h), stop):
+        total = gs[n]
+        for k in support:
+            if k >= n:
+                break
+            total += math.comb(n - 1, k) * gs[k] * h[n - k]
+        h.append(total)
+    return h[start:]
 
 
 def _counts(e, N: int) -> list:

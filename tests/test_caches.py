@@ -111,8 +111,7 @@ def test_repeated_request_does_no_group_work(argv, monkeypatch):
     "argv, after_repeat",
     [
         (("monoid", "lin", "--upto", "5", "--json"), []),
-        # the command's own report checks the remembered product's map
-        (("algtensor", "--upto", "4", "--json"), ["check_naturality"]),
+        (("algtensor", "--upto", "4", "--json"), []),
     ],
 )
 def test_repeated_request_checks_no_law(argv, after_repeat, monkeypatch):

@@ -1,7 +1,9 @@
+import io
 import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,8 +39,11 @@ from espece import (
     seq_substitute_egf,
     seq_sum,
 )
+from espece import caches, species
+from espece.cli import main
 from espece.counting import EgfSeq, egf_of_counts, seq_hadamard
 from espece.errors import BudgetExceeded, HorizonExhausted, InnerNotPositive
+from espece.species import _substitute_counts
 from helpers import (
     GOLDEN_EXPRS,
     integer_partition_substitution_count,
@@ -186,8 +191,8 @@ def test_bell_route_against_integer_partition_route():
 
 def test_substitution_closed_forms():
     # sets of cycles are permutations; sets of nonempty sets are set partitions
-    assert count_seq(Substitute(Exp(), Cyc()), 100).coeffs == tuple(
-        math.factorial(n) for n in range(101)
+    assert count_seq(Substitute(Exp(), Cyc()), 300).coeffs == tuple(
+        math.factorial(n) for n in range(301)
     )
     bell = [1]
     for n in range(40):
@@ -202,6 +207,12 @@ def test_substitution_table_budget_matches_partition_route():
     table_counts = tuple(cardinality(table, n) for n in range(4))
     outers = (
         Exp(),
+        Lin(),
+        Cyc(),
+        Perm(),
+        Subsets(),
+        ExpPlus(),
+        LinPlus(),
         X(),
         Zero(),
         Cauchy(X(), X()),
@@ -222,6 +233,67 @@ def test_substitution_table_budget_matches_partition_route():
             else:
                 assert cardinality(Substitute(f, table), n) == expected, (f, n)
     assert (Exp(), 4) in raised and (Cauchy(X(), X()), 4) not in raised
+
+
+# The outers that count f o g from their differential equation, and inners:
+# every positive GOLDEN_EXPRS entry plus three whose g_1 or g_2 is not 1.
+ODE_OUTERS = (Exp(), Subsets(), Lin(), Perm(), Cyc(), ExpPlus(), LinPlus())
+
+
+def _ode_inners():
+    extras = (Sum(Cyc(), X()), Sum(X(), Cauchy(X(), X())), Cauchy(Derive(Cyc()), X()))
+    return [g for g in GOLDEN_EXPRS if cardinality(g, 0) == 0] + list(extras)
+
+
+def test_ode_route_matches_bell_and_partition_routes():
+    # The partition oracle sums over p(n) partitions (p(60) = 966467), so
+    # it runs to degree 20 and the Bell route carries the check to 60.
+    N, M = 60, 20
+    for f in ODE_OUTERS:
+        fc = count_seq(f, N).coeffs
+        for g in _ode_inners():
+            gc = count_seq(g, N).coeffs
+            species.clear_caches()
+            got = count_seq(Substitute(f, g), N).coeffs
+            assert caches.report()["Bell rows"] == (0, 0), (f, g)
+            assert got == tuple(_substitute_counts(g, fc, gc, 0, N + 1)), (f, g)
+            expected = tuple(integer_partition_substitution_count(fc, gc, n) for n in range(M + 1))
+            assert got[: M + 1] == expected, (f, g)
+    species.clear_caches()
+
+
+def test_ode_route_extends_from_its_own_counts(monkeypatch):
+    # degree by degree reads the cached prefix: the same binomials as one
+    # extension to N, none recomputed
+    binomials = []
+
+    def comb(n, k):
+        binomials.append((n, k))
+        return math.comb(n, k)
+
+    monkeypatch.setattr(species, "math", SimpleNamespace(**{**vars(math), "comb": comb}))
+    N = 30
+    for f in ODE_OUTERS:
+        for g in (X(), Cyc(), Sum(X(), Cauchy(X(), X()))):
+            e = Substitute(f, g)
+            species.clear_caches()
+            count_seq(g, N)
+            binomials.clear()
+            whole = count_seq(e, N).coeffs
+            once = len(binomials)
+            species.clear_caches()
+            count_seq(g, N)
+            binomials.clear()
+            assert tuple(cardinality(e, n) for n in range(N + 1)) == whole, (f, g)
+            assert len(binomials) == once, (f, g)
+    species.clear_caches()
+
+
+def test_large_substitution_fills_no_bell_row():
+    species.clear_caches()
+    code = main(["coeffs", "E o C", "--upto", "300"], io.StringIO())
+    assert code == 0 and caches.report()["Bell rows"] == (0, 0)
+    species.clear_caches()
 
 
 def test_leibniz_rule_at_counting_level():
