@@ -32,6 +32,7 @@ CAP = 1_000_000
 _TABLES: dict = {}  # name -> (table, the slots of one value)
 _RULES: dict = {}  # id(table) -> the slots of one value
 held = 0  # stored slots of all tables, counted by ``add``
+_answers: dict = {}  # id -> every answer a ``memo`` table holds, counted there once
 _computing = 0  # remembered queries now computing
 _KEYWORDS = object()  # parts a call's positional arguments from its keywords
 _SCALARS = frozenset((int, bool, type(None)))  # not opened: a sequence of them is its length
@@ -72,6 +73,7 @@ def clear() -> None:
     global held
     for table, _ in _TABLES.values():
         table.clear()
+    _answers.clear()
     held = 0
 
 
@@ -94,11 +96,12 @@ def _slots(value) -> int:
     """Stored slots of a remembered call: the length of each distinct
     tuple, list and string in it, reached through them and through
     records compared by value.  An interned expression node, compared by
-    identity, is owned by the node table and is not opened."""
+    identity, is owned by the node table and is not opened, and neither
+    is another remembered answer, counted in its own table."""
     out, seen, stack = 0, set(), [value]
     while stack:
         v = stack.pop()
-        if id(v) in seen:
+        if id(v) in seen or id(v) in _answers:
             continue
         seen.add(id(v))
         if isinstance(v, (tuple, list)):
@@ -141,6 +144,7 @@ def memo(fn):
         if key is not None:
             table[key] = entry = (result, 1 + _slots((key, result)))
             add(table, entry)
+            _answers[id(result)] = result
         return result
 
     return remembered

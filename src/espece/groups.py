@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import cached_property
 from typing import Callable, Tuple
 
@@ -27,9 +28,17 @@ from .records import Record
 # 8! = 40320 permutations; anything past this is no longer desk scale.
 MAX_DEGREE = 8
 
+
+def _table_slots(table) -> int:
+    """Slots of an S_n table: its elements, steps and positions, and the
+    parents its runs list."""
+    perms, steps, position, runs = table
+    return len(perms) + len(steps) + len(position) + sum(len(parents) for _, parents in runs)
+
+
 # degree -> S_n as a generator walk (see _symmetric_table); at most
 # MAX_DEGREE + 1 entries, since each is built from all_permutations.
-_SYMMETRIC_TABLES = caches.register("S_n tables", {}, caches.nested)
+_SYMMETRIC_TABLES = caches.register("S_n tables", {}, _table_slots)
 # degree -> the cycle type of each element of that table, in table order;
 # filled on first use, so each cycle type is computed once until the memo
 # tables are cleared.
@@ -235,29 +244,39 @@ def induced_arrays(n: int, inner):
 def _symmetric_table(n: int):
     """S_n listed so that each element is one generator after an earlier one.
 
-    Returns ``(perms, steps, position)``: ``perms[0]`` is the identity,
-    ``perms[t]`` is ``generators(n)[j] * perms[parent]`` for ``(parent, j) =
-    steps[t - 1]``, and ``position`` maps one-line images to ``t``.  For a
-    left action, sigma.x = g.(tau.x), so walking the steps maps a point
-    under every element with one array lookup each.  Built from
-    ``all_permutations``, so it obeys the same degree cap.
+    Returns ``(perms, steps, position, runs)``: ``perms[0]`` is the
+    identity, ``perms[t]`` is ``generators(n)[j] * perms[parent]`` for
+    ``(parent, j) = steps[t - 1]``, and ``position`` maps one-line images
+    to ``t``.  The elements come in runs, one breadth-first level and one
+    generator at a time: each run ``(j, parents)`` lists, in position
+    order, ``generators(n)[j]`` after each of ``perms[parents]``, all of
+    them earlier.  For a left action, sigma.x = g.(tau.x), so a walk maps a
+    point under every element with one array lookup each, one C-level
+    ``map`` per run.  Built from ``all_permutations``, so it obeys the same
+    degree cap.
     """
     table = _SYMMETRIC_TABLES.get(n)
     if table is not None:
         return table
     by_images = {p.images: p for p in all_permutations(n)}
-    gens = generator_lines(n)
     order = [Permutation.identity(n).images]
     position = {order[0]: 0}
-    steps = []
-    for parent, tau in enumerate(order):  # a queue: order grows while it is walked
-        for j, g in enumerate(gens):
-            sigma = tuple(g[v - 1] for v in tau)
-            if sigma not in position:
-                position[sigma] = len(order)
-                order.append(sigma)
-                steps.append((parent, j))
-    table = (tuple(by_images[s] for s in order), tuple(steps), position)
+    steps, runs, level = [], [], [0]
+    while level:
+        start = len(order)
+        for j, g in enumerate(generator_lines(n)):
+            parents = []
+            for parent in level:
+                sigma = tuple([g[v - 1] for v in order[parent]])
+                if sigma not in position:
+                    position[sigma] = len(order)
+                    order.append(sigma)
+                    steps.append((parent, j))
+                    parents.append(parent)
+            if parents:
+                runs.append((j, tuple(parents)))
+        level = range(start, len(order))
+    table = (tuple(by_images[s] for s in order), tuple(steps), position, tuple(runs))
     _SYMMETRIC_TABLES[n] = table
     caches.add(_SYMMETRIC_TABLES, table)
     return table
@@ -430,23 +449,38 @@ def stabilizer(a: FiniteAction, x) -> SubgroupElements:
 
 def _stabilizer_at(a: FiniteAction, i: int):
     """The S_n-table positions of the permutations fixing the i-th point,
-    by one walk of the table."""
-    steps = _symmetric_table(a.degree)[1]
+    by one walk of the table: images[t] is the index of perms[t] applied
+    to the point, one ``map`` per run."""
     gens = a.generator_images()
-    images = [i]  # images[t] = perms[t].x, as a point index
-    for parent, j in steps:
-        images.append(gens[j][images[parent]])
-    return [t for t, y in enumerate(images) if y == i]
+    images = [i]
+    for j, parents in _symmetric_table(a.degree)[3]:
+        images += map(gens[j].__getitem__, map(images.__getitem__, parents))
+    return list(itertools.compress(range(len(images)), map(i.__eq__, images)))
+
+
+def _root_stabilizers(a: FiniteAction, orbits):
+    """The S_n-table positions of the stabilizer of each orbit's least
+    point, in turn.  Its order is n!/|O|, so a one-point orbit's is all of
+    S_n and a free orbit's the identity alone; only the other roots walk
+    the table.  The cap on S_n holds from the first orbit on."""
+    order = symmetric_order(a.degree)
+    for orbit in orbits:
+        if len(orbit) == 1:
+            yield range(order)
+        elif len(orbit) == order:
+            yield (0,)
+        else:
+            yield _stabilizer_at(a, orbit[0])
 
 
 def element_images(a: FiniteAction):
     """(sigma, the point indices sigma sends the points to) for all of S_n."""
-    perms, steps, _ = _symmetric_table(a.degree)
+    perms, _, _, runs = _symmetric_table(a.degree)
     gens = a.generator_images()
     arrays = [tuple(range(a.size))]
-    for parent, j in steps:
-        g = gens[j]
-        arrays.append(tuple([g[y] for y in arrays[parent]]))
+    for j, parents in runs:
+        g = gens[j].__getitem__
+        arrays += [tuple(map(g, arrays[p])) for p in parents]
     return tuple(zip(perms, arrays))
 
 
@@ -457,16 +491,17 @@ def fixed_points(H: SubgroupElements, a: FiniteAction) -> Tuple:
     return tuple(a.points[i] for i in _fixed_indices(H.positions, a))
 
 
-def _fixed_indices(positions, a: FiniteAction):
+def _fixed_indices(positions, a: FiniteAction, keep=None):
     """Indices of the points of ``a`` fixed by the S_n-table elements at
     ``positions``, each element read as its word in the generators (its
-    path in the table)."""
+    path in the table); only the sorted indices ``keep`` are tried, when
+    given."""
     moving = [t for t in positions if t]
+    keep = range(a.size) if keep is None else keep
     if not moving:  # the identity fixes every point: leave the action uncompiled
-        return range(a.size)
+        return keep
     steps = _symmetric_table(a.degree)[1]
     gens = a.generator_images()
-    keep = list(range(a.size))
     for t in moving:
         word = []
         while t:  # back to the identity: the last generator comes first
@@ -483,12 +518,26 @@ def _root_images(src: FiniteAction, tgt: FiniteAction, orbits):
     """For each orbit of src (``_orbit_trees``), the indices of the tgt
     points fixed by the stabilizer of its root: the images an equivariant
     map may give the root.  Stops after the first orbit with none, since
-    then there is no map."""
+    then there is no map.
+
+    A root's image has a stabilizer that holds the root's, so it lies in a
+    tgt orbit whose size divides |O|: only those points are tried.  A
+    one-point orbit's images are tgt's one-point orbits, and a free
+    orbit's are every tgt point, tgt left uncompiled."""
     if src.degree != tgt.degree:
         raise DegreeMismatch(f"{src.degree} vs {tgt.degree}")
-    out = []
-    for orbit in orbits:
-        out.append(_fixed_indices(_stabilizer_at(src, orbit[0]), tgt))
+    out, sizes = [], None
+    for orbit, positions in zip(orbits, _root_stabilizers(src, orbits)):
+        if len(positions) == 1:
+            out.append(range(tgt.size))
+        else:
+            if sizes is None:  # the orbit size of each tgt point
+                sizes = [0] * tgt.size
+                for q in _orbit_trees(tgt)[0]:
+                    for z in q:
+                        sizes[z] = len(q)
+            keep = [i for i, m in enumerate(sizes) if len(orbit) % m == 0]
+            out.append(keep if len(orbit) == 1 else _fixed_indices(positions, tgt, keep))
         if not out[-1]:
             break
     return out
@@ -556,12 +605,14 @@ def subgroups_conjugate(H: SubgroupElements, K: SubgroupElements) -> bool:
     return False
 
 
-def _orbit_stabilizers(a: FiniteAction):
-    """The stabilizers of the orbits' least points, grouped by orbit key:
-    (orbit size, stabilizer order, stabilizer cycle types)."""
+def _orbit_stabilizers(a: FiniteAction, orbits=None):
+    """The stabilizers of the least points of ``orbits`` (all of a's by
+    default), grouped by orbit key: (orbit size, stabilizer order,
+    stabilizer cycle types)."""
+    orbits = _orbit_trees(a)[0] if orbits is None else orbits
     out = {}
-    for orbit in _orbit_trees(a)[0]:
-        stab = SubgroupElements(a.degree, positions=_stabilizer_at(a, orbit[0]))
+    for orbit, positions in zip(orbits, _root_stabilizers(a, orbits)):
+        stab = SubgroupElements(a.degree, positions=positions)
         out.setdefault((len(orbit), len(stab), stab.cycle_type_multiset), []).append(stab)
     return out
 
@@ -575,19 +626,79 @@ def action_signature(a: FiniteAction):
     return tuple(sorted(key for key, stabs in _orbit_stabilizers(a).items() for _ in stabs))
 
 
+def _orbit_keys(a: FiniteAction):
+    """(orbit, key) for each orbit of ``_orbit_trees``; orbits with equal
+    keys are isomorphic.  One-point orbits are all trivial and free ones
+    (n! points) all regular, so their key is their size.  Any other
+    orbit's key is its root form: the generator arrays on it renumbered in
+    walk order, its least point 0.  The walk reads only those arrays, so
+    the k-th points of two walks with equal forms correspond."""
+    orbits = _orbit_trees(a)[0]
+    plain = (1, math.factorial(a.degree))
+    formed = [orbit for orbit in orbits if len(orbit) not in plain]
+    if not formed:
+        return [(orbit, len(orbit)) for orbit in orbits]
+    rank = [0] * a.size  # each point's place in its orbit's walk
+    for orbit in formed:
+        for k, z in enumerate(orbit):
+            rank[z] = k
+    rows = [list(map(rank.__getitem__, g)) for g in a.generator_images()]
+    return [
+        (orbit, tuple([tuple(map(row.__getitem__, orbit)) for row in rows]))
+        if len(orbit) not in plain
+        else (orbit, len(orbit))
+        for orbit in orbits
+    ]
+
+
+def _unmatched_orbits(a: FiniteAction, b: FiniteAction):
+    """The orbits of a and of b left when orbits with equal keys cancel in
+    pairs."""
+    pending = {}  # key -> b's orbits with that key not yet matched
+    for orbit, key in _orbit_keys(b):
+        pending.setdefault(key, []).append(orbit)
+    rest_a = []
+    for orbit, key in _orbit_keys(a):
+        match = pending.get(key)
+        if match:
+            match.pop()
+        else:
+            rest_a.append(orbit)
+    return rest_a, [orbit for orbits in pending.values() for orbit in orbits]
+
+
 def actions_isomorphic(a: FiniteAction, b: FiniteAction) -> bool:
-    """Classify by the multiset of conjugacy classes of orbit stabilizers."""
+    """Whether a and b are isomorphic S_n-sets.
+
+    An S_n-set splits into transitive orbits uniquely up to isomorphism,
+    and orbits with equal keys (``_orbit_keys``) are isomorphic, so those
+    cancel first.  The rest are classified by the multiset of conjugacy
+    classes of their roots' stabilizers: equal stabilizers match by count,
+    and only the others are tried for conjugacy.
+    """
     if a.degree != b.degree:
         raise DegreeMismatch(f"{a.degree} vs {b.degree}")
     if a.size != b.size:
         return False
-    sa, sb = _orbit_stabilizers(a), _orbit_stabilizers(b)
+    if a.size:
+        symmetric_order(a.degree)  # the cap, before any shortcut
+    rest_a, rest_b = _unmatched_orbits(a, b)
+    if len(rest_a) != len(rest_b):
+        return False
+    sa, sb = _orbit_stabilizers(a, rest_a), _orbit_stabilizers(b, rest_b)
     if sa.keys() != sb.keys() or any(len(sa[key]) != len(sb[key]) for key in sa):
         return False
     # match each stabilizer of a with a conjugate one of b; conjugates share a key
     for key, stabs_a in sa.items():
-        stabs_b = sb[key]
+        left = Counter(sb[key])  # b's stabilizers not yet matched
+        unmatched = []
         for H in stabs_a:
+            if left[H]:
+                left[H] -= 1
+            else:
+                unmatched.append(H)
+        stabs_b = list(left.elements())
+        for H in unmatched:
             for i, K in enumerate(stabs_b):
                 if subgroups_conjugate(H, K):
                     del stabs_b[i]

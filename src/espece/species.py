@@ -9,7 +9,8 @@ degree n the engine enumerates every structure on the label set
 The S_n-action on them is one point-index array per generator of S_n:
 each combinator compiles its arrays from its children's arrays by index
 arithmetic.  L, L+ and y[k] compile through L = 1 + X.L; the other
-primitive leaves relabel structures, their own, to build theirs.
+primitive leaves compile in closed form from the one-line tuples their
+structures encode, and no structure is ever relabeled.
 
 Conventions fixed here:
   * Cyc[0] = 0 and Cyc[1] = 1; the (n-1)! count holds for n >= 1.
@@ -42,6 +43,7 @@ from .groups import (
     element_images,
     generator_lines,
     induced_arrays,
+    inverse_array,
     permutation_array,
     product_sums,
     restricted,
@@ -70,6 +72,11 @@ class SpeciesExpr:
     ``build(labels)``, its sorted structures; ``compile(n)``, the
     S_n-action on them; and ``check``, ``check_with_children``, its
     validation.
+
+    ``compile`` is a generator like ``build``: it yields each (child,
+    degree) it reads, is sent back that child's generator arrays, and
+    returns its own: for each of ``generator_lines(n)``, the indices its
+    sorted structures on 1..n go to.
     """
 
     children: Tuple["SpeciesExpr", ...] = ()
@@ -107,20 +114,6 @@ class SpeciesExpr:
         children defines ``structures(labels)`` instead."""
         return self.structures(labels)
         yield  # never reached; the yield makes every builder a generator
-
-    def compile(self, n):
-        """Generator like ``build``: yields each (child, degree) read, is
-        sent back that child's generator arrays, and returns its own: for
-        each of ``generator_lines(n)``, the indices its sorted structures
-        on 1..n go to.  A primitive leaf without a compile of its own
-        relabels each of its structures along each line with
-        ``relabel(s, get)``, where ``get`` sends label x to ``line[x-1]``;
-        it re-canonicalizes."""
-        points = structures_on(self, tuple(range(1, n + 1)))
-        index = {s: i for i, s in enumerate(points)}
-        gets = [((0,) + line).__getitem__ for line in generator_lines(n)]
-        return tuple(tuple([index[self.relabel(s, get)] for s in points]) for get in gets)
-        yield
 
     def check(self, path: str, diags: list) -> None:
         pass
@@ -182,6 +175,10 @@ class Zero(_Node):
     def structures(self, labels):
         return ()
 
+    def compile(self, n):
+        return _fixed_arrays(n, 0)
+        yield
+
 
 class _Representable(_Node):
     """The rules of y[k], shared by One = y[0], X = y[1] and Representable."""
@@ -197,7 +194,7 @@ class _Representable(_Node):
     def compile(self, n):
         # y[k] lists L's structures at k under another tag
         if n != self.k:
-            return _no_points(n)
+            return _fixed_arrays(n, 0)
         return (yield Lin(), n)
 
 
@@ -232,8 +229,9 @@ class Exp(_Node):
     def structures(self, labels):
         return (("set", labels),)
 
-    def relabel(self, s, get):
-        return s  # the whole label set is its own image
+    def compile(self, n):
+        return _fixed_arrays(n, 1)  # the whole label set is its own image
+        yield
 
     def composed_counts(self, hs, gs, start, stop):
         return _unit_composed(hs, gs, start, stop, 1, 1)
@@ -246,7 +244,9 @@ class ExpPlus(_Node):
     def structures(self, labels):
         return (("set", labels),) if labels else ()
 
-    relabel = Exp.relabel
+    def compile(self, n):
+        return _fixed_arrays(n, 1 if n else 0)
+        yield
 
     def composed_counts(self, hs, gs, start, stop):
         return _unit_composed(hs, gs, start, stop, 0, 1)
@@ -297,10 +297,24 @@ class Cyc(_Node):
             return ()
         return tuple(("cyc", labels[:1] + p) for p in itertools.permutations(labels[1:]))
 
-    def relabel(self, s, get):
-        xs = tuple(map(get, s[1]))
-        i = xs.index(min(xs))  # the least label first
-        return ("cyc", xs[i:] + xs[:i])
+    def compile(self, n):
+        # the sorted structures are the cycles (1, t) for the tails t of
+        # 2..n in lexicographic order; g's image of a cycle starts at the
+        # label g sends to 1, so rotate there, then relabel
+        if n == 0:
+            return _fixed_arrays(n, 0)
+        cycles = [(1,) + t for t in itertools.permutations(range(2, n + 1))]
+        index = {c: i for i, c in enumerate(cycles)}
+        out = []
+        for line in generator_lines(n):
+            g, first = ((0,) + line).__getitem__, line.index(1) + 1
+            arr = []
+            for c in cycles:
+                r = c.index(first)
+                arr.append(index[tuple(map(g, c[r:] + c[:r]))])
+            out.append(tuple(arr))
+        return tuple(out)
+        yield
 
     def composed_counts(self, hs, gs, start, stop):
         return _cyc_composed(hs, gs, start, stop)
@@ -315,8 +329,18 @@ class Perm(_Node):
     def structures(self, labels):
         return tuple(("perm", tuple(zip(labels, p))) for p in itertools.permutations(labels))
 
-    def relabel(self, s, get):
-        return ("perm", tuple(sorted([(get(x), get(y)) for x, y in s[1]])))
+    def compile(self, n):
+        # the sorted structures are the one-line permutations p in
+        # lexicographic order; g conjugates p to q with q[g(i)] = g(p[i]),
+        # so q[y] = g(p[at[y]]) with at[y] the position g sends to y
+        perms = list(itertools.permutations(range(1, n + 1)))
+        index = {p: i for i, p in enumerate(perms)}
+        out = []
+        for line in generator_lines(n):
+            g, at = ((0,) + line).__getitem__, inverse_array([y - 1 for y in line])
+            out.append(tuple([index[tuple(map(g, map(p.__getitem__, at)))] for p in perms]))
+        return tuple(out)
+        yield
 
     # S o G = E o (C o G) = 1/(1 - G) = L o G
     composed_counts = Lin.composed_counts
@@ -327,14 +351,22 @@ class Subsets(_Node):
         return 2 ** n
 
     def structures(self, labels):
-        subs = (s for r in range(len(labels) + 1) for s in itertools.combinations(labels, r))
-        return tuple(("subset", s) for s in sorted(subs))
+        return tuple(("subset", s) for s in _subsets(labels))
 
-    def relabel(self, s, get):
-        return ("subset", tuple(sorted(map(get, s[1]))))
+    def compile(self, n):
+        subsets = _subsets(tuple(range(1, n + 1)))
+        index = {s: i for i, s in enumerate(subsets)}
+        gets = [((0,) + line).__getitem__ for line in generator_lines(n)]
+        return tuple(tuple([index[tuple(sorted(map(g, s)))] for s in subsets]) for g in gets)
+        yield
 
     def composed_counts(self, hs, gs, start, stop):
         return _unit_composed(hs, gs, start, stop, 1, 1, 2)  # P = E * E = exp(2X)
+
+
+def _subsets(labels) -> list:
+    """Every subset of a sorted label tuple, as a sorted tuple, in sorted order."""
+    return sorted(s for r in range(len(labels) + 1) for s in itertools.combinations(labels, r))
 
 
 class Table(SpeciesExpr):
@@ -472,7 +504,7 @@ class Hadamard(_Node):
 
     def compile(self, n):
         if not (_card(self.f, n) and _card(self.g, n)):
-            return _no_points(n)
+            return _fixed_arrays(n, 0)
         fa = yield self.f, n
         ga = yield self.g, n
         m = len(ga[0])
@@ -501,20 +533,37 @@ class Cauchy(_Node):
 
     def compile(self, n):
         layout = cauchy_layout(self.f, self.g, n)
-        labels = tuple(range(1, n + 1))
         fa, ga = {}, {}  # both keyed by |U|
         for r in sorted({len(U) for U in layout}):
             fa[r] = yield self.f, r
             ga[r] = yield self.g, n - r
         out = []
-        for j in range(len(generator_lines(n))):
+        for j, line in enumerate(generator_lines(n)):
+            # A generator moves at most one factor of a block: (1 2) the
+            # f-factor when U holds 1 and 2, the g-factor when U holds
+            # neither, and otherwise only the block, copied as one range;
+            # (1 ... n) the f-factor when U holds n, and otherwise the
+            # g-factor.  The swap is each child's first array, the cycle
+            # its last.
+            g, k = ((0,) + line).__getitem__, -j
             arr = []
-            for U, (_, _, m) in layout.items():
-                r = len(U)
-                V, fs = restricted(fa[r], n, j, U)
-                _, gs = restricted(ga[r], n, j, tuple([x for x in labels if x not in U]))
-                base = layout[V][0]
-                arr += product_sums([base + x * m for x in fs], gs)
+            for U, (_, rows, cols) in layout.items():
+                base = layout[tuple(sorted(map(g, U)))][0]
+                if n < 2:
+                    moved = None
+                elif j == 0:
+                    moved = "f" if U[:2] == (1, 2) else "g" if not U or U[0] > 2 else None
+                else:
+                    moved = "f" if U and U[-1] == n else "g"
+                if moved is None:
+                    arr += range(base, base + rows * cols)
+                elif moved == "f":
+                    for x in fa[len(U)][k]:
+                        arr += range(base + x * cols, base + x * cols + cols)
+                else:
+                    on_rest = ga[len(U)][k]
+                    for start in range(base, base + rows * cols, cols):
+                        arr += [start + y for y in on_rest]
             out.append(tuple(arr))
         return tuple(out)
 
@@ -539,14 +588,15 @@ def cauchy_layout(f: SpeciesExpr, g: SpeciesExpr, n: int) -> dict:
     layout = _LAYOUT_CACHE.get(key)
     if layout is not None:
         return layout
+    fs, gs = _counts(f, n), _counts(g, n)
     layout, total = {}, 0
     for U in sorted(
         U
         for r in range(n + 1)
-        if _card(f, r) and _card(g, n - r)
+        if fs[r] and gs[n - r]
         for U in itertools.combinations(range(1, n + 1), r)
     ):
-        rows, cols = _card(f, len(U)), _card(g, n - len(U))
+        rows, cols = fs[len(U)], gs[n - len(U)]
         layout[U] = (total, rows, cols)
         total += rows * cols
     _LAYOUT_CACHE[key] = layout
@@ -610,12 +660,15 @@ class Substitute(_Node):
     def compile(self, n):
         # a partition's structures: outer index, then the inner indices in
         # block order, in mixed radix
-        parts = []
-        for part in _set_partitions(tuple(range(1, n + 1))):
-            blocks = tuple(sorted(part))
-            if _card(self.f, len(blocks)) and all(_card(self.g, len(b)) for b in blocks):
-                parts.append(blocks)
-        parts.sort()
+        fs = _counts(self.f, n)
+        ks = [k for k in range(1, n + 1) if fs[k]]
+        # g is read up to the largest block that a nonzero f_k leaves room for
+        gs = _counts(self.g, n - ks[0] + 1) if ks else ()
+        parts = sorted(
+            blocks
+            for blocks in map(tuple, map(sorted, _set_partitions(tuple(range(1, n + 1)))))
+            if fs[len(blocks)] and all(gs[len(b)] for b in blocks)
+        )
         fa, ga = {}, {}
         for k in sorted({len(p) for p in parts}):
             fa[k] = yield self.f, k
@@ -624,26 +677,49 @@ class Substitute(_Node):
         offset, total = {}, 0
         for p in parts:
             offset[p] = total
-            total += len(fa[len(p)][0]) * math.prod(len(ga[len(b)][0]) for b in p)
+            total += fs[len(p)] * math.prod(gs[len(b)] for b in p)
+        if n < 2:
+            return (tuple(range(total)),)
         out = []
         for j in range(len(generator_lines(n))):
             outer = {}  # block-rank permutation -> its array on the outer structures
             arr = []
             for p in parts:
-                moved = [restricted(ga[len(b)], n, j, b) for b in p]
-                order = sorted(range(len(p)), key=lambda i: moved[i][0])
-                new = tuple(moved[i][0] for i in order)
-                # old block rank -> new: (1 2), (1 ... j) or the identity
-                rho = tuple(order.index(i) + 1 for i in range(len(p)))
+                # A generator moves the outer structure by a permutation
+                # rho of the block ranks and at most one block's inner one,
+                # block ``hit``; the blocks from rank ``still`` on keep
+                # their rank and their structure.
+                k = len(p)
+                if j == 1:  # (1 ... n): the block of n goes first, led by 1
+                    hit = next(i for i, b in enumerate(p) if b[-1] == n)
+                    still = hit + 1
+                    new = (((1,) + tuple([x + 1 for x in p[hit][:-1]])),) + tuple(
+                        tuple([x + 1 for x in b]) for b in p[:hit] + p[still:]
+                    )
+                    rho = tuple(range(2, still + 1)) + (1,) + tuple(range(still + 1, k + 1))
+                elif p[0][:2] == (1, 2):  # (1 2) inside the first block
+                    hit, still, new, rho = 0, 1, p, tuple(range(1, k + 1))
+                else:  # 1 and 2 lead the first two blocks and trade places
+                    hit, still = None, 2
+                    new = ((1,) + p[1][1:], (2,) + p[0][1:]) + p[2:]
+                    rho = (2, 1) + tuple(range(3, k + 1))
                 if rho not in outer:
-                    outer[rho] = permutation_array(fa[len(p)], rho)
-                sizes = [len(ga[len(b)][0]) for b in new]
-                base, inner_total = offset[new], math.prod(sizes)
-                digits = [[base + x * inner_total for x in outer[rho]]]
-                for (_, on_b), t in zip(moved, rho):
-                    w = math.prod(sizes[t:])
+                    outer[rho] = permutation_array(fa[k], rho)
+                weights, w = [0] * k, 1  # each new rank's place value
+                for t in range(k - 1, -1, -1):
+                    weights[t] = w
+                    w *= gs[len(new[t])]
+                digits = [[offset[new] + x * w for x in outer[rho]]]
+                for i in range(still):
+                    w = weights[rho[i] - 1]
+                    on_b = ga[len(p[i])][-j] if i == hit else range(gs[len(p[i])])
                     digits.append([x * w for x in on_b])
-                arr += product_sums(*digits)
+                tail = weights[still - 1]  # the unmoved blocks span one range
+                if tail == 1:
+                    arr += product_sums(*digits)
+                else:
+                    for x in product_sums(*digits):
+                        arr += range(x, x + tail)
             out.append(tuple(arr))
         return tuple(out)
 
@@ -742,7 +818,7 @@ class AdjR(_Node):
         if n == 0:
             return ((0,),)
         if _card(self.f, n - 1) == 0:
-            return _no_points(n)
+            return _fixed_arrays(n, 0)
         inner = yield self.f, n - 1
         m = len(inner[0])
         labels = range(1, n + 1)
@@ -795,7 +871,7 @@ class _Truncation(_Node):
 
     def compile(self, n):
         if n > self.cutoff:
-            return (tuple(range(len(self.above))),) * len(generator_lines(n))
+            return _fixed_arrays(n, len(self.above))
         return (yield self.f, n)
 
 
@@ -1117,15 +1193,16 @@ def generator_arrays(e: SpeciesExpr, n: int) -> Tuple[Tuple[int, ...], ...]:
     generator of S_n restricted to a label subset U, in rank order, is the
     identity or a generator of S_|U|, so ``restricted`` reads its array
     off the child's arrays; builders list structures in blocks whose order
-    a relabeling keeps, so each image is index arithmetic.  Only leaves
-    relabel, their own structures, and L, L+ and y[k] compile from
-    Cauchy(X, L) instead.
+    a relabeling keeps, so each image is index arithmetic.  The leaves
+    E, E+, C, S and P compile in closed form on the one-line tuples their
+    structures encode, and L, L+ and y[k] compile from Cauchy(X, L).
     """
     return _run(_COMPILE_CACHE, "compile", (e, n))
 
 
-def _no_points(n: int):
-    return ((),) * len(generator_lines(n))
+def _fixed_arrays(n: int, size: int):
+    """The generator arrays of ``size`` points that every generator fixes."""
+    return (tuple(range(size)),) * len(generator_lines(n))
 
 
 # (node, n) -> its FiniteAction, one slot: its arrays and points are the

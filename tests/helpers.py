@@ -68,6 +68,7 @@ from espece import (
     detect_convergence,
     fixpoint_check,
 )
+from espece import species
 from espece.diffeq import default_max_iter
 from espece.errors import BudgetExceeded, ShapeMismatch
 from espece.groups import all_permutations, generators, permutation_array
@@ -181,16 +182,37 @@ def exhaustive_equivariant_count(src, tgt, act=species_act):
 
 
 def find_equivariant_bijection(a, b, act=species_act):
-    """Search for an equivariant bijection between two small actions."""
+    """Search for an equivariant bijection between two small actions by
+    backtracking: each point of a, in order, tries each unused point of b,
+    checked against every group element on the points assigned so far."""
     if len(a.points) != len(b.points):
         return None
     perms = all_permutations(a.degree)
     a_act, b_act = relabel_table(a, perms, act), relabel_table(b, perms, act)
-    for images in itertools.permutations(b.points):
-        f = dict(zip(a.points, images))
-        if all(f[a_act[s, x]] == b_act[s, f[x]] for s in perms for x in a.points):
-            return f
-    return None
+    pts, assign, used = list(a.points), {}, set()
+
+    def consistent(x):
+        fx = assign[x]
+        return all(
+            assign[y] == b_act[s, fx] for s in perms for y in (a_act[s, x],) if y in assign
+        )
+
+    def rec(i):
+        if i == len(pts):
+            return True
+        x = pts[i]
+        for t in b.points:
+            if t in used:
+                continue
+            assign[x] = t
+            used.add(t)
+            if consistent(x) and rec(i + 1):
+                return True
+            del assign[x]
+            used.discard(t)
+        return False
+
+    return dict(assign) if rec(0) else None
 
 
 def scan_orbits(a, act=species_act):
@@ -248,6 +270,42 @@ def transport_generator_images(e: SpeciesExpr, n: int):
         tuple([action.index[transport(s, mapping, labels, tables)] for s in action.points])
         for mapping in map(label_map, generators(n))
     )
+
+
+def watch_compiles(monkeypatch):
+    """Patch every node kind's ``compile`` to count its runs by (node,
+    degree), and ``species.structures_on`` to record each call made while
+    a compile runs.  Returns the Counter and the list of (expr, labels)."""
+    compiled, reads, running = Counter(), [], [0]
+
+    def counted(real):
+        def compile(self, n):
+            compiled[self, n] += 1
+            step, out = real(self, n), None
+            while True:  # run the compile's own steps flagged
+                running[0] += 1
+                try:
+                    read = step.send(out)
+                except StopIteration as done:
+                    return done.value
+                finally:
+                    running[0] -= 1
+                out = yield read
+
+        return compile
+
+    for kind in vars(species).values():
+        if isinstance(kind, type) and issubclass(kind, SpeciesExpr) and "compile" in vars(kind):
+            monkeypatch.setattr(kind, "compile", counted(vars(kind)["compile"]))
+    listing = species.structures_on
+
+    def structures_on(e, labels):
+        if running[0]:
+            reads.append((e, labels))
+        return listing(e, labels)
+
+    monkeypatch.setattr(species, "structures_on", structures_on)
+    return compiled, reads
 
 
 def embedded_generator_arrays(g: SpeciesExpr, k: int, m: int):

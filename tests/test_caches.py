@@ -330,3 +330,19 @@ def test_slots_grow_with_the_arrays():
     assert slots >= 2 * 720 and slots > 10 * entries
     assert caches.held == _measured()
     species.clear_caches()
+
+
+def test_a_remembered_answer_is_counted_in_its_own_table_only():
+    """``check_monoid``'s key holds the ``lin_concat_mu`` answer, which
+    that table counts: the monoid entry counts only what it adds."""
+    species.clear_caches()
+    assert run(("monoid", "lin", "--upto", "5"))[0] == 0
+    report = caches.report()
+    (mu,) = caches._TABLES["transforms.lin_concat_mu"][0].values()
+    ((key, (answer, slots)),) = caches._TABLES["transforms.check_monoid"][0].items()
+    assert mu[0] in key and report["transforms.check_monoid"] == (1, slots)
+    # its key's other parts and its report are a few slots; before, it
+    # counted the components again: 891 slots, against 883 in mu's table
+    assert slots < 20 < 800 < mu[1]
+    assert caches.held == _measured()
+    species.clear_caches()

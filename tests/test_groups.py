@@ -1,15 +1,19 @@
 import itertools
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from espece import (
+    Cauchy,
     Cyc,
     Derive,
     Exp,
     Lin,
+    Perm,
     Subsets,
+    Substitute,
     actions_isomorphic,
     all_permutations,
     count_equivariant_maps,
@@ -19,13 +23,17 @@ from espece import (
     stabilizer,
 )
 from espece.errors import DegreeMismatch, DegreeTooLarge, PointNotInAction, TooManyMaps
+from espece import groups
 from espece.automata import _restricted_action
 from espece.groups import (
     FiniteAction,
     Permutation,
     SubgroupElements,
     _orbit_trees,
+    _root_images,
     _symmetric_table,
+    _unmatched_orbits,
+    action_signature,
     generators,
     orbits,
     permutation_array,
@@ -44,6 +52,7 @@ from helpers import (
     scan_orbits,
     scan_stabilizer,
     species_act,
+    watch_compiles,
 )
 
 
@@ -119,7 +128,7 @@ def test_generators_generate():
 
 def test_symmetric_table_walks_all_of_sn():
     for n in range(7):
-        perms, steps, position = _symmetric_table(n)
+        perms, steps, position, runs = _symmetric_table(n)
         assert perms[0] == Permutation.identity(n)
         assert sorted(perms, key=lambda p: p.images) == list(all_permutations(n))
         assert len(steps) == len(perms) - 1
@@ -127,6 +136,8 @@ def test_symmetric_table_walks_all_of_sn():
         gens = generators(n)
         for t, (parent, j) in enumerate(steps, start=1):
             assert parent < t and perms[t] == gens[j] * perms[parent]
+        # the runs list the same steps in position order
+        assert [(parent, j) for j, parents in runs for parent in parents] == list(steps)
 
 
 def test_restricted_reads_the_rank_restriction_off_the_arrays():
@@ -435,6 +446,142 @@ def test_isomorphic_symmetric_and_implies_invariants():
     assert len(orbits(c)) == len(orbits(d))
 
 
+def orbit_action(a, orbit):
+    """The transitive S_n-set on one orbit of a (a list of point indices)."""
+    idx = sorted(orbit)
+    rank = {i: k for k, i in enumerate(idx)}
+    arrays = tuple(tuple(rank[g[i]] for i in idx) for g in a.generator_images())
+    return FiniteAction(a.degree, len(idx), lambda: arrays, lambda: tuple(a.points[i] for i in idx))
+
+
+def test_isomorphic_matches_bijection_search_where_root_forms_differ():
+    """D(S) and S*L (the der_perm isomorphism) have orbits whose root
+    forms differ at degrees 3-5; on each pair of them of one size the
+    stabilizer route agrees with the bijection search."""
+    for n in (3, 4, 5):
+        a, b = action_of(Derive(Perm()), n), action_of(Cauchy(Perm(), Lin()), n)
+        rest_a, rest_b = _unmatched_orbits(a, b)
+        assert rest_a and actions_isomorphic(a, b), n
+        pairs, act = Counter(), remembered(species_act)  # each orbit's relabels are shared
+        for O in rest_a:
+            for Q in rest_b:
+                if len(O) == len(Q):
+                    x, y = orbit_action(a, O), orbit_action(b, Q)
+                    iso = find_equivariant_bijection(x, y, act) is not None
+                    assert actions_isomorphic(x, y) == iso, (n, len(O))
+                    pairs[iso] += 1
+        assert pairs[True] >= len(rest_a), (n, pairs)
+
+
+def remembered(act):
+    """act, computed once per (permutation, point)."""
+    seen = {}
+
+    def once(s, x):
+        if (s, x) not in seen:
+            seen[s, x] = act(s, x)
+        return seen[s, x]
+
+    return once
+
+
+def _coset_action(H):
+    """S_n on the left cosets sigma H, each named by the one-line images
+    of its least member."""
+    lines = [h.images for h in H.elements]
+
+    def name(sigma):  # sigma's one-line images
+        return min(tuple([sigma[i - 1] for i in h]) for h in lines)
+
+    def act(s, x):
+        return name(tuple([s.images[i - 1] for i in x]))
+
+    points = {name(sigma.images) for sigma in all_permutations(H.degree)}
+    return listed_action(H.degree, points, act), act
+
+
+def test_isomorphic_tells_apart_non_conjugate_v4_cosets():
+    """Two Klein four-groups of S_6 with equal cycle types that are not
+    conjugate: their coset actions have equal orbit keys and are not
+    isomorphic; a conjugate of one gives an isomorphic action."""
+    def four_group(lines):
+        return SubgroupElements(6, frozenset(Permutation(p) for p in lines))
+
+    H = four_group(((1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 5, 6), (2, 1, 3, 4, 6, 5), (1, 2, 4, 3, 6, 5)))
+    K = four_group(((1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 5, 6), (3, 4, 1, 2, 5, 6), (4, 3, 2, 1, 5, 6)))
+    sigma = Permutation((3, 5, 1, 6, 2, 4))
+    moved = SubgroupElements(6, frozenset(sigma * h * sigma.inverse() for h in H.elements))
+    (a, act), (b, _), (c, _) = map(_coset_action, (H, K, moved))
+    assert action_signature(a) == action_signature(b)
+    assert not actions_isomorphic(a, b) and find_equivariant_bijection(a, b, act) is None
+    assert actions_isomorphic(a, c) and actions_isomorphic(c, a)
+
+
+def test_stabilizers_are_walked_only_for_unmatched_orbits(monkeypatch):
+    walked = []
+    real = groups._stabilizer_at
+    monkeypatch.setattr(groups, "_stabilizer_at", lambda a, i: walked.append((a, i)) or real(a, i))
+    for n in range(7):
+        for f, g in ((Perm(), Substitute(Exp(), Cyc())), (Derive(Perm()), Cauchy(Perm(), Lin()))):
+            a, b = action_of(f, n), action_of(g, n)
+            rest_a, rest_b = _unmatched_orbits(a, b)
+            walked.clear()
+            assert actions_isomorphic(a, b)
+            # one walk per unmatched root whose stabilizer is neither all
+            # of S_n (a one-point orbit) nor the identity (a free orbit)
+            expected = [
+                (x, orbit[0])
+                for x, rest in ((a, rest_a), (b, rest_b))
+                for orbit in rest
+                if 1 < len(orbit) < math.factorial(n)
+            ]
+            assert walked == expected, (f, n)
+            if f == Perm():
+                assert not rest_a and not rest_b
+
+
+def test_one_point_and_free_orbits_take_shortcuts_under_the_cap():
+    """A free orbit may go to any target point, read without compiling
+    the target; a one-point orbit only to the target's one-point orbits.
+    Neither shortcut passes the cap on S_n."""
+
+    def uncompiled():
+        raise AssertionError("the target was compiled")
+
+    free, target = regular_action(3), FiniteAction(3, 5, uncompiled, uncompiled)
+    assert count_equivariant_maps(free, target) == 5
+    assert count_equivariant_maps(trivial_action(3, ["p"]), action_of(Subsets(), 3)) == 2
+    above = trivial_action(9, ["p"])
+    with pytest.raises(DegreeTooLarge):
+        count_equivariant_maps(above, above)
+    with pytest.raises(DegreeTooLarge):
+        actions_isomorphic(above, above)
+
+
+def test_root_images_are_the_scanned_fixed_points_of_root_stabilizers():
+    """For every pair of GOLDEN_EXPRS actions at degrees 0-5, each root's
+    images are the target points fixed by every element of the root's
+    stabilizer, both scanned over S_n, up to the first root with none."""
+    for n in range(6):
+        actions = [action_of(e, n) for e in GOLDEN_EXPRS]
+        acts = [remembered(species_act) for _ in actions]
+        for src, src_act in zip(actions, acts):
+            orbits_ = _orbit_trees(src)[0]
+            stabs = [
+                SimpleNamespace(elements=scan_stabilizer(src, src.points[o[0]], src_act))
+                for o in orbits_
+            ]
+            for tgt, tgt_act in zip(actions, acts):
+                expected = []
+                for H in stabs:
+                    fixed = scan_fixed_points(H, tgt, tgt_act)
+                    expected.append([tgt.index[x] for x in fixed])
+                    if not fixed:
+                        break
+                got = [list(images) for images in _root_images(src, tgt, orbits_)]
+                assert got == expected, (src.points[:1], tgt.points[:1], n)
+
+
 # --- generator-array routes against the scan oracles -------------------------
 
 
@@ -555,23 +702,11 @@ def test_cycle_types_are_computed_once_per_element_of_s_n(monkeypatch):
     assert len(calls) == sum(math.factorial(n) for n in used)
 
 
-def test_group_algorithms_relabel_only_generator_images(monkeypatch):
+def test_group_algorithms_compile_each_node_once(monkeypatch):
     from espece import Cauchy, as_table, species
-    from espece.species import structures_on
     from espece.transforms import check_naturality, identity_nat
 
-    relabels = Counter()  # (leaf, structure) -> relabel calls
-
-    def counted(real):
-        def relabel(self, s, get):
-            relabels[self, s] += 1
-            return real(self, s, get)
-
-        return relabel
-
-    for leaf in vars(species).values():
-        if isinstance(leaf, type) and "relabel" in vars(leaf):
-            monkeypatch.setattr(leaf, "relabel", counted(vars(leaf)["relabel"]))
+    compiled, reads = watch_compiles(monkeypatch)
     species.clear_caches()
     counts = []
     for n in range(5):
@@ -585,14 +720,12 @@ def test_group_algorithms_relabel_only_generator_images(monkeypatch):
         assert fixed_points(stabilizer(b, b.points[-1]), a)
         assert len(as_table(Subsets(), n).action[n]) == len(all_permutations(n))
     assert check_naturality(identity_nat(Subsets(), 4))
-    # only the leaves relabel, each structure once per generator when its
-    # (leaf, degree) compiles; the product compiles from their arrays
-    expected = Counter()  # a structure such as ("subset", ()) recurs at every degree
-    for leaf in (Subsets(), Exp()):
-        for n in range(5):
-            for s in structures_on(leaf, tuple(range(1, n + 1))):
-                expected[leaf, s] += len(generators(n))
-    assert relabels == expected
+    # each (node, degree) compiles once, the product from its leaves'
+    # arrays, and no compile lists a structure
+    expected = {(e, n) for e in (Subsets(), Cauchy(Exp(), Exp())) for n in range(5)}
+    expected |= {(Exp(), n) for n in range(5)}
+    assert set(compiled) == expected and set(compiled.values()) == {1}
+    assert reads == []
     # the oracle relabels along every element, so it runs after the count
     assert all(c == brute_equivariant_count(a, b) for a, b, c in counts)
     species.clear_caches()

@@ -60,6 +60,7 @@ from helpers import (
     recursive_structures_on,
     tables_of,
     transport_generator_images,
+    watch_compiles,
 )
 from helpers import transport as threading_transport
 
@@ -593,23 +594,31 @@ def test_equation_leaves_match_relabeling_to_degree_7():
         ), k
 
 
-def test_equation_leaves_compile_without_relabeling(monkeypatch):
-    relabels = []
+def test_closed_form_leaves_match_relabeling_to_degree_7():
+    """S (conjugation of one-line tuples), C (relabel, then rotate to
+    label 1), E, E+ and P compile in closed form; their arrays equal
+    relabeling every structure along each generator."""
+    for n in range(8):
+        for e in (Perm(), Cyc(), Exp(), ExpPlus(), Subsets()):
+            assert generator_arrays(e, n) == transport_generator_images(e, n), (e, n)
+    species.clear_caches()
 
-    def counted(real):
-        def relabel(self, s, get):
-            relabels.append(s)
-            return real(self, s, get)
 
-        return relabel
-
-    for leaf in vars(species).values():
-        if isinstance(leaf, type) and "relabel" in vars(leaf):
-            monkeypatch.setattr(leaf, "relabel", counted(vars(leaf)["relabel"]))
-    for e, n in ((Lin(), 7), (LinPlus(), 7), (Representable(5), 5)):
+def test_compiles_list_no_structures_and_run_once(monkeypatch):
+    """Leaves compile in closed form and L, L+ and y[k] through
+    L = 1 + X.L: no compile lists a structure, and each (node, degree)
+    compiles once, also under the combinators that read them."""
+    compiled, reads = watch_compiles(monkeypatch)
+    exprs = [(Lin(), 7), (LinPlus(), 7), (Representable(5), 5)]
+    exprs += [(e, 7) for e in (Perm(), Cyc(), Exp(), ExpPlus(), Subsets(), Zero())]
+    exprs += [(Substitute(Exp(), Cyc()), 6), (Cauchy(Perm(), Subsets()), 6), (Derive(Perm()), 5)]
+    for e, n in exprs:
         species.clear_caches()
+        compiled.clear()
         assert len(generator_arrays(e, n)[0]) == cardinality(e, n)
-    assert relabels == []
+        assert (e, n) in compiled and set(compiled.values()) == {1}, (e, n)
+        assert species.caches.report()["enumerations"] == (0, 0), (e, n)
+    assert reads == []
     species.clear_caches()
 
 
