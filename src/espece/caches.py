@@ -14,8 +14,10 @@ given once, to ``register``; a writer hands ``add`` what it stored, and
 cap costs one comparison: ``check_cap`` empties every table when ``held``
 passes ``CAP``.  It acts only when no remembered query is computing
 (``cli.main`` calls it on entry, ``memo`` before an outermost query
-computes), since ``species._counts`` reads its children's entries off the
-table while it works.
+computes, and so do the ``species`` entries a library caller may use
+alone: ``cardinality``, ``counts_upto``, ``enumerate_degree``,
+``structures_on`` and ``generator_arrays``), since ``species._counts``
+reads its children's entries off the table while it works.
 """
 
 from __future__ import annotations

@@ -327,6 +327,11 @@ class _Raw(str):
 
 
 _COMMA, _LIST, _END_LIST, _DICT, _END_DICT = map(_Raw, ",[]{}")
+# compact encoders by sort_keys, built once: json.dumps builds one per call
+# when given separators
+_ENCODERS = {
+    sort: json.JSONEncoder(sort_keys=sort, separators=(",", ":")) for sort in (False, True)
+}
 
 
 def _dumps(doc, sort_keys=False) -> str:
@@ -337,7 +342,7 @@ def _dumps(doc, sort_keys=False) -> str:
     written on an explicit stack instead, to the same text.
     """
     try:
-        return json.dumps(doc, sort_keys=sort_keys, separators=(",", ":"))
+        return _ENCODERS[sort_keys].encode(doc)
     except RecursionError:
         pass
     out, stack, scalars = [], [doc], {}
@@ -367,7 +372,7 @@ def _dumps(doc, sort_keys=False) -> str:
 def _emit(args, inputs, horizon, result_json, text, out):
     """Write the JSON envelope or, without --json, ``text()``: the text is
     rendered only when it is printed.  The newline is written on its own,
-    so a large document is not copied to append it."""
+    so a large document or text is not copied to append it."""
     if args.json:
         doc = {
             "command": args.command,
@@ -379,7 +384,8 @@ def _emit(args, inputs, horizon, result_json, text, out):
         out.write(_dumps(doc, sort_keys=True))
         out.write("\n")
     else:
-        out.write(text() + "\n")
+        out.write(text())
+        out.write("\n")
 
 
 def _cmd_coeffs(args, out):
@@ -737,8 +743,7 @@ def _dest(word: str) -> str:
     return word.lstrip("-").replace("-", "_")
 
 
-def _value(word: str, text: str):
-    kind = _ARGUMENTS[word][0]
+def _value(word: str, kind, text: str):
     if isinstance(kind, tuple):
         if text not in kind:
             raise _Usage(f"argument {word}: invalid choice: {text!r} (choose from {kind})")
@@ -749,23 +754,43 @@ def _value(word: str, text: str):
         raise _Usage(f"argument {word}: {exc}") from None
 
 
+def _spec(name: str):
+    """One command's argument table, built once from _COMMANDS and
+    _ARGUMENTS: the defaults by attribute, with "command"; each flag's
+    attribute and type, _Help for -h and --help; the positionals in order
+    with their types; and every argument that must be given, in its
+    _COMMANDS order, with its attribute."""
+    words = _COMMANDS[name][2].split()
+    defaults = {"command": name, **{_dest(w): _ARGUMENTS[w][1] for w in words}}
+    flags = {w: (_dest(w), _ARGUMENTS[w][0]) for w in words if w[0] == "-"}
+    flags.update(dict.fromkeys(("-h", "--help"), (None, _Help)))
+    positionals = [(w, _ARGUMENTS[w][0]) for w in words if w[0] != "-"]
+    required = [(w, _dest(w)) for w in words if _ARGUMENTS[w][1] is _REQUIRED]
+    return defaults, flags, positionals, required
+
+
+_SPECS = {name: _spec(name) for name in _COMMANDS}
+
+
 def _parse_args(argv):
     """Read argv against _COMMANDS into the attributes the handlers read.
 
     A word is an option when it starts with "--" or is "-h".  An option
     may carry "=value" and be abbreviated to any unique prefix; options may
     come before, between or after the positionals, the last repeat wins,
-    and "--" ends the options.
+    and "--" ends the options.  The command's table is looked up in
+    _SPECS, not built: a flag costs one dict lookup, and a prefix scan
+    only when that misses.
     """
     name = argv[0] if argv else None
     if name in ("-h", "--h", "--he", "--hel", "--help"):
         raise _Help(_help())
-    if name not in _COMMANDS:
+    spec = _SPECS.get(name)
+    if spec is None:
         got = f"{name!r} is not a command" if argv else "a command is required"
         raise _Usage(f"{got}; choose from {', '.join(_COMMANDS)}")
-    words = _COMMANDS[name][2].split()
-    flags = [w for w in words if w[0] == "-"] + ["-h", "--help"]
-    values = {"command": name, **{_dest(w): _ARGUMENTS[w][1] for w in words}}
+    defaults, flags, todo, required = spec
+    values = dict(defaults)
     positionals, rest = [], iter(argv[1:])
     for arg in rest:
         if arg == "--":
@@ -774,27 +799,31 @@ def _parse_args(argv):
             positionals.append(arg)
         else:
             flag, eq, inline = arg.partition("=")
-            hits = [flag] if flag in flags else [f for f in flags if f.startswith(flag)]
-            if len(hits) != 1:
-                raise _Usage(f"{'ambiguous' if hits else 'unrecognized'} option: {flag}")
-            flag = hits[0]
-            if flag in ("-h", "--help") or _ARGUMENTS[flag][0] is bool:
+            hit = flags.get(flag)
+            if hit is None:
+                hits = [f for f in flags if f.startswith(flag)]
+                if len(hits) != 1:
+                    raise _Usage(f"{'ambiguous' if hits else 'unrecognized'} option: {flag}")
+                flag = hits[0]
+                hit = flags[flag]
+            dest, kind = hit
+            if kind is bool or kind is _Help:
                 if eq:
                     raise _Usage(f"argument {flag}: ignored explicit argument {inline!r}")
-                if flag in ("-h", "--help"):
+                if kind is _Help:
                     raise _Help(_help(name))
-                values[_dest(flag)] = True
+                values[dest] = True
                 continue
             if not eq:
                 inline = next(rest, "--")
                 if inline == "-h" or inline.startswith("--"):
                     raise _Usage(f"argument {flag}: expected one argument")
-            values[_dest(flag)] = _value(flag, inline)
-    todo = [w for w in words if w[0] != "-"]
+            values[dest] = _value(flag, kind, inline)
     if len(positionals) > len(todo):
         raise _Usage(f"unrecognized arguments: {' '.join(positionals[len(todo):])}")
-    values.update((word, _value(word, text)) for word, text in zip(todo, positionals))
-    missing = [w for w in words if values[_dest(w)] is _REQUIRED]
+    for (word, kind), text in zip(todo, positionals):
+        values[word] = _value(word, kind, text)
+    missing = [word for word, dest in required if values[dest] is _REQUIRED]
     if missing:
         raise _Usage(f"the following arguments are required: {', '.join(missing)}")
     return types.SimpleNamespace(**values)

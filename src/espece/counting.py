@@ -49,7 +49,7 @@ class CountSeq(Record):
         return CountSeq(self.coeffs[: N + 1])
 
     def render(self) -> str:
-        return ", ".join(str(c) for c in self.coeffs)
+        return ", ".join(map(str, self.coeffs))
 
 
 class EgfSeq(Record):
@@ -77,7 +77,7 @@ class EgfSeq(Record):
         return EgfSeq(self.coeffs[: N + 1])
 
     def render(self) -> str:
-        return ", ".join(str(c) for c in self.coeffs)
+        return ", ".join(map(str, self.coeffs))
 
 
 def count_seq(e: SpeciesExpr, N: int) -> CountSeq:
@@ -173,7 +173,8 @@ def detect_convergence(seqs, N: int) -> ConvergenceReport:
 
     A degree is unstable when its value still changes between the last
     two provided iterates; otherwise its index is the first iterate from
-    which the value is constant to the end.
+    which the value is constant to the end.  A single iterate has made no
+    step, so it certifies no degree: every degree is unstable.
     """
     seqs = list(seqs)
     if not seqs:
@@ -185,7 +186,7 @@ def detect_convergence(seqs, N: int) -> ConvergenceReport:
     stable = []
     for k in range(N + 1):
         last = rows[-1][k]
-        if len(rows) >= 2 and rows[-2][k] != last:
+        if len(rows) < 2 or rows[-2][k] != last:
             stable.append(None)
             continue
         j = len(rows) - 1

@@ -1090,12 +1090,14 @@ def _card(e, n: int) -> int:
 
 def cardinality(e: SpeciesExpr, n: int) -> int:
     """|e[n]|, computed by exact recurrences (no enumeration)."""
+    caches.check_cap()
     require_valid(e)
     return _card(e, n)
 
 
 def counts_upto(e: SpeciesExpr, N: int) -> Tuple[int, ...]:
     """(|e[0]|, ..., |e[N]|) by the exact recurrences, validating e once."""
+    caches.check_cap()
     require_valid(e)
     return tuple(_counts(e, N)[: N + 1])
 
@@ -1173,6 +1175,7 @@ def _run(cache: dict, rule: str, key):
 
 def structures_on(e: SpeciesExpr, labels: Tuple[int, ...]) -> Tuple:
     """All canonical e-structures on an arbitrary sorted label tuple, sorted."""
+    caches.check_cap()
     return _run(_ENUM_CACHE, "build", (e, labels))
 
 
@@ -1197,6 +1200,7 @@ def generator_arrays(e: SpeciesExpr, n: int) -> Tuple[Tuple[int, ...], ...]:
     E, E+, C, S and P compile in closed form on the one-line tuples their
     structures encode, and L, L+ and y[k] compile from Cauchy(X, L).
     """
+    caches.check_cap()
     return _run(_COMPILE_CACHE, "compile", (e, n))
 
 
@@ -1216,6 +1220,7 @@ def enumerate_degree(e: SpeciesExpr, n: int, cap: int | None = None) -> FiniteAc
     whose points are the structures.  They are enumerated only when a
     point is read; the compile and the enumeration are each checked
     against the count."""
+    caches.check_cap()
     require_valid(e)
     total = _card(e, n)
     cap = ENUMERATION_CAP if cap is None else cap

@@ -14,7 +14,7 @@ import itertools
 from typing import Dict, Tuple
 
 from . import caches, groups
-from .errors import InvalidAlgebra, ShapeMismatch, TooManyMaps
+from .errors import BudgetExceeded, InvalidAlgebra, InvalidExpr, ShapeMismatch, TooManyMaps
 from .groups import (
     action_signature,
     actions_isomorphic,
@@ -45,6 +45,7 @@ from .species import (
     X,
     cardinality,
     cauchy_layout,
+    counts_upto,
     enumerate_degree,
     generator_arrays,
 )
@@ -234,12 +235,25 @@ class SuiteReport(Record):
 
 
 def _feasible_horizon(exprs, N):
-    h = N
+    """The largest h <= N (or -1) at which every side has at most
+    ISO_POINT_CAP structures at each degree through h.
+
+    Each side is validated and its counts read once, through N.  When a
+    side cannot be read that far (it is invalid, or reads a Table past
+    its last degree), the sides are read degree by degree, all sides at
+    one degree before the next: the scan stops at the first degree over
+    the cap, and a read that fails raises only when no earlier degree,
+    nor an earlier side at its degree, is over the cap.
+    """
+    try:
+        rows = [counts_upto(e, N) for e in exprs]
+    except (BudgetExceeded, InvalidExpr):
+        rows = None
     for k in range(N + 1):
-        for e in exprs:
-            if cardinality(e, k) > ISO_POINT_CAP:
-                return min(h, k - 1)
-    return h
+        for i, e in enumerate(exprs):
+            if (rows[i][k] if rows else cardinality(e, k)) > ISO_POINT_CAP:
+                return k - 1
+    return N
 
 
 def _iso_case(name, args, lhs, rhs, N):

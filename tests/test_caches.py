@@ -322,6 +322,36 @@ def test_cap_is_not_checked_while_a_query_computes(monkeypatch):
     species.clear_caches()
 
 
+# Each species entry a library caller may use alone, outside any
+# remembered query.
+LIBRARY_ENTRIES = {
+    "cardinality": lambda: species.cardinality(Lin(), 300),
+    "counts_upto": lambda: species.counts_upto(Cauchy(Lin(), Cyc()), 200),
+    "enumerate_degree": lambda: species.enumerate_degree(Perm(), 5).points,
+    "structures_on": lambda: species.structures_on(Cauchy(Lin(), Cyc()), (1, 2, 3, 4, 5)),
+    "generator_arrays": lambda: species.generator_arrays(Cyc(), 6),
+}
+
+
+@pytest.mark.parametrize("entry", LIBRARY_ENTRIES)
+def test_library_entries_check_the_cap(entry, monkeypatch):
+    """A library caller that reaches the tables through one species entry
+    alone: past the cap, the entry empties every table before it computes,
+    and computes the same answer afresh."""
+    call = LIBRARY_ENTRIES[entry]
+    species.clear_caches()
+    answer = call()
+    stored = caches.held
+    assert stored == _measured() > 0
+    cleared = []
+    real = caches.clear
+    monkeypatch.setattr(caches, "clear", lambda: cleared.append(caches._computing) or real())
+    monkeypatch.setattr(caches, "CAP", stored - 1)
+    assert call() == answer
+    assert cleared == [0] and caches.held == stored
+    species.clear_caches()
+
+
 def test_slots_grow_with_the_arrays():
     species.clear_caches()
     iso_check(Perm(), Substitute(Exp(), Cyc()), 6)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from helpers import reference_parser
 
+from espece import cli
 from espece.cli import (
     MAX_NESTING,
     _dumps,
@@ -239,6 +240,21 @@ def test_solve_outputs():
     assert "Converged: 1, 0, 0, 0, 0" in out
     code, out = run("solve", "--op", "1:0 + X:1", "--upto", "4")
     assert "Diverged at degree 2" in out
+
+
+def test_solve_with_no_step_certifies_no_degree():
+    # one iterate has made no step: no degree is stable, so there is no limit
+    # and no contact to report
+    code, out = run("solve", "--op", "E + X:0", "--max-iter", "0", "--upto", "5")
+    assert (code, out) == (0, "iterate 0: 1, 1, 1, 1, 1, 1\nDiverged at degree 0\n")
+    code, out = run("solve", "--op", "E + X:0", "--max-iter", "0", "--upto", "5", "--json")
+    assert json.loads(out)["result"] == {
+        "iterates": [[1, 1, 1, 1, 1, 1]],
+        "converged": False,
+        "limit": None,
+        "witness": 0,
+        "fixpoint_contact": None,
+    }
 
 
 def test_fixcheck_outputs():
@@ -656,6 +672,82 @@ def test_usage_errors_match_reference_parser(capsys):
         err = capsys.readouterr().err
         assert (code, out) == (2, ""), argv
         assert err.startswith("espece: error: ") and err.count("\n") == 1, err
+
+
+# The exact message after "espece: error: " of every USAGE_ERRORS case and
+# of the prefix, "--opt=value", "--" and "-h" forms, pinned as literal text
+# so that no change to how argv is read can change one unnoticed.
+_DYN_CHOICES = "('adjL', 'derive', 'pointing', 'deriveL', 'tensor')"
+_SUITE_CHOICES = (
+    "('leibniz', 'chain_rule', 'perm_decomp', 'der_cyc', 'der_perm', 'napier', "
+    "'commutation', 'der_R', 'R_der', 'lin_free')"
+)
+_COMMAND_CHOICES = (
+    "choose from coeffs, egf, enumerate, orbits, iso, natcount, natenum, suite, "
+    "monoid, algtensor, terminal, homday, solve, fixcheck"
+)
+USAGE_MESSAGES = {
+    ("enumerate", "C"): "the following arguments are required: --degree",
+    ("coeffs",): "the following arguments are required: expr",
+    ("coeffs", "E", "--limit", "5"): "unrecognized option: --limit",
+    ("iso", "S", "L", "--limit=5"): "unrecognized option: --limit",
+    ("coeffs", "E", "--max-iter", "5"): "unrecognized option: --max-iter",
+    ("terminal", "--dyn", "adjL", "E", "--max-iter", "2"): "unrecognized option: --max-iter",
+    ("coeffs", "E", "--bogus"): "unrecognized option: --bogus",
+    ("iso", "S", "L", "E"): "unrecognized arguments: E",
+    ("monoid", "set"): "argument which: invalid choice: 'set' (choose from ('lin', 'exp'))",
+    ("terminal", "--dyn", "left", "E"): f"argument --dyn: invalid choice: 'left' (choose from {_DYN_CHOICES})",
+    ("suite", "--name", "nope"): f"argument --name: invalid choice: 'nope' (choose from {_SUITE_CHOICES})",
+    ("coeffs", "E", "--upto"): "argument --upto: expected one argument",
+    ("coeffs", "E", "--upto", "--json"): "argument --upto: expected one argument",
+    ("solve", "--op"): "argument --op: expected one argument",
+    ("coeffs", "E", "--json=1"): "argument --json: ignored explicit argument '1'",
+    ("coeffs", "E", "--upto", "x"): "argument --upto: expected a nonnegative integer, got 'x'",
+    (): f"a command is required; {_COMMAND_CHOICES}",
+    ("frobnicate", "E"): f"'frobnicate' is not a command; {_COMMAND_CHOICES}",
+    # unique prefixes, with and without "=value"
+    ("terminal", "--m=1", "--dyn", "derive", "E"): "argument --moore: ignored explicit argument '1'",
+    ("coeffs", "E", "--u"): "argument --upto: expected one argument",
+    ("coeffs", "E", "--up=-1"): "argument --upto: expected a nonnegative integer, got '-1'",
+    ("enumerate", "C", "--d", "x"): "argument --degree: expected a nonnegative integer, got 'x'",
+    ("terminal", "--dy", "nope", "E"): f"argument --dyn: invalid choice: 'nope' (choose from {_DYN_CHOICES})",
+    ("suite", "--na=x"): f"argument --name: invalid choice: 'x' (choose from {_SUITE_CHOICES})",
+    ("monoid", "--j=x", "lin"): "argument --json: ignored explicit argument 'x'",
+    ("coeffs", "E", "--=3"): "ambiguous option: --",
+    ("coeffs", "---upto", "3", "E"): "unrecognized option: ---upto",
+    # "--" ends the options
+    ("coeffs", "--", "E", "--upto"): "unrecognized arguments: --upto",
+    ("iso", "--", "S"): "the following arguments are required: right",
+    ("coeffs", "E", "--", "L"): "unrecognized arguments: L",
+    ("coeffs", "--upto", "--", "E"): "argument --upto: expected one argument",
+    ("coeffs", "-", "E"): "unrecognized arguments: E",
+    ("coeffs", "--", "-h", "-h"): "unrecognized arguments: -h",
+    # -h and --help
+    ("coeffs", "--he=x"): "argument --help: ignored explicit argument 'x'",
+    ("coeffs", "E", "--upto", "-h"): "argument --upto: expected one argument",
+}
+
+
+def test_usage_messages_are_pinned(capsys):
+    assert set(USAGE_ERRORS) <= set(USAGE_MESSAGES)
+    for argv, message in USAGE_MESSAGES.items():
+        code, out = run(*argv)
+        assert (code, out, capsys.readouterr().err) == (2, "", f"espece: error: {message}\n"), argv
+    _, own = run("coeffs", "-h")
+    for argv in (("coeffs", "--h", "x"), ("coeffs", "E", "--hel"), ("coeffs", "-h", "--", "E")):
+        assert run(*argv) == (0, own), argv
+
+
+def test_argv_reading_builds_no_table_per_call(monkeypatch):
+    # every command's table is built at import: reading argv derives no
+    # attribute name from an option's spelling
+    def refuse(word):
+        raise AssertionError(f"_parse_args derived the attribute of {word!r}")
+
+    monkeypatch.setattr(cli, "_dest", refuse)
+    reference = reference_parser()
+    for argv in _readme_examples() + [list(argv) for argv in ARGV_CORPUS]:
+        assert vars(_parse_args(argv)) == vars(reference.parse_args(argv)), argv
 
 
 def test_main_builds_no_argparse_parser(monkeypatch):

@@ -390,6 +390,15 @@ def test_detect_convergence_unstable():
     assert report.stable_from[2] is None
 
 
+def test_detect_convergence_single_iterate_certifies_nothing():
+    # no step was taken, so no degree has shown it is stable
+    report = detect_convergence([CountSeq((1, 1, 1))], 2)
+    assert not report.converged
+    assert report.stable_from == (None, None, None)
+    assert (report.limit, report.witness) == (None, 0)
+    assert report.iterations_to_converge() is None
+
+
 def test_randomized_substitution_cross_check():
     rng = random.Random(20240917)
     leaves = [X(), Exp(), Lin(), Cyc(), Subsets(), Perm(), ExpPlus(), LinPlus()]

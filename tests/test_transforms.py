@@ -20,7 +20,9 @@ from espece import (
     Substitute,
     TensorBy,
     X,
+    as_table,
     canonical_iso_suite,
+    cardinality,
     check_monoid,
     check_naturality,
     contact_order,
@@ -36,8 +38,8 @@ from espece import (
     tensor_partial_algebras,
     uniform_subset_coalgebras,
 )
-from espece import species
-from espece.errors import InvalidAlgebra, ShapeMismatch, TooManyMaps
+from espece import species, transforms
+from espece.errors import BudgetExceeded, InvalidAlgebra, ShapeMismatch, TooManyMaps
 from espece.transforms import NatTrans, PartialAlgebra, build_nat, exp_mu, nat_to_json
 from helpers import (
     brute_equivariant_count,
@@ -226,6 +228,51 @@ def test_suite_all_names_small_horizon():
         "R_der",
         "lin_free",
     }
+
+
+def _stepwise_horizon(exprs, N):
+    """The reference scan: every side at one degree, then the next."""
+    for k in range(N + 1):
+        for e in exprs:
+            if cardinality(e, k) > transforms.ISO_POINT_CAP:
+                return k - 1
+    return N
+
+
+def _horizon_or_error(scan, exprs, N):
+    try:
+        return scan(exprs, N)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_feasible_horizon_reads_as_the_stepwise_scan(monkeypatch):
+    """Sides that read a Table past its last degree: the horizon, or the
+    degree whose read raises, is the stepwise scan's, which stops at the
+    first degree over the cap before it reads deeper."""
+    monkeypatch.setattr(transforms, "ISO_POINT_CAP", 10)
+    t = as_table(Exp(), 3, "t")
+    sides = (Perm(), t, Derive(t), Cauchy(t, X()), Lin(), X(), Cauchy(Exp(), Exp()))
+    for N in range(7):
+        for pair in itertools.product(sides, sides):
+            want = _horizon_or_error(_stepwise_horizon, pair, N)
+            assert _horizon_or_error(transforms._feasible_horizon, pair, N) == want, (pair, N)
+    # S has 24 > 10 structures at degree 4, read before t at degree 4
+    assert transforms._feasible_horizon((Perm(), t), 6) == 3
+    with pytest.raises(BudgetExceeded, match="degree 4 requested"):
+        transforms._feasible_horizon((t, Perm()), 6)
+
+
+def test_suite_clamps_before_a_table_runs_out(monkeypatch):
+    # every side counts 2^(n+1) at degree n, past the cap from degree 3; a
+    # side with t reads t at n + 1, and t holds degrees 0..4, so the scan
+    # stops at 3 before it reads t at 5, which a read through N = 4 would
+    monkeypatch.setattr(transforms, "ISO_POINT_CAP", 10)
+    species.clear_caches()
+    t = as_table(Exp(), 4, "t")
+    rep = canonical_iso_suite(4, names=("leibniz",), family=(Exp(), t))
+    assert rep.passed and [e.horizon for e in rep.entries] == [2, 2, 2, 2]
+    species.clear_caches()
 
 
 def test_suite_unknown_name():
