@@ -10,7 +10,8 @@ costs what a module global's does.
 stored slots, the total length of the sequences and arrays it stores, so a
 degree-8 compile weighs its arrays, not one entry.  A table's slot rule is
 given once, to ``register``; a writer hands ``add`` what it stored, and
-``add`` counts it by that rule into ``held``, the report's total, so the
+``add`` counts it by that rule into ``held``, the report's total (a
+writer of many values in one pass gives ``grow`` their slots), so the
 cap costs one comparison: ``check_cap`` empties every table when ``held``
 passes ``CAP``.  It acts only when no remembered query is computing
 (``cli.main`` calls it on entry, ``memo`` before an outermost query
@@ -68,6 +69,14 @@ def add(table, value, before: int = 0) -> None:
     whole value and ``before``, what ``measure`` gave before it grew."""
     global held
     held += _RULES[id(table)](value) - before
+
+
+def grow(slots: int) -> None:
+    """Count ``slots`` stored slots, already measured by their table's
+    rule, into ``held``: a writer that stores many values in one pass
+    counts them once, not one ``add`` each."""
+    global held
+    held += slots
 
 
 def clear() -> None:

@@ -28,7 +28,6 @@ import types
 from . import automata, caches, counting, diffeq, transforms
 from .errors import EngineError, ParseError
 from .groups import orbits, symmetric_order
-from .records import Record
 from .species import (
     AdjL,
     AdjR,
@@ -62,179 +61,68 @@ _ATOM_START = set("01XELCSPYDpad(")
 _PUNCTUATION = {"+": "op", "*": "op", "&": "op", "(": "lparen", ")": "rparen", ":": "colon"}
 
 
-class _Token(Record):
-    kind: str  # "atom", "func", "op", "lparen", "rparen", "nat", "colon", "end"
-    text: str
-    offset: int
-
-    # One token is built per token parsed, so it keeps a mutable object's
-    # plain attribute stores; nothing assigns to a token once built.  Both
-    # methods are restored: either one left to Record routes every store
-    # through Python.
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-
-    def __init__(self, kind, text, offset):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-
-
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """The tokens of ``text``, each a (kind, text, offset) tuple, ending
+    with ("end", "", len(text)).  Kinds: "op", "lparen", "rparen",
+    "colon", "nat" (a run of digits), "word" (a run of letters) and
+    "atom" ("E+" or "L+")."""
     tokens = []
     i, n = 0, len(text)
-
-    def peek_atom_start(j):
-        while j < n and text[j].isspace():
-            j += 1
-        return j < n and text[j] in _ATOM_START
-
     while i < n:
         c = text[i]
-        if c.isspace():
+        kind = _PUNCTUATION.get(c)
+        if kind is not None:
+            tokens.append((kind, c, i))
             i += 1
-            continue
-        if c in _PUNCTUATION:
-            tokens.append(_Token(_PUNCTUATION[c], c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("nat", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
+        elif c.isalpha():
+            j = i + 1
             while j < n and text[j].isalpha():
                 j += 1
             word = text[i:j]
-            if word in ("E", "L") and j < n and text[j] == "+" and not peek_atom_start(j + 1):
-                tokens.append(_Token("atom", word + "+", i))
-                i = j + 1
-                continue
-            tokens.append(_Token("word", word, i))
+            if word in ("E", "L") and j < n and text[j] == "+" and not _atom_follows(text, j + 1):
+                tokens.append(("atom", word + "+", i))
+                j += 1
+            else:
+                tokens.append(("word", word, i))
             i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+        elif c.isspace():
+            i += 1
+        elif c.isdigit():
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("nat", text[i:j], i))
+            i = j
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", n))
     return tokens
 
 
-# The atoms and one-argument functions of the grammar; render reads them back.
-_ATOMS = {
-    "0": Zero,
-    "1": One,
-    "X": X,
-    "E": Exp,
-    "E+": ExpPlus,
-    "L": Lin,
-    "L+": LinPlus,
-    "C": Cyc,
-    "S": Perm,
-    "P": Subsets,
-}
-_FUNCS = {"D": Derive, "pt": Pointing, "adjL": AdjL, "adjR": AdjR, "dL": DeriveL}
-# Each level of "(" or "F(" costs four Python frames in the parser, so the
-# cap keeps parsing far from the interpreter's recursion limit.
-MAX_NESTING = 200
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0  # "(" and "F(" open around the current position
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind, text=None) -> _Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            raise ParseError(
-                f"unexpected {t.text!r}", t.offset, (text,) if text else (kind,)
-            )
-        return self.take()
-
-    # expr := term { "+" term }
-    def expr(self) -> SpeciesExpr:
-        out = self.term()
-        while self.peek().kind == "op" and self.peek().text == "+":
-            self.take()
-            out = Sum(out, self.term())
-        return out
-
-    # term := factor { ("*" | "&") factor }
-    def term(self) -> SpeciesExpr:
-        out = self.factor()
-        while self.peek().kind == "op" and self.peek().text in ("*", "&"):
-            op = self.take().text
-            rhs = self.factor()
-            out = Cauchy(out, rhs) if op == "*" else Hadamard(out, rhs)
-        return out
-
-    # factor := atom [ "o" factor ], read as a loop so a long chain of "o"
-    # costs no recursion
-    def factor(self) -> SpeciesExpr:
-        atoms = [self.atom()]
-        while self.peek().kind == "word" and self.peek().text == "o":
-            self.take()
-            atoms.append(self.atom())
-        out = atoms.pop()
-        while atoms:
-            out = Substitute(atoms.pop(), out)
-        return out
-
-    def atom(self) -> SpeciesExpr:
-        t = self.peek()
-        if t.text in _ATOMS:  # "0"/"1" are nat tokens, "E+"/"L+" atom tokens
-            self.take()
-            return _ATOMS[t.text]()
-        if t.kind == "word" and t.text == "Y":
-            self.take()
-            self.expect("lparen")
-            num = self.expect("nat")
-            self.expect("rparen")
-            return Representable(int(num.text))
-        if t.kind == "lparen" or t.kind == "word" and t.text in _FUNCS:
-            self.take()
-            if t.kind == "word":
-                self.expect("lparen")
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING}", t.offset)
-            inner = self.expr()
-            self.expect("rparen")
-            self.depth -= 1
-            return _FUNCS[t.text](inner) if t.kind == "word" else inner
-        raise ParseError(
-            f"expected an atom, found {t.text!r}",
-            t.offset,
-            (*_ATOMS, "Y(", *(f"{name}(" for name in _FUNCS), "("),
-        )
-
-
-@caches.memo
-def parse_expr(text: str) -> SpeciesExpr:
-    if not text.strip():
-        raise ParseError("empty expression", 0)
-    p = _Parser(text)
-    out = p.expr()
-    tail = p.peek()
-    if tail.kind != "end":
-        raise ParseError(f"trailing input {tail.text!r}", tail.offset)
-    return out
+def _atom_follows(text: str, j: int) -> bool:
+    """Whether an atom starts at text[j], after any whitespace."""
+    n = len(text)
+    while j < n and text[j].isspace():
+        j += 1
+    return j < n and text[j] in _ATOM_START
 
 
 _SUM, _PROD, _SUBST, _ATOM = range(4)  # binding levels of the grammar
+# The atoms, as nodes, and the one-argument functions of the grammar;
+# render reads them back.
+_ATOMS = {
+    "0": Zero(),
+    "1": One(),
+    "X": X(),
+    "E": Exp(),
+    "E+": ExpPlus(),
+    "L": Lin(),
+    "L+": LinPlus(),
+    "C": Cyc(),
+    "S": Perm(),
+    "P": Subsets(),
+}
+_FUNCS = {"D": Derive, "pt": Pointing, "adjL": AdjL, "adjR": AdjR, "dL": DeriveL}
 _LEVEL = {Sum: _SUM, Cauchy: _PROD, Hadamard: _PROD, Substitute: _SUBST}
 # Each infix node's spelling and the least level of each operand: "+", "*"
 # and "&" parse left-associatively, so right operands at the same level need
@@ -245,7 +133,100 @@ _INFIX = {
     Hadamard: ("&", _PROD, _SUBST),
     Substitute: (" o ", _ATOM, _SUBST),
 }
-_ATOM_NAMES = {node: text for text, node in _ATOMS.items()}
+# The parser's view of the same table: each operator token's level and
+# node.  An "o" token is a word.
+_INFIX_OPS = {op.strip(): (_LEVEL[kind], kind) for kind, (op, _, _) in _INFIX.items()}
+_NOT_INFIX = (-1, None)  # any other token ends an operand's run of operators
+_GROUP_MARK = (None, -1, None)  # where a group's pending operators start
+_EXPECTED_ATOM = (*_ATOMS, "Y(", *(f"{name}(" for name in _FUNCS), "(")
+# Open groups are kept on a list, not on Python's stack, so this cap is a
+# policy on the input, not a guard against the recursion limit: it bounds
+# the nesting of "(" and "F(" that an expression may use.
+MAX_NESTING = 200
+
+
+def _expect(tokens: list, pos: int, kind: str) -> str:
+    """The text of tokens[pos], which must be of ``kind``."""
+    got, text, offset = tokens[pos]
+    if got != kind:
+        raise ParseError(f"unexpected {text!r}", offset, (kind,))
+    return text
+
+
+def _parse(tokens: list, pos: int, least: int):
+    """The expression that starts at tokens[pos], and the position after it.
+
+    Precedence climbing over explicit stacks: ``pending`` holds each left
+    operand with its operator's level and node, waiting for its right
+    operand, above a mark of level -1 where each open group starts, and
+    ``groups`` the function applied as each open "(" or "F(" closes.
+    Outside every group an operator binding looser than ``least`` ends the
+    expression.
+    """
+    pending, groups = [_GROUP_MARK], []
+    while True:
+        # an operand: open groups until an atom
+        kind, text, offset = tokens[pos]
+        node = _ATOMS.get(text)  # "0"/"1" are nat tokens, "E+"/"L+" atom tokens
+        if node is not None:
+            pos += 1
+        elif kind == "word" and text == "Y":
+            _expect(tokens, pos + 1, "lparen")
+            num = _expect(tokens, pos + 2, "nat")
+            _expect(tokens, pos + 3, "rparen")
+            node = Representable(int(num))
+            pos += 4
+        elif kind == "lparen" or kind == "word" and text in _FUNCS:
+            pos += 1
+            if kind == "word":
+                _expect(tokens, pos, "lparen")
+                pos += 1
+            if len(groups) == MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", offset)
+            groups.append(_FUNCS.get(text))
+            pending.append(_GROUP_MARK)
+            continue
+        else:
+            raise ParseError(f"expected an atom, found {text!r}", offset, _EXPECTED_ATOM)
+        # after an operand: an operator, or the end of groups
+        while True:
+            kind, text, offset = tokens[pos]
+            level, make = _INFIX_OPS.get(text, _NOT_INFIX)
+            if level >= least or groups and make is not None:
+                if level != _SUBST:  # left-associative: fold what binds as tight
+                    while pending[-1][1] >= level:
+                        left, _, combine = pending.pop()
+                        node = combine(left, node)
+                pending.append((node, level, make))
+                pos += 1
+                break
+            while pending[-1][1] >= 0:
+                left, _, combine = pending.pop()
+                node = combine(left, node)
+            if not groups:
+                return node, pos
+            if kind != "rparen":
+                raise ParseError(f"unexpected {text!r}", offset, ("rparen",))
+            pos += 1
+            pending.pop()
+            func = groups.pop()
+            if func is not None:
+                node = func(node)
+
+
+@caches.memo
+def parse_expr(text: str) -> SpeciesExpr:
+    if not text.strip():
+        raise ParseError("empty expression", 0)
+    tokens = _tokenize(text)
+    out, pos = _parse(tokens, 0, _SUM)
+    kind, tail, offset = tokens[pos]
+    if kind != "end":
+        raise ParseError(f"trailing input {tail!r}", offset)
+    return out
+
+
+_ATOM_NAMES = {type(node): text for text, node in _ATOMS.items()}
 _FUNC_NAMES = {node: name for name, node in _FUNCS.items()}
 
 
@@ -287,16 +268,13 @@ def parse_operator(text: str) -> diffeq.DiffOperator:
     """Parse an operator specification "COEFF:ORDER + ... [+ CONST]"."""
     if not text.strip():
         raise ParseError("empty operator specification", 0)
-    p = _Parser(text)
-    terms = []
-    constants = []
+    tokens = _tokenize(text)
+    pos, terms, constants = 0, [], []
     while True:
-        coeff = p.term()
-        t = p.peek()
-        if t.kind == "colon":
-            p.take()
-            num = p.expect("nat")
-            order = int(num.text)
+        coeff, pos = _parse(tokens, pos, _PROD)
+        if tokens[pos][0] == "colon":
+            order = int(_expect(tokens, pos + 1, "nat"))
+            pos += 2
             if order == 0 and isinstance(coeff, One) or (
                 order == 0 and isinstance(coeff, Representable) and coeff.k == 0
             ):
@@ -305,13 +283,13 @@ def parse_operator(text: str) -> diffeq.DiffOperator:
                 terms.append((coeff, order))
         else:
             constants.append(coeff)
-        t = p.peek()
-        if t.kind == "end":
+        kind, t, offset = tokens[pos]
+        if kind == "end":
             break
-        if t.kind == "op" and t.text == "+":
-            p.take()
+        if kind == "op" and t == "+":
+            pos += 1
             continue
-        raise ParseError(f"unexpected {t.text!r} in operator", t.offset, ("+", ":"))
+        raise ParseError(f"unexpected {t!r} in operator", offset, ("+", ":"))
     constant = None
     for c in constants:
         constant = c if constant is None else Sum(constant, c)

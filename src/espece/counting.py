@@ -18,21 +18,37 @@ from .species import SpeciesExpr, binomial_convolution, counts_upto
 
 AT_LEAST_HORIZON = "at-least-horizon"
 NO_CONTACT = "none"
+_NO_ENTRY = "a counting sequence needs at least the degree-0 entry"
 
 
 class CountSeq(Record):
-    """Exact nonnegative counts f_0..f_N; values beyond N are unknown."""
+    """Exact nonnegative counts f_0..f_N; values beyond N are unknown.
+
+    ``CountSeq(coeffs)`` checks every entry; the engine builds the
+    sequences it computes with ``CountSeq.computed``.
+    """
 
     coeffs: Tuple[int, ...]
 
     def __init__(self, coeffs):
         if len(coeffs) == 0:
-            raise ValueError("a counting sequence needs at least the degree-0 entry")
+            raise ValueError(_NO_ENTRY)
         # plain nonnegative ints pass in C; the loop decides everything else
         plain = set(map(type, coeffs)) <= {int} and min(coeffs) >= 0
         if not plain and any((not isinstance(c, int)) or c < 0 for c in coeffs):
             raise ValueError(f"counts must be nonnegative integers: {coeffs}")
         self.__dict__["coeffs"] = coeffs
+
+    @classmethod
+    def computed(cls, coeffs) -> "CountSeq":
+        """A sequence the engine computed from counts or from checked
+        sequences, nonnegative ints by construction: its entries are not
+        checked again."""
+        if len(coeffs) == 0:
+            raise ValueError(_NO_ENTRY)
+        seq = object.__new__(cls)
+        seq.__dict__["coeffs"] = coeffs
+        return seq
 
     @property
     def horizon(self) -> int:
@@ -46,7 +62,7 @@ class CountSeq(Record):
     def truncate(self, N: int) -> "CountSeq":
         if N > self.horizon:
             raise HorizonExhausted(f"cannot extend horizon {self.horizon} to {N}")
-        return CountSeq(self.coeffs[: N + 1])
+        return CountSeq.computed(self.coeffs[: N + 1])
 
     def render(self) -> str:
         return ", ".join(map(str, self.coeffs))
@@ -82,7 +98,7 @@ class EgfSeq(Record):
 
 def count_seq(e: SpeciesExpr, N: int) -> CountSeq:
     """Counts of e at degrees 0..N by the exact recurrences."""
-    return CountSeq(counts_upto(e, N))
+    return CountSeq.computed(counts_upto(e, N))
 
 
 def egf(e: SpeciesExpr, N: int) -> EgfSeq:
@@ -94,23 +110,23 @@ def egf_of_counts(c: CountSeq) -> EgfSeq:
 
 
 def seq_sum(a: CountSeq, b: CountSeq) -> CountSeq:
-    return CountSeq(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    return CountSeq.computed(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def seq_hadamard(a: CountSeq, b: CountSeq) -> CountSeq:
-    return CountSeq(tuple(x * y for x, y in zip(a.coeffs, b.coeffs)))
+    return CountSeq.computed(tuple(x * y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def seq_cauchy(a: CountSeq, b: CountSeq) -> CountSeq:
     """Binomial convolution, the counting shadow of the Cauchy product."""
     h = min(a.horizon, b.horizon)
-    return CountSeq(tuple(binomial_convolution(a.coeffs, b.coeffs, 0, h + 1)))
+    return CountSeq.computed(tuple(binomial_convolution(a.coeffs, b.coeffs, 0, h + 1)))
 
 
 def seq_derive(a: CountSeq) -> CountSeq:
     if a.horizon < 1:
         raise HorizonExhausted("derivative needs horizon >= 1")
-    return CountSeq(a.coeffs[1:])
+    return CountSeq.computed(a.coeffs[1:])
 
 
 def _egf_mul(a, b, N):
@@ -194,6 +210,6 @@ def detect_convergence(seqs, N: int) -> ConvergenceReport:
             j -= 1
         stable.append(j)
     converged = all(s is not None for s in stable)
-    limit = CountSeq(rows[-1][: N + 1]) if converged else None
+    limit = CountSeq.computed(rows[-1][: N + 1]) if converged else None
     witness = next((k for k, s in enumerate(stable) if s is None), None)
     return ConvergenceReport(tuple(stable), converged, limit, witness)

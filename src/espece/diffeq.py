@@ -86,7 +86,7 @@ def apply_operator(D: DiffOperator, x: CountSeq, minimum_horizon: int = 0) -> Co
         raise HorizonExhausted(
             f"horizon {x.horizon} leaves only {out_h} after order {D.max_order}"
         )
-    return CountSeq(_step(_read_counts(D, out_h), x.coeffs, 0, out_h))
+    return CountSeq.computed(_step(_read_counts(D, out_h), x.coeffs, 0, out_h))
 
 
 class ChainReport(Record):
@@ -142,7 +142,7 @@ def adamek_chain(D: DiffOperator, N: int, max_iter: int | None = None) -> ChainR
     h = N + mo * (max_iter + 1)  # the current iterate's horizon
     t = (1,) * (h + 1)  # may run past h: only t[0..h] is read
     counts = _read_counts(D, h - mo)
-    truncated = [CountSeq(t[: N + 1])]
+    truncated = [CountSeq.computed(t[: N + 1])]
     p = 0  # the current iterate agrees with the one before on t[0..p-1]
     for _ in range(max_iter):
         h -= mo
@@ -151,12 +151,12 @@ def adamek_chain(D: DiffOperator, N: int, max_iter: int | None = None) -> ChainR
             prev, t = t, _step(counts, t, keep, h)
             while p <= h and t[p] == prev[p]:
                 p += 1
-        truncated.append(truncated[-1] if p > N else CountSeq(t[: N + 1]))
+        truncated.append(truncated[-1] if p > N else CountSeq.computed(t[: N + 1]))
     truncated = tuple(truncated)
     convergence = detect_convergence(truncated, N)
     contact = None
     if convergence.converged:
-        contact = fixpoint_check(D, CountSeq(t[: h + 1]), N)
+        contact = fixpoint_check(D, CountSeq.computed(t[: h + 1]), N)
     return ChainReport(D, N, truncated, convergence, contact)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 from typing import Tuple
 
@@ -67,11 +68,14 @@ class SpeciesExpr:
     Each node kind owns its rules (Bergeron, Labelle and Leroux 1998,
     sections 1.1-1.4): ``children``, its subexpressions in field order;
     ``child_degree(n)``, the degree at which it reads them when evaluated
-    at n; ``count(n, *child_counts)`` (or ``counts`` for a range of
-    degrees); ``composed_counts``, the counts of itself substituted into;
+    at n; ``reads(N)``, when a kind defines it, the (child, degree) pairs
+    its counts read instead, asked again once those are counted;
+    ``count(n, *child_counts)`` (or ``counts`` for a range of degrees);
+    ``composed_counts``, the counts of itself substituted into;
     ``build(labels)``, its sorted structures; ``compile(n)``, the
-    S_n-action on them; and ``check``, ``check_with_children``, its
-    validation.
+    S_n-action on them; and ``check()``, ``check_with_children()``, its
+    validation: the problems found, as (code, message) pairs.  A kind
+    without a check leaves it None, and ``validate`` skips it.
 
     ``compile`` is a generator like ``build``: it yields each (child,
     degree) it reads, is sent back that child's generator arrays, and
@@ -84,6 +88,13 @@ class SpeciesExpr:
     # start..stop-1 from self's differential equation, given g's counts gs
     # and the composite's own hs at 0..start-1.  None: the Bell triangle.
     composed_counts = None
+    check = None
+    check_with_children = None
+    # reads(N): the (child, degree) pairs that the counts at degrees 0..N
+    # read, when they are not every child at child_degree(N); they may grow
+    # once those are counted (Substitute reads g only as far as f's counts
+    # make room).
+    reads = None
 
     def __add__(self, other):
         return Sum(self, other)
@@ -100,10 +111,6 @@ class SpeciesExpr:
     def child_degree(self, n: int) -> int:
         return n
 
-    def reads(self, N: int):
-        """(child, degree) pairs that the counts at degrees 0..N read."""
-        return tuple((c, self.child_degree(N)) for c in self.children)
-
     def counts(self, start: int, stop: int, *kids) -> list:
         """Counts at degrees start..stop-1; the children's counts are ready."""
         return [self.count(n, *kids) for n in range(start, stop)]
@@ -115,53 +122,61 @@ class SpeciesExpr:
         return self.structures(labels)
         yield  # never reached; the yield makes every builder a generator
 
-    def check(self, path: str, diags: list) -> None:
-        pass
 
-    def check_with_children(self, path: str, diags: list) -> None:
-        pass
+# Live nodes: (class, *fields) -> a weak reference to the node.  A node's
+# entry leaves when the node dies, so the table never needs clearing.
+_NODES: dict = {}
 
 
-# Live nodes by (class, fields).  Weak values: a node leaves the table when
-# nothing else holds it, so the table never needs clearing.
-_NODES = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """A weak reference to a node that remembers the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref, nodes=_NODES):
+    # the node died; a newer node under the same key keeps its entry
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
 
 
 class _Interned(type):
     """Hash-consing (Filliatre & Conchon, 2006): constructing a node equal
-    to a live one returns that node, so equality is identity and a node's
-    hash is computed once, from its children's stored hashes.
+    to a live one returns that node, so equality is identity and so is the
+    hash: ``object.__hash__``, computed in C from the node's address, which
+    is fixed for the node's life.
 
-    The key (class, *fields) is looked up before anything is built, so a
-    hit allocates nothing.  A new node also records its ``children``: the
-    fields that are expressions."""
+    The key (class, *fields) is looked up in a plain dict of weak
+    references before anything is built, so a hit allocates nothing.  A
+    new node also records its ``children``: the fields that are
+    expressions."""
 
     def __call__(cls, *args, **kwargs):
         if kwargs:
             args = bind(cls, args, kwargs)
         key = (cls, *args)
-        live = _NODES.get(key)
-        if live is not None:
-            return live
+        ref = _NODES.get(key)
+        if ref is not None:
+            live = ref()
+            if live is not None:
+                return live
         if len(args) != len(cls._fields):
             bind(cls, args, {})  # raises the TypeError
         node = cls.__new__(cls)
         attrs = node.__dict__
         attrs.update(zip(cls._fields, args))
-        attrs["_hash"] = hash(key)
         attrs["children"] = tuple([v for v in args if isinstance(v, SpeciesExpr)])
-        _NODES[key] = node
+        ref = _NODES[key] = _Ref(node, _drop)
+        ref.key = key
         return node
 
 
 class _Node(SpeciesExpr, Record, metaclass=_Interned):
     """A node's fields, repr and immutability are a record's (see
-    ``records``); its equality is identity."""
+    ``records``); its equality and hash are identity's."""
 
     __eq__ = object.__eq__
-
-    def __hash__(self):
-        return self._hash
+    __hash__ = object.__hash__
 
     def __reduce__(self):
         # copies and unpickled nodes go through the intern table as well
@@ -215,9 +230,8 @@ class Representable(_Representable):
 
     k: int
 
-    def check(self, path, diags):
-        if self.k < 0:
-            diags.append(Diagnostic("NegativeDegree", path, f"Y({self.k})"))
+    def check(self):
+        return [("NegativeDegree", f"Y({self.k})")] if self.k < 0 else ()
 
 
 class Exp(_Node):
@@ -255,8 +269,8 @@ class ExpPlus(_Node):
 class Lin(_Node):
     """Linear orders; the regular (free transitive) action at each degree."""
 
-    def count(self, n):
-        return math.factorial(n)
+    def counts(self, start, stop):
+        return _factorials(start, stop)
 
     def structures(self, labels):
         return tuple(("lin", p) for p in itertools.permutations(labels))
@@ -273,8 +287,11 @@ class Lin(_Node):
 
 
 class LinPlus(_Node):
-    def count(self, n):
-        return math.factorial(n) if n >= 1 else 0
+    def counts(self, start, stop):
+        out = _factorials(start, stop)
+        if start == 0 and out:
+            out[0] = 0  # no nonempty list on the empty set
+        return out
 
     def structures(self, labels):
         return tuple(("lin", p) for p in itertools.permutations(labels)) if labels else ()
@@ -289,8 +306,8 @@ class LinPlus(_Node):
 class Cyc(_Node):
     """Oriented cycles; empty at degree 0 by convention."""
 
-    def count(self, n):
-        return math.factorial(n - 1) if n >= 1 else 0
+    def counts(self, start, stop):
+        return _factorials(start, stop, 1)
 
     def structures(self, labels):
         if not labels:
@@ -323,8 +340,8 @@ class Cyc(_Node):
 class Perm(_Node):
     """Permutations of the label set, acted on by conjugation."""
 
-    def count(self, n):
-        return math.factorial(n)
+    def counts(self, start, stop):
+        return _factorials(start, stop)
 
     def structures(self, labels):
         return tuple(("perm", tuple(zip(labels, p))) for p in itertools.permutations(labels))
@@ -362,6 +379,20 @@ class Subsets(_Node):
 
     def composed_counts(self, hs, gs, start, stop):
         return _unit_composed(hs, gs, start, stop, 1, 1, 2)  # P = E * E = exp(2X)
+
+
+def _factorials(start: int, stop: int, shift: int = 0) -> list:
+    """(n - shift)! at degrees n = start..stop-1, by one running product;
+    0 at the degrees below ``shift``."""
+    out = [0] * max(min(shift, stop) - start, 0)
+    first = max(start, shift)
+    if first < stop:
+        f = math.factorial(first - shift)
+        out.append(f)
+        for m in range(first - shift + 1, stop - shift):
+            f *= m
+            out.append(f)
+    return out
 
 
 def _subsets(labels) -> list:
@@ -430,33 +461,33 @@ class Table(SpeciesExpr):
         return tuple(tuple(position[action[line][a]] for a in row) for line in generator_lines(n))
         yield
 
-    def check(self, path, diags):
+    def check(self):
+        problems = []
         for n, row in enumerate(self.atoms):
-            first = len(diags)
+            first = len(problems)
             if len(set(row)) != len(row):
-                diags.append(Diagnostic("DuplicateAtoms", path, f"degree {n}"))
+                problems.append(("DuplicateAtoms", f"degree {n}"))
             action = self.action[n] if n < len(self.action) else None
             if action is None:
-                diags.append(Diagnostic("MissingAction", path, f"degree {n}"))
+                problems.append(("MissingAction", f"degree {n}"))
                 continue
             expected = {p.images for p in all_permutations(n)}
             if set(action) != expected:
-                diags.append(Diagnostic("IncompleteAction", path, f"degree {n}"))
+                problems.append(("IncompleteAction", f"degree {n}"))
                 continue
             ident = tuple(range(1, n + 1))
             if any(action[ident].get(a) != a for a in row):
-                diags.append(Diagnostic("IdentityNotFixed", path, f"degree {n}"))
+                problems.append(("IdentityNotFixed", f"degree {n}"))
             for sig, mapping in action.items():
                 if sorted(mapping) != sorted(row) or sorted(mapping.values()) != sorted(row):
-                    diags.append(
-                        Diagnostic("NonBijectiveAction", path, f"degree {n}, permutation {sig}")
-                    )
+                    problems.append(("NonBijectiveAction", f"degree {n}, permutation {sig}"))
                     break
-            if len(diags) == first:
-                _check_homomorphism(action, row, n, path, diags)
+            if len(problems) == first:
+                problems += _check_homomorphism(action, row, n)
+        return problems
 
 
-def _check_homomorphism(action, row, n, path, diags) -> None:
+def _check_homomorphism(action, row, n) -> list:
     """With the identity fixed, the rows are an action of S_n exactly when
     g.(sigma.a) = (g sigma).a for each generator g, every sigma and atom a."""
     for sig in sorted(action):
@@ -464,16 +495,16 @@ def _check_homomorphism(action, row, n, path, diags) -> None:
         for g in generator_lines(n):
             on_g, on_g_sig = action[g], action[tuple([g[v - 1] for v in sig])]
             if any(on_g_sig[a] != on_g[on_sig[a]] for a in row):
-                diags.append(Diagnostic("NotAnAction", path, f"degree {n}, permutation {sig}"))
-                return
+                return [("NotAnAction", f"degree {n}, permutation {sig}")]
+    return []
 
 
 class Sum(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
 
-    def count(self, n, f, g):
-        return f[n] + g[n]
+    def counts(self, start, stop, f, g):
+        return list(map(operator.add, f[start:stop], g[start:stop]))
 
     def build(self, labels):
         fs = yield self.f, labels
@@ -491,8 +522,8 @@ class Hadamard(_Node):
     f: SpeciesExpr
     g: SpeciesExpr
 
-    def count(self, n, f, g):
-        return f[n] * g[n]
+    def counts(self, start, stop, f, g):
+        return list(map(operator.mul, f[start:stop], g[start:stop]))
 
     def build(self, labels):
         n = len(labels)
@@ -624,18 +655,18 @@ class Substitute(_Node):
             return _substitute_counts(self.g, f, g, start, stop)
         return rule(_COUNT_CACHE[self], g, start, stop)
 
-    def check_with_children(self, path, diags):
+    def check_with_children(self):
         try:
             if _card(self.g, 0) != 0:
-                diags.append(
-                    Diagnostic(
+                return [
+                    (
                         "InnerNotPositive",
-                        path,
                         "substitution requires the inner species to be empty at degree 0",
                     )
-                )
+                ]
         except BudgetExceeded as exc:
-            diags.append(Diagnostic("BudgetExceeded", path, str(exc)))
+            return [("BudgetExceeded", str(exc))]
+        return ()
 
     def build(self, labels):
         out = []
@@ -857,9 +888,8 @@ class _Truncation(_Node):
     def child_degree(self, n):
         return min(n, self.cutoff)
 
-    def check(self, path, diags):
-        if self.cutoff < 0:
-            diags.append(Diagnostic("NegativeCutoff", path, f"cutoff {self.cutoff}"))
+    def check(self):
+        return [("NegativeCutoff", f"cutoff {self.cutoff}")] if self.cutoff < 0 else ()
 
     def count(self, n, f):
         return f[n] if n <= self.cutoff else len(self.above)
@@ -899,31 +929,56 @@ def validate(e: SpeciesExpr) -> Tuple[Diagnostic, ...]:
 
     The tree is walked with an explicit stack, so nesting depth is not
     bounded by the recursion limit, and every valid subexpression is
-    remembered for later calls.
+    remembered for later calls.  Each visit carries only a link to its
+    parent's and its child index; a diagnostic's path is spelled from the
+    links when one is found.
     """
     diags: list = []
-    stack = [(e, "root", None)]
-    while stack:
-        node, path, mark = stack.pop()
-        if mark is not None:
-            # every child is done: mark holds the diagnostic counts from
-            # before the node's own checks and from before its children
-            first, before = mark
-            if len(diags) == before:
-                node.check_with_children(path, diags)
-            if len(diags) == first:
+    found = 0  # len(diags)
+    stack = [(e, None, None)]  # (node, its link: (parent's link, child index), mark)
+    before = len(_VALIDATED)
+    try:
+        while stack:
+            node, link, mark = stack.pop()
+            if mark is None:
+                if node in _VALIDATED:
+                    continue
+                first = found
+                if node.check is not None:
+                    found += _place(node.check(), link, diags)
+                # mark holds the diagnostic counts from before the node's own
+                # checks and from before its children
+                mark = (first, found)
+                kids = node.children
+                if kids:
+                    stack.append((node, link, mark))
+                    for i in range(len(kids) - 1, -1, -1):
+                        stack.append((kids[i], (link, i), None))
+                    continue
+            # every child is done
+            first, children_first = mark
+            if found == children_first and node.check_with_children is not None:
+                found += _place(node.check_with_children(), link, diags)
+            if found == first:
                 _VALIDATED.add(node)
-                caches.add(_VALIDATED, node)
-            continue
-        if node in _VALIDATED:
-            continue
-        first = len(diags)
-        node.check(path, diags)
-        stack.append((node, path, (first, len(diags))))
-        kids = node.children
-        for i in reversed(range(len(kids))):
-            stack.append((kids[i], f"{path}.{i}", None))
+    finally:
+        caches.grow(len(_VALIDATED) - before)
     return tuple(diags)
+
+
+def _place(problems, link, diags: list) -> int:
+    """Append each (code, message) found at ``link`` as a Diagnostic at
+    its path, "root" then the child index of each step down; return how
+    many."""
+    if not problems:
+        return 0
+    steps = []
+    while link is not None:
+        link, i = link
+        steps.append(str(i))
+    path = ".".join(["root", *reversed(steps)])
+    diags += [Diagnostic(code, path, message) for code, message in problems]
+    return len(problems)
 
 
 def require_valid(e: SpeciesExpr) -> None:
@@ -1051,6 +1106,10 @@ def _cyc_composed(hs, gs, start, stop) -> list:
     return h[start:]
 
 
+# endless fill-ins for zip and map: a child pushed not ready, a child not read
+_NOT_READY, _NO_COUNTS = itertools.repeat(False), itertools.repeat(())
+
+
 def _counts(e, N: int) -> list:
     """The cached counts of e, extended through degree N.
 
@@ -1058,28 +1117,42 @@ def _counts(e, N: int) -> list:
     bounded by the recursion limit, and each node is counted once per
     degree.  Children are evaluated only through the degrees that e reads
     at 0..N, so a Table raises BudgetExceeded exactly when one of those
-    lies beyond it.
+    lies beyond it.  A node with children and without ``reads`` is visited
+    twice: once to push its children, once to count; one with ``reads`` is
+    asked again until nothing it reads is missing.
     """
-    seq = _COUNT_CACHE.get(e)
+    table = _COUNT_CACHE
+    seq = table.get(e)
     if seq is not None and len(seq) > N:
         return seq
-    stack = [(e, N)]
-    while stack:
-        node, n = stack[-1]
-        seq = _COUNT_CACHE.setdefault(node, [])
-        if len(seq) > n:
-            stack.pop()
-            continue
-        missing = [(c, m) for c, m in node.reads(n) if len(_COUNT_CACHE.get(c, ())) <= m]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        kids = [_COUNT_CACHE.get(c, ()) for c in node.children]
-        new = node.counts(len(seq), n + 1, *kids)
-        caches.add(_COUNT_CACHE, new)
-        seq.extend(new)
-    return _COUNT_CACHE[e]
+    grown = 0
+    stack = [(e, N, False)]  # (node, degree, its children are counted)
+    try:
+        while stack:
+            node, n, ready = stack.pop()
+            seq = table.get(node)
+            if seq is None:
+                seq = table[node] = []
+            elif len(seq) > n:
+                continue
+            if node.reads is not None:
+                missing = [(c, m, False) for c, m in node.reads(n) if len(table.get(c, ())) <= m]
+                if missing:
+                    stack.append((node, n, True))
+                    stack += missing
+                    continue
+            elif not ready and node.children:
+                # every child, counted or not: a counted one is popped at once
+                stack.append((node, n, True))
+                stack += zip(node.children, itertools.repeat(node.child_degree(n)), _NOT_READY)
+                continue
+            # a child that is not read passes no counts
+            new = node.counts(len(seq), n + 1, *map(table.get, node.children, _NO_COUNTS))
+            seq += new
+            grown += len(new)
+    finally:
+        caches.grow(grown)
+    return table[e]
 
 
 def _card(e, n: int) -> int:

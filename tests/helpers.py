@@ -18,7 +18,10 @@ Fixpoint chains are checked against the stepwise route: the public
 ``apply_operator`` iterated from the all-ones sequence, every full
 iterate kept to the end.
 Command lines are checked against the argparse parser the CLI used to
-build on every call.  Natural transformations are point-index tuples in
+build on every call, and expressions and operators against the
+recursive-descent tokenizer and parser it used before it parsed by
+precedence climbing; validation against a walk that spells every path
+as it goes.  Natural transformations are point-index tuples in
 the library; the label route here moves a structure on any label set
 along a transformation by ``transport`` down to 1..m and back
 (``threading_apply_on_labels``).  Through it, monoid laws are checked on
@@ -69,8 +72,8 @@ from espece import (
     fixpoint_check,
 )
 from espece import species
-from espece.diffeq import default_max_iter
-from espece.errors import BudgetExceeded, ShapeMismatch
+from espece.diffeq import DiffOperator, default_max_iter
+from espece.errors import BudgetExceeded, Diagnostic, ParseError, ShapeMismatch
 from espece.groups import all_permutations, generators, permutation_array
 from espece.species import (
     _card,
@@ -879,3 +882,203 @@ def stepwise_adamek_chain(D, N: int, max_iter=None) -> ChainReport:
     convergence = detect_convergence(truncated, N)
     contact = fixpoint_check(D, iterates[-1], N) if convergence.converged else None
     return ChainReport(D, N, truncated, convergence, contact)
+
+
+# --- the recursive-descent front end ------------------------------------------
+# One Python frame per grammar rule, a token per step through peek() and
+# take(), and nesting capped at the CLI's 200 levels.
+
+_REFERENCE_ATOM_START = set("01XELCSPYDpad(")
+_REFERENCE_PUNCTUATION = {
+    "+": "op", "*": "op", "&": "op", "(": "lparen", ")": "rparen", ":": "colon",
+}
+_REFERENCE_ATOMS = {
+    "0": Zero, "1": One, "X": X, "E": Exp, "E+": ExpPlus, "L": Lin, "L+": LinPlus,
+    "C": Cyc, "S": Perm, "P": Subsets,
+}
+_REFERENCE_FUNCS = {"D": Derive, "pt": Pointing, "adjL": AdjL, "adjR": AdjR, "dL": DeriveL}
+REFERENCE_MAX_NESTING = 200
+
+
+def reference_tokenize(text: str):
+    """(kind, text, offset) of each token, ending with ("end", "", len(text))."""
+    tokens = []
+    i, n = 0, len(text)
+
+    def peek_atom_start(j):
+        while j < n and text[j].isspace():
+            j += 1
+        return j < n and text[j] in _REFERENCE_ATOM_START
+
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _REFERENCE_PUNCTUATION:
+            tokens.append((_REFERENCE_PUNCTUATION[c], c, i))
+            i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("nat", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and text[j].isalpha():
+                j += 1
+            word = text[i:j]
+            if word in ("E", "L") and j < n and text[j] == "+" and not peek_atom_start(j + 1):
+                tokens.append(("atom", word + "+", i))
+                i = j + 1
+                continue
+            tokens.append(("word", word, i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.tokens = reference_tokenize(text)
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        t = self.tokens[self.pos]
+        self.pos += 1
+        return t
+
+    def expect(self, kind):
+        t = self.peek()
+        if t[0] != kind:
+            raise ParseError(f"unexpected {t[1]!r}", t[2], (kind,))
+        return self.take()
+
+    def expr(self):
+        out = self.term()
+        while self.peek()[:2] == ("op", "+"):
+            self.take()
+            out = Sum(out, self.term())
+        return out
+
+    def term(self):
+        out = self.factor()
+        while self.peek()[0] == "op" and self.peek()[1] in ("*", "&"):
+            op = self.take()[1]
+            rhs = self.factor()
+            out = Cauchy(out, rhs) if op == "*" else Hadamard(out, rhs)
+        return out
+
+    def factor(self):
+        atoms = [self.atom()]
+        while self.peek()[:2] == ("word", "o"):
+            self.take()
+            atoms.append(self.atom())
+        out = atoms.pop()
+        while atoms:
+            out = Substitute(atoms.pop(), out)
+        return out
+
+    def atom(self):
+        kind, text, offset = self.peek()
+        if text in _REFERENCE_ATOMS:
+            self.take()
+            return _REFERENCE_ATOMS[text]()
+        if kind == "word" and text == "Y":
+            self.take()
+            self.expect("lparen")
+            num = self.expect("nat")
+            self.expect("rparen")
+            return Representable(int(num[1]))
+        if kind == "lparen" or kind == "word" and text in _REFERENCE_FUNCS:
+            self.take()
+            if kind == "word":
+                self.expect("lparen")
+            self.depth += 1
+            if self.depth > REFERENCE_MAX_NESTING:
+                raise ParseError(f"nesting deeper than {REFERENCE_MAX_NESTING}", offset)
+            inner = self.expr()
+            self.expect("rparen")
+            self.depth -= 1
+            return _REFERENCE_FUNCS[text](inner) if kind == "word" else inner
+        raise ParseError(
+            f"expected an atom, found {text!r}",
+            offset,
+            (*_REFERENCE_ATOMS, "Y(", *(f"{name}(" for name in _REFERENCE_FUNCS), "("),
+        )
+
+
+def reference_parse_expr(text: str):
+    if not text.strip():
+        raise ParseError("empty expression", 0)
+    p = _ReferenceParser(text)
+    out = p.expr()
+    kind, tail, offset = p.peek()
+    if kind != "end":
+        raise ParseError(f"trailing input {tail!r}", offset)
+    return out
+
+
+def reference_parse_operator(text: str):
+    if not text.strip():
+        raise ParseError("empty operator specification", 0)
+    p = _ReferenceParser(text)
+    terms, constants = [], []
+    while True:
+        coeff = p.term()
+        if p.peek()[0] == "colon":
+            p.take()
+            order = int(p.expect("nat")[1])
+            if order == 0 and isinstance(coeff, One) or (
+                order == 0 and isinstance(coeff, Representable) and coeff.k == 0
+            ):
+                constants.append(coeff)
+            else:
+                terms.append((coeff, order))
+        else:
+            constants.append(coeff)
+        kind, t, offset = p.peek()
+        if kind == "end":
+            break
+        if (kind, t) == ("op", "+"):
+            p.take()
+            continue
+        raise ParseError(f"unexpected {t!r} in operator", offset, ("+", ":"))
+    constant = None
+    for c in constants:
+        constant = c if constant is None else Sum(constant, c)
+    return DiffOperator(tuple(terms), constant)
+
+
+def reference_validate(e: SpeciesExpr):
+    """The diagnostics of e, each node's path spelled as it is visited and
+    the valid subexpressions remembered for this call only."""
+    diags, valid = [], set()
+    stack = [(e, "root", None)]
+    while stack:
+        node, path, mark = stack.pop()
+        if mark is not None:
+            first, before = mark
+            if len(diags) == before and node.check_with_children is not None:
+                diags += [Diagnostic(c, path, m) for c, m in node.check_with_children()]
+            if len(diags) == first:
+                valid.add(node)
+            continue
+        if node in valid:
+            continue
+        first = len(diags)
+        if node.check is not None:
+            diags += [Diagnostic(c, path, m) for c, m in node.check()]
+        stack.append((node, path, (first, len(diags))))
+        for i in reversed(range(len(node.children))):
+            stack.append((node.children[i], f"{path}.{i}", None))
+    return tuple(diags)

@@ -2,14 +2,20 @@ import argparse
 import io
 import json
 import math
+import random
 import shlex
 import sys
 from pathlib import Path
 
 import pytest
-from helpers import reference_parser
+from helpers import (
+    reference_parse_expr,
+    reference_parse_operator,
+    reference_parser,
+    reference_tokenize,
+)
 
-from espece import cli
+from espece import caches, cli
 from espece.cli import (
     MAX_NESTING,
     _dumps,
@@ -522,6 +528,95 @@ def test_nesting_cap(capsys):
     # the cap bounds nesting, not the number of groups
     siblings = "+".join(["D(X)"] * (MAX_NESTING + 1))
     assert run("coeffs", siblings, "--upto", "1") == (0, f"{MAX_NESTING + 1}, 0\n")
+
+
+def test_nesting_cap_holds_deep_in_the_call_stack():
+    """Open groups live on the parser's own stack: input at the cap parses
+    from 250 frames deep, and one level more raises the cap's error."""
+
+    def at_depth(k, fn):
+        return fn() if k == 0 else at_depth(k - 1, fn)
+
+    def raised(fn):
+        with pytest.raises(ParseError) as exc:
+            at_depth(250, fn)
+        return str(exc.value), exc.value.offset
+
+    caches.clear()  # so each call parses, not reads a remembered answer
+    for opener, atom, order in (("(", "X", "0"), ("D(", "E", "1")):
+        at_cap = opener * MAX_NESTING + atom + ")" * MAX_NESTING
+        past = opener * (MAX_NESTING + 1) + atom + ")" * (MAX_NESTING + 1)
+        offset = len(opener) * MAX_NESTING
+        message = f"nesting deeper than {MAX_NESTING} at offset {offset}"
+        assert at_depth(250, lambda: parse_expr(at_cap)) is parse_expr(at_cap)
+        operator = at_depth(250, lambda: parse_operator(f"{at_cap}:{order}"))
+        assert operator.terms or operator.constant is not None
+        assert raised(lambda: parse_expr(past)) == (message, offset)
+        assert raised(lambda: parse_operator(f"{past}:{order}")) == (message, offset)
+
+
+# Pieces of random input: the grammar's atoms, functions and punctuation,
+# near misses, and non-ASCII whitespace, digits and letters.
+_PIECES = (
+    "X", "E", "L", "C", "S", "P", "0", "1", "E+", "L+", "Y(", "D(", "pt(", "adjL(",
+    "adjR(", "dL(", "(", ")", ")", "+", "+", "*", "&", " o ", "o", ":", "2", "12", "007",
+    " ", "  ", "\t", "\u00a0", "\u00b2", "\u0663", "\u00e9", "Y", "pt", "a", "x", "_", "$",
+)
+
+
+def _random_expression(rng, depth):
+    """Text of a random expression of the grammar, with random spacing."""
+    space = rng.choice(("", "", " ", "\u00a0"))
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(("X", "E", "L", "C", "S", "P", "0", "1", "E+", "L+", "Y(2)"))
+    if roll < 0.5:
+        name = rng.choice(("D", "pt", "adjL", "adjR", "dL", ""))
+        return f"{name}({space}{_random_expression(rng, depth - 1)}{space})"
+    op = rng.choice(("+", "*", "&", " o "))
+    return space.join((_random_expression(rng, depth - 1), op, _random_expression(rng, depth - 1)))
+
+
+def _random_inputs(rng, count):
+    """Piece strings, and random expressions as they are and with one
+    piece inserted or one character dropped."""
+    out = []
+    while len(out) < count:
+        out.append("".join(rng.choice(_PIECES) for _ in range(rng.randint(1, 14))))
+        shown = _random_expression(rng, rng.randint(1, 5))
+        i = rng.randrange(len(shown) + 1)
+        out += [shown, shown[:i] + rng.choice(_PIECES) + shown[i:], shown[:i] + shown[i + 1 :]]
+    return out
+
+
+def _outcome(fn, text):
+    """What fn(text) gives, or the type, text, offset and expected set of
+    what it raises: a ParseError, or a ValueError from a digit that int()
+    does not read, as "\u00b2"."""
+    try:
+        return "ok", fn(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None), getattr(exc, "expected", None)
+
+
+def test_front_end_matches_recursive_descent():
+    """The flat tokenizer and precedence-climbing parser against the
+    recursive-descent ones they replace, on seeded random input: the same
+    tokens, the same node (by identity) or operator, the same error."""
+    rng = random.Random(20)
+    parse, operator = parse_expr.__wrapped__, parse_operator.__wrapped__
+    parsed = 0
+    for text in _random_inputs(rng, 3000):
+        assert _outcome(cli._tokenize, text) == _outcome(reference_tokenize, text), text
+        got, want = _outcome(parse, text), _outcome(reference_parse_expr, text)
+        if want[0] == "ok":
+            parsed += 1
+            assert got[0] == "ok" and got[1] is want[1], text
+        else:
+            assert got == want, text
+        for spec in (text, text + ":1", text + ":0 + X"):
+            assert _outcome(operator, spec) == _outcome(reference_parse_operator, spec), spec
+    assert parsed > 1000  # most random expressions parse, their near misses mostly not
 
 
 def test_symmetric_group_degree_cap(capsys):

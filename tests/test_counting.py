@@ -428,3 +428,43 @@ def test_randomized_substitution_cross_check():
         composed = seq_substitute_egf(egf(f, 5), egf(g, 5), 5)
         assert direct.coeffs == composed.coeffs, (f, g)
         checked += 1
+
+
+def test_engine_sequences_skip_the_entry_check(monkeypatch):
+    """Counts and the fixpoint chain's iterates are ints by construction and
+    are not checked again; a caller's sequence still is."""
+    from espece import adamek_chain
+    from espece.cli import parse_operator
+
+    def checked(self, coeffs):
+        raise AssertionError("an engine-made sequence was checked entry by entry")
+
+    caches.clear()  # so the chain below is computed, not remembered
+    monkeypatch.setattr(CountSeq, "__init__", checked)
+    assert count_seq(Lin(), 5).coeffs == (1, 1, 2, 6, 24, 120)
+    report = adamek_chain(parse_operator("1:0 + X:0"), 6)  # L = 1 + X.L
+    assert report.converged and report.limit.coeffs == (1, 1, 2, 6, 24, 120, 720)
+    assert all(type(s) is CountSeq for s in report.iterates)
+    assert count_seq(Lin(), 5).truncate(2) == count_seq(Lin(), 2)
+    out = io.StringIO()
+    assert main(["solve", "--op", "X:1 + 1:0", "--upto", "3"], out) == 0
+    assert main(["coeffs", "L", "--upto", "3"], out) == 0
+
+
+def test_caller_sequences_keep_the_entry_check(monkeypatch, capsys):
+    for bad in ((1, -1), (1, 2.0), (1, True, "3")):
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            CountSeq(bad)
+    with pytest.raises(ValueError, match="at least the degree-0 entry"):
+        CountSeq.computed(())
+    checks = []
+    real = CountSeq.__init__
+
+    def counted(self, coeffs):
+        checks.append(coeffs)
+        real(self, coeffs)
+
+    monkeypatch.setattr(CountSeq, "__init__", counted)
+    argv = ["fixcheck", "--op", "1:0 + X:0", "--seq", "1,1,2,6", "--upto", "2"]
+    assert main(argv, io.StringIO()) == 0
+    assert checks == [(1, 1, 2, 6)]  # the --seq sequence, and only it

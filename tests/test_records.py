@@ -20,7 +20,6 @@ from espece.automata import (
     PointingDyn,
     TensorBy,
 )
-from espece.cli import _Token
 from espece.counting import ConvergenceReport, CountSeq, EgfSeq
 from espece.diffeq import ChainReport, DiffOperator
 from espece.errors import Diagnostic
@@ -85,7 +84,7 @@ RECORD_REPRS = [
         f"d={NAT_TEXT}, s={NAT_TEXT}, horizon=3)",
     ),
     (MachineReport(False, ("bad",)), "MachineReport(ok=False, problems=('bad',))"),
-    (_Token("atom", "X", 3), "_Token(kind='atom', text='X', offset=3)"),
+    (CountSeq.computed((1, 2)), "CountSeq(coeffs=(1, 2))"),
     (COUNTS, "CountSeq(coeffs=(1, 2, 3))"),
     (
         EgfSeq((Fraction(1), Fraction(1, 2))),

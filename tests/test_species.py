@@ -1,7 +1,9 @@
 import copy
+import gc
 import itertools
 import math
 import pickle
+import random
 
 import pytest
 
@@ -58,6 +60,7 @@ from helpers import (
     label_map,
     ladder_degree_budget,
     recursive_structures_on,
+    reference_validate,
     tables_of,
     transport_generator_images,
     watch_compiles,
@@ -394,6 +397,57 @@ def test_validate_table_that_is_no_action():
     ]
 
 
+def _random_tree(rng, depth, leaves):
+    """A random expression over ``leaves`` whose kinds include every check:
+    negative degrees and cutoffs, substitutions into species nonempty at
+    degree 0 and derivatives that read a table past its last degree."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(leaves)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((Sum, Cauchy, Hadamard, Substitute))(
+            _random_tree(rng, depth - 1, leaves), _random_tree(rng, depth - 1, leaves)
+        )
+    if kind == 1:
+        return rng.choice((TruncLeft, TruncRight))(
+            _random_tree(rng, depth - 1, leaves), rng.choice((-1, 0, 2))
+        )
+    return rng.choice((Derive, Pointing, AdjL, AdjR, DeriveL))(_random_tree(rng, depth - 1, leaves))
+
+
+def test_validate_matches_a_walk_that_spells_every_path():
+    """validate against a walk that spells each node's path as it visits
+    it, on seeded random trees, some of them 300 deep."""
+    rng = random.Random(21)
+    short = Table("short", [("a",), ("b",)], [{(): {"a": "a"}}, {(1,): {"b": "b"}}])
+    bad = Table("bad", [("a", "a")], [{(): {"a": "a"}}])
+    past = Derive(Derive(short))  # reads short at degree 2
+    leaves = (X(), Exp(), Cyc(), One(), Representable(-1), Representable(-3), short, bad, past)
+    trees = [_random_tree(rng, rng.randint(1, 6), leaves) for _ in range(300)]
+    for _ in range(12):
+        e = _random_tree(rng, 3, leaves)
+        for _ in range(300):
+            roll = rng.randrange(3)
+            if roll == 0:
+                e = rng.choice((Derive, Pointing, AdjL))(e)
+            elif roll == 1:
+                e = rng.choice((TruncLeft, TruncRight))(e, rng.choice((-1, 5)))
+            else:
+                other = _random_tree(rng, 2, leaves)
+                kind = rng.choice((Sum, Cauchy, Hadamard, Substitute))
+                e = kind(e, other) if rng.random() < 0.5 else kind(other, e)
+        trees.append(e)
+    found = 0
+    for e in trees:
+        caches.clear()  # the walk below remembers nothing either
+        want = [(d.code, d.where, d.message) for d in reference_validate(e)]
+        assert [(d.code, d.where, d.message) for d in validate(e)] == want
+        assert [(d.code, d.where, d.message) for d in validate(e)] == want  # remembered nodes
+        found += bool(want)
+    assert 100 < found < len(trees)
+    assert max(len(d.where) for d in validate(trees[-1])) > 600  # paths 300 steps down
+
+
 def test_tables_of_expressions_are_actions():
     for e in GOLDEN_EXPRS:
         assert validate(as_table(e, 4)) == (), e
@@ -511,6 +565,32 @@ def test_nodes_are_interned():
     assert pickle.loads(pickle.dumps(e)) is e
 
 
+def test_intern_table_holds_only_live_nodes():
+    """The intern table forgets a node when its last reference goes; while
+    it lives, parsing gives it back, its hash holds, and copies and
+    pickles return it."""
+    from espece.cli import parse_expr
+
+    text = "+".join(["X"] * 1500)
+    caches.clear()
+    gc.collect()
+    before = len(species._NODES)
+    e = parse_expr(text)
+    assert len(species._NODES) == before + 1499
+    h = hash(e)
+    assert h == object.__hash__(e)
+    caches.clear()  # forget the remembered parse
+    assert parse_expr(text) is e and hash(e) == h
+    small = parse_expr("E o (C + X) * D(L)")
+    assert copy.copy(e) is e and copy.deepcopy(small) is small
+    assert pickle.loads(pickle.dumps(small)) is small
+    gc.collect()
+    assert hash(e) == h
+    del e, small
+    caches.clear()
+    assert len(species._NODES) == before
+
+
 def test_clear_caches_empties_every_counting_cache():
     """Every table of the owner's registry holds entries after these calls,
     the S_n tables and the remembered queries included, and none after
@@ -528,6 +608,7 @@ def test_clear_caches_empties_every_counting_cache():
     )
 
     cardinality(Substitute(Exp(), Cyc()), 6)
+    cardinality(Substitute(Cauchy(Exp(), Exp()), Cyc()), 6)  # an outer on the Bell triangle
     enumerate_degree(Substitute(Exp(), as_table(Cyc(), 3)), 3)
     enumerate_degree(Substitute(Exp(), Cyc()), 3).generator_images()
     assert not iso_check(parse_expr("S"), parse_expr("L"), 3)  # S_n and cycle types
