@@ -31,8 +31,10 @@ from .species import (
     DeriveL,
     Pointing,
     SpeciesExpr,
+    _card,
     cardinality,
     cauchy_layout,
+    counts_upto,
     enumerate_degree,
     require_valid,
 )
@@ -253,10 +255,10 @@ def hom_day_counts(f: SpeciesExpr, g: SpeciesExpr, N: int) -> CountSeq:
     out = []
     for k in range(N + 1):
         def factor(m, k=k):
-            cf = cardinality(f, m)
+            cf = _card(f, m)
             if cf == 0:
                 return 1
-            cg = cardinality(g, k + m)
+            cg = _card(g, k + m)
             if cg == 0:
                 return 0
             if cg == 1:
@@ -327,7 +329,7 @@ def terminal_counts(dyn, B: SpeciesExpr, N: int, moore: bool = False) -> CountSe
         for k in range(N + 1):
             out.append(
                 _certified_product(
-                    lambda n, k=k: cardinality(B, k + n),
+                    lambda n, k=k: _card(B, k + n),
                     start,
                     lambda k=k: f"terminal(adjL,{B!r}) degree {k}",
                 )
@@ -340,7 +342,7 @@ def terminal_counts(dyn, B: SpeciesExpr, N: int, moore: bool = False) -> CountSe
         # Entries past PRODUCT_BOUND saturate at PRODUCT_BOUND + 1 (0 and 1
         # stay exact), so the running product below crosses the bound at
         # the same factor as with the exact powers, which grow as towers.
-        rows = [[min(cardinality(B, j), PRODUCT_BOUND + 1) for j in range(N + 1)]]
+        rows = [[min(c, PRODUCT_BOUND + 1) for c in counts_upto(B, N)]]
         for _ in range(N + 1):
             prev = rows[-1]
             rows.append([1] + [_saturated_power(prev[j - 1], j) for j in range(1, N + 1)])
@@ -373,7 +375,7 @@ def terminal_counts(dyn, B: SpeciesExpr, N: int, moore: bool = False) -> CountSe
         def factor_seq(n):
             if n not in hom_rows:
                 if n == 0:
-                    hom_rows[n] = CountSeq(tuple(cardinality(B, k) for k in range(N + 1)))
+                    hom_rows[n] = CountSeq(counts_upto(B, N))
                 else:
                     hom_rows[n] = hom_day_counts(_cauchy_power(dyn.a, n), B, N)
             return hom_rows[n]

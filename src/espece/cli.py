@@ -64,7 +64,7 @@ _PUNCTUATION = {"+": "op", "*": "op", "&": "op", "(": "lparen", ")": "rparen", "
 def _tokenize(text: str) -> list:
     """The tokens of ``text``, each a (kind, text, offset) tuple, ending
     with ("end", "", len(text)).  Kinds: "op", "lparen", "rparen",
-    "colon", "nat" (a run of digits), "word" (a run of letters) and
+    "colon", "nat" (a run of decimal digits), "word" (a run of letters) and
     "atom" ("E+" or "L+")."""
     tokens = []
     i, n = 0, len(text)
@@ -87,9 +87,9 @@ def _tokenize(text: str) -> list:
             i = j
         elif c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("nat", text[i:j], i))
             i = j

@@ -12,7 +12,10 @@ itself: it checks, then stores each field in ``self.__dict__``.
 A record is frozen: assigning or deleting an attribute raises
 AttributeError.  Two records are equal when they are of the same class
 and their fields are equal, a record hashes as the tuple of its fields,
-and its repr is ``Name(field=value, ...)``.
+and its repr is ``Name(field=value, ...)``.  Equality and hash are
+made per class, when it is created, unless the class defines or
+inherits other rules: each is one Python call over a C-level getter of
+the fields.
 """
 
 from __future__ import annotations
@@ -48,6 +51,37 @@ def _getter(names):
     return lambda r: ()
 
 
+def _rules(names):
+    """``__eq__`` and ``__hash__`` by the fields ``names``, one Python call
+    each: a single field is read by a C-level getter and put in its tuple
+    in place."""
+    get = attrgetter(*names) if names else _getter(names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return get(self) == get(other)
+
+    if len(names) == 1:
+
+        def __hash__(self):
+            return hash((get(self),))
+
+    else:
+
+        def __hash__(self):
+            return hash(get(self))
+
+    __eq__.by_fields = __hash__.by_fields = True
+    return __eq__, __hash__
+
+
+def by_fields(cls) -> bool:
+    """Whether instances of ``cls`` compare and hash by their fields, as a
+    record does unless it defines or inherits other rules."""
+    return getattr(cls.__eq__, "by_fields", False) and getattr(cls.__hash__, "by_fields", False)
+
+
 class Record:
     _fields = ()
     _defaults = {}
@@ -58,20 +92,15 @@ class Record:
         cls._fields = cls._fields + tuple(own)
         cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
         cls._values = staticmethod(_getter(cls._fields))
+        if by_fields(cls):
+            cls.__eq__, cls.__hash__ = _rules(cls._fields)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):
             args = bind(type(self), args, kwargs)
         self.__dict__.update(zip(self._fields, args))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        values = self._values
-        return values(self) == values(other)
-
-    def __hash__(self):
-        return hash(self._values(self))
+    __eq__, __hash__ = _rules(())
 
     def __repr__(self):
         fields = ", ".join([f"{n}={getattr(self, n)!r}" for n in self._fields])

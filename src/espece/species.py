@@ -10,7 +10,7 @@ The S_n-action on them is one point-index array per generator of S_n:
 each combinator compiles its arrays from its children's arrays by index
 arithmetic.  L, L+ and y[k] compile through L = 1 + X.L; the other
 primitive leaves compile in closed form from the one-line tuples their
-structures encode, and no structure is ever relabeled.
+structures encode, held as bytes, and no structure is ever relabeled.
 
 Conventions fixed here:
   * Cyc[0] = 0 and Cyc[1] = 1; the (n-1)! count holds for n >= 1.
@@ -316,20 +316,19 @@ class Cyc(_Node):
 
     def compile(self, n):
         # the sorted structures are the cycles (1, t) for the tails t of
-        # 2..n in lexicographic order; g's image of a cycle starts at the
-        # label g sends to 1, so rotate there, then relabel
-        if n == 0:
-            return _fixed_arrays(n, 0)
-        cycles = [(1,) + t for t in itertools.permutations(range(2, n + 1))]
-        index = {c: i for i, c in enumerate(cycles)}
+        # 2..n in lexicographic order, held as bytes; g's image of a cycle
+        # starts at g(first) = 1, so each doubled cycle is cut at ``first``,
+        # relabeled and ranked
+        if n <= 1:
+            return _fixed_arrays(n, n)
+        cycles = list(map(b"\x01".__add__, map(bytes, itertools.permutations(range(2, n + 1)))))
+        rank = dict(zip(cycles, itertools.count()))
+        doubled = list(map(operator.add, cycles, cycles))
         out = []
         for line in generator_lines(n):
-            g, first = ((0,) + line).__getitem__, line.index(1) + 1
-            arr = []
-            for c in cycles:
-                r = c.index(first)
-                arr.append(index[tuple(map(g, c[r:] + c[:r]))])
-            out.append(tuple(arr))
+            first = line.index(1) + 1
+            cut = [d[(i := d.index(first)) : i + n] for d in doubled]
+            out.append(tuple(map(rank.__getitem__, map(bytes.translate, cut, _relabelings(line)))))
         return tuple(out)
         yield
 
@@ -348,14 +347,18 @@ class Perm(_Node):
 
     def compile(self, n):
         # the sorted structures are the one-line permutations p in
-        # lexicographic order; g conjugates p to q with q[g(i)] = g(p[i]),
-        # so q[y] = g(p[at[y]]) with at[y] the position g sends to y
-        perms = list(itertools.permutations(range(1, n + 1)))
-        index = {p: i for i, p in enumerate(perms)}
+        # lexicographic order, held as bytes; g conjugates p to q with
+        # q[g(i)] = g(p[i]), so q is p relabeled by g, then read at
+        # ``at``, the positions g sends to 0..n-1
+        if n <= 1:
+            return _fixed_arrays(n, 1)
+        perms = list(map(bytes, itertools.permutations(range(1, n + 1))))
+        rank = dict(zip(itertools.permutations(range(1, n + 1)), itertools.count()))
         out = []
         for line in generator_lines(n):
-            g, at = ((0,) + line).__getitem__, inverse_array([y - 1 for y in line])
-            out.append(tuple([index[tuple(map(g, map(p.__getitem__, at)))] for p in perms]))
+            at = operator.itemgetter(*inverse_array([y - 1 for y in line]))
+            moved = map(at, map(bytes.translate, perms, _relabelings(line)))
+            out.append(tuple(map(rank.__getitem__, moved)))
         return tuple(out)
         yield
 
@@ -371,14 +374,30 @@ class Subsets(_Node):
         return tuple(("subset", s) for s in _subsets(labels))
 
     def compile(self, n):
-        subsets = _subsets(tuple(range(1, n + 1)))
-        index = {s: i for i, s in enumerate(subsets)}
-        gets = [((0,) + line).__getitem__ for line in generator_lines(n)]
-        return tuple(tuple([index[tuple(sorted(map(g, s)))] for s in subsets]) for g in gets)
+        # the sorted subsets, held as bytes; a relabeled subset is ranked
+        # by its set of labels
+        subsets = list(map(bytes, _subsets(tuple(range(1, n + 1)))))
+        rank = dict(zip(map(frozenset, subsets), itertools.count()))
+        return tuple(
+            tuple(map(rank.__getitem__, map(frozenset, map(bytes.translate, subsets, relabel))))
+            for relabel in map(_relabelings, generator_lines(n))
+        )
         yield
 
     def composed_counts(self, hs, gs, start, stop):
         return _unit_composed(hs, gs, start, stop, 1, 1, 2)  # P = E * E = exp(2X)
+
+
+_BYTES = bytes(range(256))  # every byte value, in order
+
+
+def _relabelings(line):
+    """The bytes.translate table of the one-line permutation ``line`` of
+    1..n, endlessly: byte v goes to line[v - 1], every other byte to
+    itself.  A byte holds labels up to 255; S, C and P, which hold their
+    structures as bytes, list (n-1)! or 2^n of them at degree n, so no
+    degree they can list comes near."""
+    return itertools.repeat(b"\0" + bytes(line) + _BYTES[len(line) + 1 :])
 
 
 def _factorials(start: int, stop: int, shift: int = 0) -> list:
@@ -668,89 +687,119 @@ class Substitute(_Node):
             return [("BudgetExceeded", str(exc))]
         return ()
 
-    def build(self, labels):
-        out = []
-        for part in _set_partitions(labels):
-            blocks = tuple(sorted(part))
-            k = len(blocks)
-            if _card(self.f, k) == 0:
-                continue
-            if any(_card(self.g, len(b)) == 0 for b in blocks):
-                continue
-            inner_lists = []
-            for b in blocks:
-                inner_lists.append((yield self.g, b))
-            outers = yield self.f, tuple(range(1, k + 1))
-            out += [
-                ("part", (blocks, outer, inners))
-                for outer in outers
-                for inners in itertools.product(*inner_lists)
-            ]
-        return tuple(sorted(out))
-
-    def compile(self, n):
-        # a partition's structures: outer index, then the inner indices in
-        # block order, in mixed radix
+    def _partitions(self, labels):
+        """f's and g's counts as far as f o g reads them on ``labels``, and
+        the partitions of the labels that carry structures: each as its
+        blocks in order of least element, all in sorted order."""
+        n = len(labels)
         fs = _counts(self.f, n)
         ks = [k for k in range(1, n + 1) if fs[k]]
         # g is read up to the largest block that a nonzero f_k leaves room for
         gs = _counts(self.g, n - ks[0] + 1) if ks else ()
         parts = sorted(
             blocks
-            for blocks in map(tuple, map(sorted, _set_partitions(tuple(range(1, n + 1)))))
-            if fs[len(blocks)] and all(gs[len(b)] for b in blocks)
+            for blocks in _set_partitions(labels)
+            if fs[len(blocks)] and all(map(gs.__getitem__, map(len, blocks)))
         )
+        return fs, gs, parts
+
+    def build(self, labels):
+        # the partitions, each outer structure and the products of the
+        # inner ones come sorted, so their structures do
+        _, _, parts = self._partitions(labels)
+        outers, inners, out = {}, {}, []
+        for blocks in parts:
+            k = len(blocks)
+            for b in blocks:
+                if b not in inners:
+                    inners[b] = yield self.g, b
+            if k not in outers:
+                outers[k] = yield self.f, tuple(range(1, k + 1))
+            out += [
+                ("part", (blocks, outer, each))
+                for outer in outers[k]
+                for each in itertools.product(*map(inners.__getitem__, blocks))
+            ]
+        return tuple(out)
+
+    def compile(self, n):
+        # a partition's structures: outer index, then the inner indices in
+        # block order, in mixed radix
+        fs, gs, parts = self._partitions(tuple(range(1, n + 1)))
         fa, ga = {}, {}
         for k in sorted({len(p) for p in parts}):
             fa[k] = yield self.f, k
         for m in sorted({len(b) for p in parts for b in p}):
             ga[m] = yield self.g, m
-        offset, total = {}, 0
+        # each partition as its block sizes and, as bytes, the rank of each
+        # label's block; its segment starts at offset[ranks]
+        shapes, ranks, offset, total = [], [], {}, 0
         for p in parts:
-            offset[p] = total
-            total += fs[len(p)] * math.prod(gs[len(b)] for b in p)
+            rank = bytearray(n)
+            for i, b in enumerate(p):
+                for x in b:
+                    rank[x - 1] = i
+            shape = tuple(map(len, p))
+            shapes.append(shape)
+            ranks.append(bytes(rank))
+            offset[ranks[-1]] = total
+            total += fs[len(p)] * math.prod(map(gs.__getitem__, shape))
         if n < 2:
             return (tuple(range(total)),)
+        # translate tables: the block ranks once block h moves to the front
+        lead = [_BYTES[1 : h + 1] + b"\0" + _BYTES[h + 1 :] for h in range(n)]
+        outer = {}  # block-rank permutation -> its array on the outer structures
+
+        def pattern(j, shape, hit):
+            # A generator moves the outer structure by a permutation rho of
+            # the block ranks and at most one block's inner one, block
+            # ``hit``; the blocks from rank ``still`` on keep their rank and
+            # their structure.  The segment's image, less the offset of the
+            # image partition's, depends on nothing else.
+            k = len(shape)
+            if j == 1:  # (1 ... n): the block of n goes first
+                still = hit + 1
+                new = (shape[hit],) + shape[:hit] + shape[still:]
+                rho = tuple(range(2, still + 1)) + (1,) + tuple(range(still + 1, k + 1))
+            elif hit == 0:  # (1 2) inside the first block
+                still, new, rho = 1, shape, tuple(range(1, k + 1))
+            else:  # 1 and 2 lead the first two blocks and trade places
+                still = 2
+                new = (shape[1], shape[0]) + shape[2:]
+                rho = (2, 1) + tuple(range(3, k + 1))
+            if rho not in outer:
+                outer[rho] = permutation_array(fa[k], rho)
+            weights, w = [0] * k, 1  # each new rank's place value
+            for t in range(k - 1, -1, -1):
+                weights[t] = w
+                w *= gs[new[t]]
+            digits = [[x * w for x in outer[rho]]]
+            for i in range(still):
+                if gs[shape[i]] > 1:  # a block with one structure adds 0
+                    w = weights[rho[i] - 1]
+                    on_b = ga[shape[i]][-j] if i == hit else range(gs[shape[i]])
+                    digits.append([x * w for x in on_b])
+            tail = weights[still - 1]  # the unmoved blocks span one range
+            if tail > 1:
+                digits.append(range(tail))
+            return product_sums(*digits)
+
         out = []
         for j in range(len(generator_lines(n))):
-            outer = {}  # block-rank permutation -> its array on the outer structures
-            arr = []
-            for p in parts:
-                # A generator moves the outer structure by a permutation
-                # rho of the block ranks and at most one block's inner one,
-                # block ``hit``; the blocks from rank ``still`` on keep
-                # their rank and their structure.
-                k = len(p)
-                if j == 1:  # (1 ... n): the block of n goes first, led by 1
-                    hit = next(i for i, b in enumerate(p) if b[-1] == n)
-                    still = hit + 1
-                    new = (((1,) + tuple([x + 1 for x in p[hit][:-1]])),) + tuple(
-                        tuple([x + 1 for x in b]) for b in p[:hit] + p[still:]
-                    )
-                    rho = tuple(range(2, still + 1)) + (1,) + tuple(range(still + 1, k + 1))
-                elif p[0][:2] == (1, 2):  # (1 2) inside the first block
-                    hit, still, new, rho = 0, 1, p, tuple(range(1, k + 1))
-                else:  # 1 and 2 lead the first two blocks and trade places
-                    hit, still = None, 2
-                    new = ((1,) + p[1][1:], (2,) + p[0][1:]) + p[2:]
-                    rho = (2, 1) + tuple(range(3, k + 1))
-                if rho not in outer:
-                    outer[rho] = permutation_array(fa[k], rho)
-                weights, w = [0] * k, 1  # each new rank's place value
-                for t in range(k - 1, -1, -1):
-                    weights[t] = w
-                    w *= gs[len(new[t])]
-                digits = [[offset[new] + x * w for x in outer[rho]]]
-                for i in range(still):
-                    w = weights[rho[i] - 1]
-                    on_b = ga[len(p[i])][-j] if i == hit else range(gs[len(p[i])])
-                    digits.append([x * w for x in on_b])
-                tail = weights[still - 1]  # the unmoved blocks span one range
-                if tail == 1:
-                    arr += product_sums(*digits)
+            patterns, arr = {}, []
+            for shape, r in zip(shapes, ranks):
+                # the block hit and the image partition's block ranks
+                if j == 1:
+                    hit, new = r[-1], (r[-1:] + r[:-1]).translate(lead[r[-1]])
+                elif r[1]:
+                    hit, new = None, (r[1:2] + r[:1] + r[2:]).translate(lead[1])
                 else:
-                    for x in product_sums(*digits):
-                        arr += range(x, x + tail)
+                    hit, new = 0, r
+                found = patterns.get((shape, hit))
+                if found is None:
+                    found = patterns[shape, hit] = pattern(j, shape, hit)
+                base = offset[new]
+                arr += [base + x for x in found]
             out.append(tuple(arr))
         return tuple(out)
 
@@ -1211,13 +1260,16 @@ _ENUM_CACHE = caches.register("enumerations", {}, len)
 
 
 def _set_partitions(labels: Tuple[int, ...]):
+    """Every set partition of a sorted label tuple, as sorted blocks in
+    order of least element: the least label joins each block of a
+    partition of the rest, which then goes first, or goes first alone."""
     if not labels:
         yield ()
         return
     first, rest = labels[0], labels[1:]
     for part in _set_partitions(rest):
         for i in range(len(part)):
-            yield part[:i] + (tuple(sorted((first,) + part[i])),) + part[i + 1 :]
+            yield ((first, *part[i]),) + part[:i] + part[i + 1 :]
         yield ((first,),) + part
 
 

@@ -439,19 +439,23 @@ def _associative(m, layouts, k: int) -> bool:
     """
     mk, layout = m[k], layouts[k]
     labels = range(1, k + 1)
+    ranks = {}  # U -> the rank of each label outside U among them
     for W, (off_w, _, c) in layout.items():
-        mr = m[len(W)]
+        # the left sides of the triples through W, row-major over (i1, i2)
+        # of the pairs of Cauchy(f,f) on W, then i3
+        left = [mk[off_w + y * c + i3] for y in m[len(W)] for i3 in range(c)]
         for inner, (off_u, a, b) in layouts[len(W)].items():
             U = tuple([W[x - 1] for x in inner])
-            rest = [x for x in labels if x not in U]
-            M = tuple([i + 1 for i, x in enumerate(rest) if x in W])
+            rank = ranks.get(U)
+            if rank is None:
+                rank = ranks[U] = dict(zip([x for x in labels if x not in U], itertools.count(1)))
+            M = tuple([rank[x] for x in W if x not in U])
             off_r, _, c_r = layout[U]
             mku = m[k - len(U)]
             mid = layouts[k - len(U)][M][0]
-            # both sides over (i1, i2, i3), row-major
-            left = [mk[off_w + y * c + i3] for y in mr[off_u : off_u + a * b] for i3 in range(c)]
             mids = mku[mid : mid + b * c]
-            if left != [mk[x + y] for x in range(off_r, off_r + a * c_r, c_r) for y in mids]:
+            right = [mk[x + y] for x in range(off_r, off_r + a * c_r, c_r) for y in mids]
+            if left[off_u * c : (off_u + a * b) * c] != right:
                 return False
     return True
 

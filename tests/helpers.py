@@ -5,10 +5,11 @@ generator-array and Bell triangle routes: equivariant maps are found by
 backtracking over raw assignments checked against every group element,
 orbits, stabilizers and fixed points by relabeling along every element
 of S_n, compiled actions by relabeling every structure along each
-generator, a generator's restriction to a label set by ranking the moved
-labels, subgroup conjugacy by multiplying validated permutations, and
-substitution counts are summed over explicitly generated set partitions
-or over integer partitions.  Every oracle relabels species structures
+generator (and S, C and substitutions also by their point-by-point
+compiles over tuples of ints), a generator's restriction to a label set
+by ranking the moved labels, subgroup conjugacy by multiplying validated
+permutations, and substitution counts are summed over explicitly
+generated set partitions or over integer partitions.  Every oracle relabels species structures
 through ``transport`` here, which threads the label set of every
 substructure and renumbers the reserved labels of derivative contexts at
 each one, never through the library's compiled action.
@@ -74,7 +75,14 @@ from espece import (
 from espece import species
 from espece.diffeq import DiffOperator, default_max_iter
 from espece.errors import BudgetExceeded, Diagnostic, ParseError, ShapeMismatch
-from espece.groups import all_permutations, generators, permutation_array
+from espece.groups import (
+    all_permutations,
+    generator_lines,
+    generators,
+    inverse_array,
+    permutation_array,
+    product_sums,
+)
 from espece.species import (
     _card,
     enumerate_degree,
@@ -273,6 +281,134 @@ def transport_generator_images(e: SpeciesExpr, n: int):
         tuple([action.index[transport(s, mapping, labels, tables)] for s in action.points])
         for mapping in map(label_map, generators(n))
     )
+
+
+def _tuple_perm_compile(self, n):
+    """S's compile over tuples of ints, one Python frame per point."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    index = {p: i for i, p in enumerate(perms)}
+    out = []
+    for line in generator_lines(n):
+        g, at = ((0,) + line).__getitem__, inverse_array([y - 1 for y in line])
+        out.append(tuple([index[tuple(map(g, map(p.__getitem__, at)))] for p in perms]))
+    return tuple(out)
+    yield
+
+
+def _tuple_cyc_compile(self, n):
+    """C's compile over tuples of ints: rotate each cycle to g's preimage
+    of 1, then relabel."""
+    if n == 0:
+        return species._fixed_arrays(n, 0)
+    cycles = [(1,) + t for t in itertools.permutations(range(2, n + 1))]
+    index = {c: i for i, c in enumerate(cycles)}
+    out = []
+    for line in generator_lines(n):
+        g, first = ((0,) + line).__getitem__, line.index(1) + 1
+        arr = []
+        for c in cycles:
+            r = c.index(first)
+            arr.append(index[tuple(map(g, c[r:] + c[:r]))])
+        out.append(tuple(arr))
+    return tuple(out)
+    yield
+
+
+def _per_partition_substitute_compile(self, n):
+    """f o g's compile with every partition's image worked out on its
+    blocks: the image partition, the permutation of block ranks and each
+    place value, per partition and generator."""
+    fs = species._counts(self.f, n)
+    ks = [k for k in range(1, n + 1) if fs[k]]
+    gs = species._counts(self.g, n - ks[0] + 1) if ks else ()
+    parts = sorted(
+        blocks
+        for blocks in map(tuple, map(sorted, species._set_partitions(tuple(range(1, n + 1)))))
+        if fs[len(blocks)] and all(gs[len(b)] for b in blocks)
+    )
+    fa, ga = {}, {}
+    for k in sorted({len(p) for p in parts}):
+        fa[k] = yield self.f, k
+    for m in sorted({len(b) for p in parts for b in p}):
+        ga[m] = yield self.g, m
+    offset, total = {}, 0
+    for p in parts:
+        offset[p] = total
+        total += fs[len(p)] * math.prod(gs[len(b)] for b in p)
+    if n < 2:
+        return (tuple(range(total)),)
+    out = []
+    for j in range(len(generator_lines(n))):
+        outer = {}
+        arr = []
+        for p in parts:
+            k = len(p)
+            if j == 1:
+                hit = next(i for i, b in enumerate(p) if b[-1] == n)
+                still = hit + 1
+                new = (((1,) + tuple([x + 1 for x in p[hit][:-1]])),) + tuple(
+                    tuple([x + 1 for x in b]) for b in p[:hit] + p[still:]
+                )
+                rho = tuple(range(2, still + 1)) + (1,) + tuple(range(still + 1, k + 1))
+            elif p[0][:2] == (1, 2):
+                hit, still, new, rho = 0, 1, p, tuple(range(1, k + 1))
+            else:
+                hit, still = None, 2
+                new = ((1,) + p[1][1:], (2,) + p[0][1:]) + p[2:]
+                rho = (2, 1) + tuple(range(3, k + 1))
+            if rho not in outer:
+                outer[rho] = permutation_array(fa[k], rho)
+            weights, w = [0] * k, 1
+            for t in range(k - 1, -1, -1):
+                weights[t] = w
+                w *= gs[len(new[t])]
+            digits = [[offset[new] + x * w for x in outer[rho]]]
+            for i in range(still):
+                w = weights[rho[i] - 1]
+                on_b = ga[len(p[i])][-j] if i == hit else range(gs[len(p[i])])
+                digits.append([x * w for x in on_b])
+            tail = weights[still - 1]
+            if tail == 1:
+                arr += product_sums(*digits)
+            else:
+                for x in product_sums(*digits):
+                    arr += range(x, x + tail)
+        out.append(tuple(arr))
+    return tuple(out)
+
+
+# S, C and f o g compiled point by point in Python, as before the byte
+# kernels and the per-shape block patterns
+_REFERENCE_COMPILES = {
+    Perm: _tuple_perm_compile,
+    Cyc: _tuple_cyc_compile,
+    Substitute: _per_partition_substitute_compile,
+}
+
+
+def reference_generator_arrays(e: SpeciesExpr, n: int):
+    """e's generator arrays at degree n with every S, C and f o g below it
+    compiled by the reference route above, every other node by its own
+    compile, on a table of their own."""
+    done = {}
+    stack = [((e, n), None)]
+    while stack:
+        key, step = stack[-1]
+        if step is None:
+            node, m = key
+            step = _REFERENCE_COMPILES.get(type(node), type(node).compile)(node, m)
+            stack[-1] = key, step
+            out = None
+        try:
+            read = step.send(out)
+        except StopIteration as finished:
+            stack.pop()
+            out = done[key] = finished.value
+            continue
+        out = done.get(read)
+        if out is None:
+            stack.append((read, None))
+    return done[e, n]
 
 
 def watch_compiles(monkeypatch):
@@ -919,9 +1055,9 @@ def reference_tokenize(text: str):
             tokens.append((_REFERENCE_PUNCTUATION[c], c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("nat", text[i:j], i))
             i = j

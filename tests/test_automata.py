@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from espece import (
@@ -15,12 +17,14 @@ from espece import (
     MealyAutomaton,
     MooreAutomaton,
     One,
+    Perm,
     Pointing,
     PointingDyn,
     Representable,
     Subsets,
     Sum,
     TensorBy,
+    TruncLeft,
     X,
     apply_dynamics,
     cardinality,
@@ -33,7 +37,15 @@ from espece import (
     iso_check,
     terminal_counts,
 )
-from espece.errors import DivergentProduct, InvalidExpr, NotSupported, ShapeMismatch
+from espece import cli, species
+from espece.errors import (
+    BudgetExceeded,
+    DivergentProduct,
+    EnumerationTooLarge,
+    InvalidExpr,
+    NotSupported,
+    ShapeMismatch,
+)
 from espece.transforms import NatTrans, build_nat
 from helpers import GOLDEN_EXPRS, embedded_generator_arrays
 
@@ -330,3 +342,44 @@ def test_restricted_action_respects_embedding():
     assert act.degree == 2
     moved = act.act(Permutation((2, 1)), ("subset", (1, 2)))
     assert moved == ("subset", (1, 3))   # labels 2,3 swap; label 1 is pinned
+
+
+def test_products_read_each_expression_validated_once(monkeypatch):
+    """terminal and homday validate each expression once and then read
+    its cached counts, not once per factor: a handful of validate calls
+    where there were 253 and 80, and the same output."""
+    calls = []
+    real = species.validate
+    monkeypatch.setattr(species, "validate", lambda e: calls.append(e) or real(e))
+    cases = (
+        (["terminal", "--dyn", "adjL", "E", "--upto", "20"], ", ".join(["1"] * 21) + "\n"),
+        (["homday", "X", "E", "--upto", "5"], "1, 1, 1, 1, 1, 1\n"),
+    )
+    for argv, text in cases:
+        species.clear_caches()
+        calls.clear()
+        out = io.StringIO()
+        assert cli.main(argv, out) == 0
+        assert out.getvalue() == text
+        assert len(calls) <= 4, (argv, len(calls))
+
+
+def test_products_read_counts_only_as_far_as_their_factors():
+    """A product reads counts only through the degrees its factors read.
+    A Table read past its last degree raises only when a factor reads it
+    there: a zero factor ends each product before the end of the short
+    table, and an all-ones table is read past its end at degree 6.  A
+    huge horizon fails at the first row without counting S through it."""
+    short = species.as_table(TruncLeft(Exp(), 2), 5)  # counts 1, 1, 1, 0, 0, 0
+    assert terminal_counts(AdjLDyn(), short, 2).coeffs == (0, 0, 0)
+    assert hom_day_counts(X(), short, 2).coeffs == (1, 1, 0)
+    ones = species.as_table(Exp(), 5)
+    for call in (lambda: terminal_counts(AdjLDyn(), ones, 2), lambda: hom_day_counts(X(), ones, 5)):
+        with pytest.raises(BudgetExceeded, match="degree 6 requested"):
+            call()
+    species.clear_caches()
+    with pytest.raises(DivergentProduct, match="degree 0: factors still nontrivial"):
+        terminal_counts(AdjLDyn(), Perm(), 50000)
+    with pytest.raises(EnumerationTooLarge):
+        hom_day_counts(X(), Perm(), 50000)
+    assert len(species._COUNT_CACHE[Perm()]) < 100

@@ -398,6 +398,16 @@ def test_fixcheck_malformed_seq_is_parse_error(capsys):
         assert err.startswith("parse error:") and f"at offset {offset}" in err, err
 
 
+def test_digits_int_cannot_read_are_parse_errors(capsys):
+    """A digit that is not a decimal digit, as "\u00b2", starts no number:
+    it is an unexpected character, reported at its offset."""
+    for argv in (("coeffs", "Y(\u00b2)"), ("solve", "--op", "X:\u00b2")):
+        code, out = run(*argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, ""), argv
+        assert err == "parse error: unexpected character '\u00b2' at offset 2\n", err
+
+
 def test_options_a_command_would_ignore_exit_2(capsys):
     cases = (
         (("terminal", "--dyn", "derive", "--by", "X", "E", "--upto", "3"), "--by applies only"),
@@ -591,8 +601,7 @@ def _random_inputs(rng, count):
 
 def _outcome(fn, text):
     """What fn(text) gives, or the type, text, offset and expected set of
-    what it raises: a ParseError, or a ValueError from a digit that int()
-    does not read, as "\u00b2"."""
+    what it raises."""
     try:
         return "ok", fn(text)
     except Exception as exc:

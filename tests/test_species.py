@@ -60,6 +60,7 @@ from helpers import (
     label_map,
     ladder_degree_budget,
     recursive_structures_on,
+    reference_generator_arrays,
     reference_validate,
     tables_of,
     transport_generator_images,
@@ -660,6 +661,19 @@ def test_compiled_arrays_match_relabeling():
         for n in range(top + 1):
             if cardinality(e, n) <= ISO_POINT_CAP:
                 assert generator_arrays(e, n) == transport_generator_images(e, n), (e, n)
+
+
+def test_kernels_match_the_point_by_point_compiles():
+    """The byte kernels of S and C and the per-shape block patterns of
+    f o g give the arrays of the point-by-point compiles they replaced, on
+    every expression of the compile oracle up to degree 6 (at most
+    ISO_POINT_CAP structures), and for S, C and E o C at degree 7."""
+    cases = [(e, n) for e, top in _compile_oracle_exprs() for n in range(top + 1)]
+    cases = [(e, n) for e, n in cases if cardinality(e, n) <= ISO_POINT_CAP]
+    cases += [(Perm(), 7), (Cyc(), 7), (Substitute(Exp(), Cyc()), 7)]
+    for e, n in cases:
+        assert generator_arrays(e, n) == reference_generator_arrays(e, n), (e, n)
+    species.clear_caches()
 
 
 def test_equation_leaves_match_relabeling_to_degree_7():
