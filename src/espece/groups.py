@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from functools import cached_property
 from typing import Callable, Tuple
 
@@ -39,10 +38,6 @@ def _table_slots(table) -> int:
 # degree -> S_n as a generator walk (see _symmetric_table); at most
 # MAX_DEGREE + 1 entries, since each is built from all_permutations.
 _SYMMETRIC_TABLES = caches.register("S_n tables", {}, _table_slots)
-# degree -> the cycle type of each element of that table, in table order;
-# filled on first use, so each cycle type is computed once until the memo
-# tables are cleared.
-_CYCLE_TYPES = caches.register("cycle types", {}, len)
 
 
 class Permutation(Record):
@@ -282,15 +277,6 @@ def _symmetric_table(n: int):
     return table
 
 
-def _cycle_types(n: int):
-    """The cycle type of each element of ``_symmetric_table(n)``, by position."""
-    types = _CYCLE_TYPES.get(n)
-    if types is None:
-        types = _CYCLE_TYPES[n] = tuple(p.cycle_type() for p in _symmetric_table(n)[0])
-        caches.add(_CYCLE_TYPES, types)
-    return types
-
-
 class SubgroupElements:
     """A subgroup of S_n, held as the positions of its elements in
     ``_symmetric_table``, on which the group algorithms work.
@@ -327,17 +313,10 @@ class SubgroupElements:
     def __repr__(self):
         return f"SubgroupElements(degree={self.degree}, elements={self.elements!r})"
 
-    def is_subgroup(self) -> bool:
-        els = self.elements
-        if Permutation.identity(self.degree) not in els:
-            return False
-        return all(a * b in els and a.inverse() in els for a in els for b in els)
-
     @cached_property
     def cycle_type_multiset(self) -> Tuple[Tuple[int, ...], ...]:
         """Multiset of member cycle types; a conjugacy invariant."""
-        types = _cycle_types(self.degree)
-        return tuple(sorted(types[t] for t in self.positions))
+        return tuple(sorted(p.cycle_type() for p in self.elements))
 
 
 class FiniteAction:
@@ -578,52 +557,19 @@ def enumerate_equivariant_maps(src: FiniteAction, tgt: FiniteAction, limit: int)
     return tuple(maps)
 
 
-def subgroups_conjugate(H: SubgroupElements, K: SubgroupElements) -> bool:
-    if H.degree != K.degree:
-        raise DegreeMismatch(f"{H.degree} vs {K.degree}")
-    if len(H) != len(K):
-        return False
-    if H.positions == K.positions:
-        return True
-    if H.cycle_type_multiset != K.cycle_type_multiset:
-        return False
-    n = H.degree
-    perms = _symmetric_table(n)[0]
-    kset = {perms[t].images for t in K.positions}
-    # one-line images padded at index 0, so 1-based labels index directly;
-    # position 0 is the identity
-    hs = [(0,) + perms[t].images for t in H.positions if t]
-    inv = [0] * (n + 1)
-    for sigma in perms:
-        s = (0,) + sigma.images
-        for i in range(1, n + 1):
-            inv[s[i]] = i
-        labels = inv[1:]  # sigma^-1 of 1..n
-        # (sigma h sigma^-1)(i) = sigma(h(sigma^-1(i)))
-        if all(tuple([s[h[j]] for j in labels]) in kset for h in hs):
-            return True
-    return False
-
-
-def _orbit_stabilizers(a: FiniteAction, orbits=None):
-    """The stabilizers of the least points of ``orbits`` (all of a's by
-    default), grouped by orbit key: (orbit size, stabilizer order,
-    stabilizer cycle types)."""
-    orbits = _orbit_trees(a)[0] if orbits is None else orbits
-    out = {}
-    for orbit, positions in zip(orbits, _root_stabilizers(a, orbits)):
-        stab = SubgroupElements(a.degree, positions=positions)
-        out.setdefault((len(orbit), len(stab), stab.cycle_type_multiset), []).append(stab)
-    return out
-
-
 def action_signature(a: FiniteAction):
-    """The orbit keys of ``_orbit_stabilizers``, one per orbit, sorted.
+    """(orbit size, stabilizer order, stabilizer cycle types) of the root
+    of each orbit, sorted.
 
     Equal signatures are necessary (not sufficient) for isomorphism; the
-    signature is also what iso failure reports print.
+    signature is what iso failure reports print.
     """
-    return tuple(sorted(key for key, stabs in _orbit_stabilizers(a).items() for _ in stabs))
+    orbits = _orbit_trees(a)[0]
+    keys = []
+    for orbit, positions in zip(orbits, _root_stabilizers(a, orbits)):
+        stab = SubgroupElements(a.degree, positions=positions)
+        keys.append((len(orbit), len(stab), stab.cycle_type_multiset))
+    return tuple(sorted(keys))
 
 
 def _orbit_keys(a: FiniteAction):
@@ -672,9 +618,11 @@ def actions_isomorphic(a: FiniteAction, b: FiniteAction) -> bool:
 
     An S_n-set splits into transitive orbits uniquely up to isomorphism,
     and orbits with equal keys (``_orbit_keys``) are isomorphic, so those
-    cancel first.  The rest are classified by the multiset of conjugacy
-    classes of their roots' stabilizers: equal stabilizers match by count,
-    and only the others are tried for conjugacy.
+    cancel first.  Transitive O and Q are isomorphic exactly when
+    |O| = |Q| and the stabilizer of O's root fixes a point of Q (the root
+    may go there), so each orbit left in a takes the first of b's orbits
+    of its size that holds such a point.  Isomorphism is an equivalence,
+    so this greedy match is exact, and only a's roots walk the S_n table.
     """
     if a.degree != b.degree:
         raise DegreeMismatch(f"{a.degree} vs {b.degree}")
@@ -683,26 +631,12 @@ def actions_isomorphic(a: FiniteAction, b: FiniteAction) -> bool:
     if a.size:
         symmetric_order(a.degree)  # the cap, before any shortcut
     rest_a, rest_b = _unmatched_orbits(a, b)
-    if len(rest_a) != len(rest_b):
+    if sorted(map(len, rest_a)) != sorted(map(len, rest_b)):
         return False
-    sa, sb = _orbit_stabilizers(a, rest_a), _orbit_stabilizers(b, rest_b)
-    if sa.keys() != sb.keys() or any(len(sa[key]) != len(sb[key]) for key in sa):
-        return False
-    # match each stabilizer of a with a conjugate one of b; conjugates share a key
-    for key, stabs_a in sa.items():
-        left = Counter(sb[key])  # b's stabilizers not yet matched
-        unmatched = []
-        for H in stabs_a:
-            if left[H]:
-                left[H] -= 1
-            else:
-                unmatched.append(H)
-        stabs_b = list(left.elements())
-        for H in unmatched:
-            for i, K in enumerate(stabs_b):
-                if subgroups_conjugate(H, K):
-                    del stabs_b[i]
-                    break
-            else:
-                return False
+    for orbit, positions in zip(rest_a, _root_stabilizers(a, rest_a)):
+        same = [q for q in rest_b if len(q) == len(orbit)]
+        fixed = _fixed_indices(positions, b, sorted(itertools.chain.from_iterable(same)))
+        if not fixed:
+            return False
+        rest_b.remove(next(q for q in same if fixed[0] in q))
     return True

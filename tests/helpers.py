@@ -8,7 +8,9 @@ of S_n, compiled actions by relabeling every structure along each
 generator (and S, C and substitutions also by their point-by-point
 compiles over tuples of ints), a generator's restriction to a label set
 by ranking the moved labels, subgroup conjugacy by multiplying validated
-permutations, and substitution counts are summed over explicitly
+permutations (against which the isomorphism of coset actions is checked,
+over subgroups closed from pairs of elements), and substitution counts
+are summed over explicitly
 generated set partitions or over integer partitions.  Every oracle relabels species structures
 through ``transport`` here, which threads the label set of every
 substructure and renumbers the reserved labels of derivative contexts at
@@ -76,6 +78,10 @@ from espece import species
 from espece.diffeq import DiffOperator, default_max_iter
 from espece.errors import BudgetExceeded, Diagnostic, ParseError, ShapeMismatch
 from espece.groups import (
+    FiniteAction,
+    Permutation,
+    SubgroupElements,
+    actions_isomorphic,
     all_permutations,
     generator_lines,
     generators,
@@ -254,6 +260,77 @@ def permutation_subgroups_conjugate(H, K):
         if all(sigma * h * inv in K.elements for h in H.elements):
             return True
     return False
+
+
+def is_subgroup(elements) -> bool:
+    """Whether the Permutations ``elements`` hold the identity and are
+    closed under products and inverses."""
+    if not elements:
+        return False
+    identity = Permutation.identity(next(iter(elements)).degree)
+    return identity in elements and all(
+        a * b in elements and a.inverse() in elements for a in elements for b in elements
+    )
+
+
+def listed_action(n, points, act):
+    """act on the sorted points, as arrays: each point relabeled once per
+    generator of S_n."""
+    pts = tuple(sorted(points))
+    index = {x: i for i, x in enumerate(pts)}
+    arrays = tuple(tuple(index[act(g, x)] for x in pts) for g in generators(n))
+    return FiniteAction(n, len(pts), lambda: arrays, lambda: pts)
+
+
+def coset_action(H):
+    """S_n on the left cosets sigma H, each named by the one-line images
+    of its least member, and the act it is listed from."""
+    lines = [h.images for h in H.elements]
+
+    def name(sigma):  # sigma's one-line images
+        return min(tuple([sigma[i - 1] for i in h]) for h in lines)
+
+    def act(s, x):
+        return name(tuple([s.images[i - 1] for i in x]))
+
+    points = {name(sigma.images) for sigma in all_permutations(H.degree)}
+    return listed_action(H.degree, points, act), act
+
+
+def two_generated_subgroups(n):
+    """The subgroups of S_n generated by two of its elements, closed by
+    products of one-line images, ordered by size and then by their sorted
+    elements.  For n <= 5 these are all of them: 1, 1, 2, 6, 30 and 156."""
+    lines = [p.images for p in all_permutations(n)]
+    found = set()
+    for i, g in enumerate(lines):
+        for h in lines[i:]:
+            group, queue = {lines[0]}, [lines[0]]
+            for x in queue:  # a queue: the group grows while it is walked
+                for s in (g, h):
+                    y = tuple([x[j - 1] for j in s])
+                    if y not in group:
+                        group.add(y)
+                        queue.append(y)
+            found.add(frozenset(group))
+    ordered = sorted(found, key=lambda group: (len(group), sorted(group)))
+    return [SubgroupElements(n, frozenset(map(Permutation, group))) for group in ordered]
+
+
+def coset_isomorphism_mismatches(n):
+    """The ordered pairs (H, K) of subgroups of S_n of equal order on
+    which ``actions_isomorphic`` of their coset actions disagrees with
+    ``permutation_subgroups_conjugate``, and the number of pairs compared
+    (every subgroup for n <= 5, see ``two_generated_subgroups``)."""
+    subgroups = two_generated_subgroups(n)
+    cosets = {H: coset_action(H)[0] for H in subgroups}
+    pairs = [(H, K) for H, K in itertools.product(subgroups, repeat=2) if len(H) == len(K)]
+    bad = [
+        (H, K)
+        for H, K in pairs
+        if actions_isomorphic(cosets[H], cosets[K]) != permutation_subgroups_conjugate(H, K)
+    ]
+    return bad, len(pairs)
 
 
 def scan_fixed_points(H, a, act=species_act):

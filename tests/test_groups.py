@@ -38,14 +38,17 @@ from espece.groups import (
     orbits,
     permutation_array,
     restricted,
-    subgroups_conjugate,
 )
 from helpers import (
     GOLDEN_EXPRS,
     brute_equivariant_count,
     brute_equivariant_maps,
+    coset_action,
+    coset_isomorphism_mismatches,
     exhaustive_equivariant_count,
     find_equivariant_bijection,
+    is_subgroup,
+    listed_action,
     permutation_subgroups_conjugate,
     rank_restriction,
     scan_fixed_points,
@@ -58,15 +61,6 @@ from helpers import (
 
 def action_of(expr, n):
     return enumerate_degree(expr, n)
-
-
-def listed_action(n, points, act):
-    """act on the sorted points, as arrays: each point relabeled once per
-    generator of S_n."""
-    pts = tuple(sorted(points))
-    index = {x: i for i, x in enumerate(pts)}
-    arrays = tuple(tuple(index[act(g, x)] for x in pts) for g in generators(n))
-    return FiniteAction(n, len(pts), lambda: arrays, lambda: pts)
 
 
 def trivial_action(n, points):
@@ -220,14 +214,14 @@ def test_stabilizer_subset_singleton():
     stab = stabilizer(a, ("subset", (1,)))
     assert len(stab) == 2
     assert Permutation((1, 3, 2)) in stab.elements  # the transposition (2 3)
-    assert stab.is_subgroup()
+    assert is_subgroup(stab.elements)
 
 
 def test_stabilizers_are_subgroups():
     for expr, n in ((Cyc(), 4), (Lin(), 3), (Subsets(), 3)):
         a = action_of(expr, n)
         for o in orbits(a):
-            assert stabilizer(a, o.representative).is_subgroup()
+            assert is_subgroup(stabilizer(a, o.representative).elements)
 
 
 def test_stabilizer_point_check():
@@ -485,21 +479,6 @@ def remembered(act):
     return once
 
 
-def _coset_action(H):
-    """S_n on the left cosets sigma H, each named by the one-line images
-    of its least member."""
-    lines = [h.images for h in H.elements]
-
-    def name(sigma):  # sigma's one-line images
-        return min(tuple([sigma[i - 1] for i in h]) for h in lines)
-
-    def act(s, x):
-        return name(tuple([s.images[i - 1] for i in x]))
-
-    points = {name(sigma.images) for sigma in all_permutations(H.degree)}
-    return listed_action(H.degree, points, act), act
-
-
 def test_isomorphic_tells_apart_non_conjugate_v4_cosets():
     """Two Klein four-groups of S_6 with equal cycle types that are not
     conjugate: their coset actions have equal orbit keys and are not
@@ -511,7 +490,7 @@ def test_isomorphic_tells_apart_non_conjugate_v4_cosets():
     K = four_group(((1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 5, 6), (3, 4, 1, 2, 5, 6), (4, 3, 2, 1, 5, 6)))
     sigma = Permutation((3, 5, 1, 6, 2, 4))
     moved = SubgroupElements(6, frozenset(sigma * h * sigma.inverse() for h in H.elements))
-    (a, act), (b, _), (c, _) = map(_coset_action, (H, K, moved))
+    (a, act), (b, _), (c, _) = map(coset_action, (H, K, moved))
     assert action_signature(a) == action_signature(b)
     assert not actions_isomorphic(a, b) and find_equivariant_bijection(a, b, act) is None
     assert actions_isomorphic(a, c) and actions_isomorphic(c, a)
@@ -527,14 +506,10 @@ def test_stabilizers_are_walked_only_for_unmatched_orbits(monkeypatch):
             rest_a, rest_b = _unmatched_orbits(a, b)
             walked.clear()
             assert actions_isomorphic(a, b)
-            # one walk per unmatched root whose stabilizer is neither all
-            # of S_n (a one-point orbit) nor the identity (a free orbit)
-            expected = [
-                (x, orbit[0])
-                for x, rest in ((a, rest_a), (b, rest_b))
-                for orbit in rest
-                if 1 < len(orbit) < math.factorial(n)
-            ]
+            # one walk per unmatched root of a whose stabilizer is neither
+            # all of S_n (a one-point orbit) nor the identity (a free
+            # orbit); b's points are only tested for being fixed
+            expected = [(a, orbit[0]) for orbit in rest_a if 1 < len(orbit) < math.factorial(n)]
             assert walked == expected, (f, n)
             if f == Perm():
                 assert not rest_a and not rest_b
@@ -625,9 +600,18 @@ def test_orbits_stabilizers_and_conjugacy_match_scan_oracles():
         _check_against_oracles(name, a, act, by_degree.setdefault(a.degree, set()))
     for n, subgroups in by_degree.items():
         ordered = sorted(subgroups, key=lambda H: (len(H), sorted(p.images for p in H.elements)))
+        cosets = {H: coset_action(H)[0] for H in ordered}
         for H, K in itertools.product(ordered, repeat=2):
             if len(H) == len(K):
-                assert subgroups_conjugate(H, K) == permutation_subgroups_conjugate(H, K), (n, H, K)
+                iso = actions_isomorphic(cosets[H], cosets[K])
+                assert iso == permutation_subgroups_conjugate(H, K), (n, H, K)
+
+
+def test_isomorphism_of_coset_actions_is_conjugacy_of_all_subgroups_of_s4():
+    """Transitive S_4-sets are isomorphic exactly when their stabilizers
+    are conjugate: every pair of the 30 subgroups of S_4 at equal order."""
+    bad, compared = coset_isomorphism_mismatches(4)
+    assert compared == 174 and bad == []
 
 
 def test_fixed_points_match_per_element_relabels():
@@ -670,36 +654,28 @@ def test_conjugacy_beyond_cycle_types():
             for p in ((1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 5, 6), (3, 4, 1, 2, 5, 6), (4, 3, 2, 1, 5, 6))
         ),
     )
-    assert H.is_subgroup() and K.is_subgroup()
+    assert is_subgroup(H.elements) and is_subgroup(K.elements)
     assert H.cycle_type_multiset == K.cycle_type_multiset
-    assert not subgroups_conjugate(H, K)
-    assert not permutation_subgroups_conjugate(H, K)
     sigma = Permutation((3, 5, 1, 6, 2, 4))
     moved = SubgroupElements(6, frozenset(sigma * h * sigma.inverse() for h in H.elements))
     assert moved.elements != H.elements
-    assert subgroups_conjugate(H, moved) and subgroups_conjugate(moved, H)
+    a, b, c = (coset_action(G)[0] for G in (H, K, moved))
+    for (x, G), (y, L) in itertools.product(((a, H), (b, K), (c, moved)), repeat=2):
+        assert actions_isomorphic(x, y) == permutation_subgroups_conjugate(G, L)
+    assert not permutation_subgroups_conjugate(H, K)
     assert permutation_subgroups_conjugate(H, moved)
 
 
-def test_cycle_types_are_computed_once_per_element_of_s_n(monkeypatch):
-    from espece import Perm, canonical_iso_suite, groups, species
+def test_a_passing_suite_computes_no_cycle_type(monkeypatch):
+    """Cycle types are read only by the signature a failing iso prints."""
+    from espece import canonical_iso_suite, species
 
     calls = []
     real = Permutation.cycle_type
     monkeypatch.setattr(Permutation, "cycle_type", lambda p: calls.append(p) or real(p))
-    reads = []
-    read = groups._cycle_types
-    monkeypatch.setattr(groups, "_cycle_types", lambda n: reads.append(n) or read(n))
-    species.clear_caches()  # no cycle type is left over from earlier tests
+    species.clear_caches()  # no suite result is left over from earlier tests
     assert canonical_iso_suite(5).passed
-    used = groups._CYCLE_TYPES
-    assert used and len(calls) == sum(math.factorial(n) for n in used)
-    # another family is not a remembered suite: it reads the cycle types of
-    # every degree again and computes none of them
-    reads.clear()
-    assert canonical_iso_suite(5, family=(Perm(), Cyc(), Lin())).passed
-    assert set(reads) == set(used)
-    assert len(calls) == sum(math.factorial(n) for n in used)
+    assert calls == []
 
 
 def test_group_algorithms_compile_each_node_once(monkeypatch):
@@ -714,7 +690,9 @@ def test_group_algorithms_compile_each_node_once(monkeypatch):
         stabs = [stabilizer(a, x) for x in a.points]
         assert len(orbits(a)) == n + 1
         assert actions_isomorphic(a, b)
-        assert sum(subgroups_conjugate(stabs[0], H) for H in stabs) > 0
+        # compared through their coset actions, which compile no node
+        first = coset_action(stabs[0])[0]
+        assert sum(actions_isomorphic(first, coset_action(H)[0]) for H in stabs) > 0
         counts.append((a, b, count_equivariant_maps(a, b)))
         assert len(enumerate_equivariant_maps(b, a, limit=10**6)) == count_equivariant_maps(b, a)
         assert fixed_points(stabilizer(b, b.points[-1]), a)
