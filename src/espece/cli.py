@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import sys
 import types
+from itertools import compress, count
+from operator import is_not
 
 from . import automata, caches, counting, diffeq, transforms
 from .errors import EngineError, ParseError
@@ -349,8 +351,10 @@ def _dumps(doc, sort_keys=False) -> str:
 
 def _emit(args, inputs, horizon, result_json, text, out):
     """Write the JSON envelope or, without --json, ``text()``: the text is
-    rendered only when it is printed.  The newline is written on its own,
-    so a large document or text is not copied to append it."""
+    rendered only when it is printed, and ``text()`` gives it whole or as
+    an iterable of lines, each written as it is made.  The newline is
+    written on its own, so a large document or text is not copied to
+    append it."""
     if args.json:
         doc = {
             "command": args.command,
@@ -362,8 +366,10 @@ def _emit(args, inputs, horizon, result_json, text, out):
         out.write(_dumps(doc, sort_keys=True))
         out.write("\n")
     else:
-        out.write(text())
-        out.write("\n")
+        body = text()
+        for line in (body,) if isinstance(body, str) else body:
+            out.write(line)
+            out.write("\n")
 
 
 def _cmd_coeffs(args, out):
@@ -582,29 +588,39 @@ def _cmd_solve(args, out):
     report = diffeq.adamek_chain(D, args.upto, args.max_iter)
 
     def text():
-        # once the stable prefix passes N the iterates are one object:
-        # render each distinct one once
-        lines, last, shown = [], None, ""
-        for i, s in enumerate(report.iterates):
-            if s is not last:
-                last, shown = s, s.render()
-            lines.append(f"iterate {i}: {shown}")
-        if report.converged:
-            lines.append(f"Converged: {report.limit.render()}")
-            lines.append(f"fixpoint contact: {report.fixpoint_contact}")
-        else:
-            lines.append(f"Diverged at degree {report.witness}")
-        return "\n".join(lines)
+        # An iterate shares its leading entries, as the same int objects,
+        # with the one before: their text is kept, only the entries past
+        # that prefix are rendered, and an iterate that is the one before
+        # (once the stable prefix passes N) is joined only once.
+        texts, last, shown = [], (), ""
 
-    payload = {
-        "iterates": [list(s.coeffs) for s in report.iterates],
-        "converged": report.converged,
-        "limit": list(report.limit.coeffs) if report.limit else None,
-        "witness": report.witness,
-        "fixpoint_contact": str(report.fixpoint_contact)
-        if report.fixpoint_contact is not None
-        else None,
-    }
+        def render(coeffs):
+            nonlocal last, shown
+            if coeffs is not last:
+                p = next(compress(count(), map(is_not, coeffs, last)), len(last))
+                texts[p:] = map(str, coeffs[p:])
+                last, shown = coeffs, ", ".join(texts)
+            return shown
+
+        for i, s in enumerate(report.iterates):
+            yield f"iterate {i}: {render(s.coeffs)}"
+        if report.converged:
+            yield f"Converged: {render(report.limit.coeffs)}"
+            yield f"fixpoint contact: {report.fixpoint_contact}"
+        else:
+            yield f"Diverged at degree {report.witness}"
+
+    payload = None  # built only for --json: the text reads the report
+    if args.json:
+        payload = {
+            "iterates": [list(s.coeffs) for s in report.iterates],
+            "converged": report.converged,
+            "limit": list(report.limit.coeffs) if report.limit else None,
+            "witness": report.witness,
+            "fixpoint_contact": str(report.fixpoint_contact)
+            if report.fixpoint_contact is not None
+            else None,
+        }
     _emit(args, {"op": args.op}, args.upto, payload, text, out)
 
 

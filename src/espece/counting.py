@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import ne
 from typing import Tuple
 
 from .errors import DegreeMismatch, HorizonExhausted, InnerNotPositive
@@ -191,25 +193,25 @@ def detect_convergence(seqs, N: int) -> ConvergenceReport:
     two provided iterates; otherwise its index is the first iterate from
     which the value is constant to the end.  A single iterate has made no
     step, so it certifies no degree: every degree is unstable.
+
+    Each pair of consecutive iterates is compared once, through degree N,
+    and an iterate that is the same object as the one before is skipped.
     """
     seqs = list(seqs)
     if not seqs:
         raise ValueError("need at least one sequence")
-    for s in seqs:
-        if s.horizon < N:
-            raise DegreeMismatch(f"horizon {s.horizon} < {N}")
     rows = [s.coeffs for s in seqs]
-    stable = []
-    for k in range(N + 1):
-        last = rows[-1][k]
-        if len(rows) < 2 or rows[-2][k] != last:
-            stable.append(None)
-            continue
-        j = len(rows) - 1
-        while j > 0 and rows[j - 1][k] == last:
-            j -= 1
-        stable.append(j)
-    converged = all(s is not None for s in stable)
+    if min(map(len, rows)) <= N:
+        short = next(s for s in seqs if s.horizon < N)
+        raise DegreeMismatch(f"horizon {short.horizon} < {N}")
+    degrees = range(N + 1)
+    changed = {}  # degree -> index of the last iterate at which it moved
+    for i in range(1, len(rows)):
+        if rows[i] is not rows[i - 1]:
+            changed.update(zip(compress(degrees, map(ne, rows[i - 1], rows[i])), repeat(i)))
+    last = len(rows) - 1
+    stable = tuple(None if j == last else j for j in map(changed.get, degrees, repeat(0)))
+    converged = None not in stable
     limit = CountSeq.computed(rows[-1][: N + 1]) if converged else None
-    witness = next((k for k, s in enumerate(stable) if s is None), None)
-    return ConvergenceReport(tuple(stable), converged, limit, witness)
+    witness = None if converged else stable.index(None)
+    return ConvergenceReport(stable, converged, limit, witness)

@@ -6,12 +6,14 @@ its greatest fixpoint starts at the all-ones sequence (the counting
 shadow of the terminal species) and iterates the operator, reporting
 per-degree stabilization.  Divergence is a verdict, never an exception.
 ``apply_operator`` and the chain share one step over
-``species.binomial_convolution``; the chain reads the operator once and
-recomputes only the degrees of each iterate that can still move.
+``species.binomial_convolution``; the chain reads the operator's counts
+and each term's nonzero entries once and recomputes only the degrees of
+each iterate that can still move.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Tuple
 
 from . import caches
@@ -21,9 +23,15 @@ from .counting import (
     contact_order,
     detect_convergence,
 )
-from .errors import HorizonExhausted
+from .errors import BudgetExceeded, HorizonExhausted
 from .records import Record
-from .species import SpeciesExpr, binomial_convolution, counts_upto, require_valid
+from .species import (
+    SpeciesExpr,
+    binomial_convolution,
+    counts_upto,
+    nonzero_entries,
+    require_valid,
+)
 
 
 class DiffOperator(Record):
@@ -51,26 +59,32 @@ class DiffOperator(Record):
 
 
 def _read_counts(D: DiffOperator, h: int):
-    """The constant's and each coefficient's counts through degree h."""
+    """The constant's counts through degree h, and each term's coefficient
+    counts with their nonzero entries (``nonzero_entries``), order last."""
     constant = counts_upto(D.constant, h) if D.constant is not None else None
-    return constant, tuple((counts_upto(a, h), order) for a, order in D.terms)
+    terms = []
+    for a, order in D.terms:
+        counts = counts_upto(a, h)
+        terms.append((counts, nonzero_entries(counts), order))
+    return constant, tuple(terms)
 
 
 def _step(counts, x, keep: int, out_h: int) -> tuple:
     """Entries 0..out_h of D(x) from the operator's counts (``_read_counts``
     through at least out_h).
 
-    Entries 0..keep-1 are copied from x, the caller vouching that they
-    cannot move; the rest come from one binomial convolution per term.
+    Entries 0..keep-1 are x's own, the caller vouching that they cannot
+    move; the rest come from one binomial convolution per term, over the
+    term's nonzero entries as read once, plus the constant's counts
+    unless they vanish there.
     """
     constant, terms = counts
-    if constant is not None:
-        vals = constant[keep : out_h + 1]
-    else:
-        vals = (0,) * (out_h + 1 - keep)
-    for a, order in terms:
-        row = binomial_convolution(a, x[order:], keep, out_h + 1)
-        vals = [u + v for u, v in zip(vals, row)]
+    rows = [binomial_convolution(a, x[order:], keep, out_h + 1, s) for a, s, order in terms]
+    if constant is not None and any(constant[keep : out_h + 1]):
+        rows.append(constant[keep : out_h + 1])
+    vals = rows[0] if rows else (0,) * (out_h + 1 - keep)
+    for row in rows[1:]:
+        vals = list(map(add, vals, row))
     return (*x[:keep], *vals)
 
 
@@ -111,6 +125,12 @@ class ChainReport(Record):
         return self.convergence.witness
 
 
+# The largest starting horizon N + m * (max_iter + 1), and the largest
+# number of iterations, that a chain accepts: a larger one is refused
+# before its all-ones start or its list of iterates is allocated.
+CHAIN_CAP = 10**6
+
+
 def default_max_iter(N: int) -> int:
     # Affine order-zero chains settle one degree per step within N+1
     # iterations; the factor two covers derivative shifts.
@@ -133,13 +153,18 @@ def adamek_chain(D: DiffOperator, N: int, max_iter: int | None = None) -> ChainR
     degrees.  The operator is validated and its counts read once; only
     the iterates truncated to degrees 0..N are held, with the current
     full iterate, so memory is O(h0 + max_iter * N) for the starting
-    horizon h0 = N + mo * (max_iter + 1).
+    horizon h0 = N + mo * (max_iter + 1).  A chain with h0 or max_iter
+    above ``CHAIN_CAP`` is refused before anything is allocated.
     """
     D.validate()
     if max_iter is None:
         max_iter = default_max_iter(N)
     mo = D.max_order
     h = N + mo * (max_iter + 1)  # the current iterate's horizon
+    if max(h, max_iter) > CHAIN_CAP:
+        raise BudgetExceeded(
+            f"the chain needs horizon {h} and {max_iter} iterations; the cap is {CHAIN_CAP}"
+        )
     t = (1,) * (h + 1)  # may run past h: only t[0..h] is read
     counts = _read_counts(D, h - mo)
     truncated = [CountSeq.computed(t[: N + 1])]

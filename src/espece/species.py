@@ -23,6 +23,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -1046,25 +1047,60 @@ _COUNT_CACHE = caches.register("counts", {}, len)
 _BELL_CACHE = caches.register("Bell rows", {}, caches.nested)
 
 
-def binomial_convolution(a, b, start: int, stop: int) -> list:
+def nonzero_entries(a) -> list:
+    """The pairs (k, a_k) with a_k != 0, in order of k."""
+    return list(itertools.compress(enumerate(a), a))
+
+
+def binomial_convolution(a, b, start: int, stop: int, support=None) -> list:
     """Entries start..stop-1 of c_n = sum_k C(n, k) a_k b_(n-k).
 
     The counting shadow of the Cauchy product.  ``a`` and ``b`` are plain
-    sequences with at least ``stop`` entries; zero coefficients of either
-    are skipped.
+    sequences with at least ``stop`` entries.  Only the nonzero entries
+    (k, a_k) of ``a`` are summed: ``support`` gives them, as
+    ``nonzero_entries`` lists them, to a caller that convolves one ``a``
+    many times (entries at k >= stop are ignored), and otherwise they are
+    read from ``a`` once per call.
+
+    When the range is at least as wide as that set of entries, each entry
+    adds one column C(n, k) a_k b_(n-k) over the whole range in C-level
+    passes: a slice of ``b`` for k = 0, ``b`` times n for k = 1 and times
+    ``math.comb`` mapped over the range otherwise.  A narrower range, such
+    as a count extended by one degree, sums each degree in turn over the
+    entries, skipping zero entries of ``b``.
     """
-    support = [(k, v) for k, v in enumerate(a[:stop]) if v]
+    if support is None:
+        support = nonzero_entries(a[:stop])
+    else:
+        support = support[: bisect.bisect_left(support, (stop,))]
+    if stop - start < len(support):
+        out = []
+        for n in range(start, stop):
+            total = 0
+            for k, v in support:
+                if k > n:
+                    break
+                w = b[n - k]
+                if w:
+                    total += math.comb(n, k) * v * w
+            out.append(total)
+        return out
     out = []
-    for n in range(start, stop):
-        total = 0
-        for k, v in support:
-            if k > n:
-                break
-            w = b[n - k]
-            if w:
-                total += math.comb(n, k) * v * w
-        out.append(total)
-    return out
+    for k, v in support:
+        lo = max(start, k)
+        column = b[lo - k : stop - k]
+        if k == 1:
+            column = map(operator.mul, range(lo, stop), column)
+        elif k:
+            column = map(operator.mul, map(math.comb, range(lo, stop), itertools.repeat(k)), column)
+        if v != 1:
+            column = map(operator.mul, column, itertools.repeat(v))
+        if out:
+            out[lo - start :] = map(operator.add, out[lo - start :], column)
+        else:  # the first column is the sum so far
+            out = [0] * (lo - start)
+            out += column
+    return out or [0] * (stop - start)
 
 
 def _fill_bell_row(rows, j: int, top: int, gs, support) -> None:

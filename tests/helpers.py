@@ -17,9 +17,11 @@ substructure and renumbers the reserved labels of derivative contexts at
 each one, never through the library's compiled action.
 Enumeration and degree budgets are checked against the recursive
 isinstance ladders the node-kind rules replaced.
-Fixpoint chains are checked against the stepwise route: the public
-``apply_operator`` iterated from the all-ones sequence, every full
-iterate kept to the end.
+Fixpoint chains are checked against the stepwise route: an operator
+applied by the per-degree binomial convolution, iterated from the
+all-ones sequence with every full iterate kept to the end, convergence
+read by walking back from the last iterate once per degree, and
+``solve``'s text joined from every iterate rendered in full.
 Command lines are checked against the argparse parser the CLI used to
 build on every call, and expressions and operators against the
 recursive-descent tokenizer and parser it used before it parsed by
@@ -35,6 +37,7 @@ index arithmetic over block layouts.
 
 import argparse
 import itertools
+import json
 import math
 from collections import Counter
 from typing import Tuple
@@ -45,6 +48,7 @@ from espece import (
     AdjR,
     Cauchy,
     ChainReport,
+    ConvergenceReport,
     CountSeq,
     Cyc,
     Derive,
@@ -70,13 +74,17 @@ from espece import (
     TruncRight,
     X,
     Zero,
-    apply_operator,
-    detect_convergence,
-    fixpoint_check,
+    contact_order,
 )
 from espece import species
 from espece.diffeq import DiffOperator, default_max_iter
-from espece.errors import BudgetExceeded, Diagnostic, ParseError, ShapeMismatch
+from espece.errors import (
+    BudgetExceeded,
+    DegreeMismatch,
+    Diagnostic,
+    ParseError,
+    ShapeMismatch,
+)
 from espece.groups import (
     FiniteAction,
     Permutation,
@@ -91,6 +99,7 @@ from espece.groups import (
 )
 from espece.species import (
     _card,
+    counts_upto,
     enumerate_degree,
     fresh_star,
 )
@@ -1079,22 +1088,113 @@ def reference_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def reference_binomial_convolution(a, b, start: int, stop: int) -> list:
+    """Entries start..stop-1 of c_n = sum_k C(n, k) a_k b_(n-k), one
+    degree at a time over the nonzero entries of ``a``, skipping zero
+    entries of ``b``."""
+    support = [(k, v) for k, v in enumerate(a[:stop]) if v]
+    out = []
+    for n in range(start, stop):
+        total = 0
+        for k, v in support:
+            if k > n:
+                break
+            w = b[n - k]
+            if w:
+                total += math.comb(n, k) * v * w
+        out.append(total)
+    return out
+
+
+def reference_detect_convergence(seqs, N: int) -> ConvergenceReport:
+    """Per-degree stabilization by walking back from the last iterate,
+    once per degree, while the value stays the same."""
+    seqs = list(seqs)
+    if not seqs:
+        raise ValueError("need at least one sequence")
+    for s in seqs:
+        if s.horizon < N:
+            raise DegreeMismatch(f"horizon {s.horizon} < {N}")
+    rows = [s.coeffs for s in seqs]
+    stable = []
+    for k in range(N + 1):
+        last = rows[-1][k]
+        if len(rows) < 2 or rows[-2][k] != last:
+            stable.append(None)
+            continue
+        j = len(rows) - 1
+        while j > 0 and rows[j - 1][k] == last:
+            j -= 1
+        stable.append(j)
+    converged = all(s is not None for s in stable)
+    limit = CountSeq.computed(rows[-1][: N + 1]) if converged else None
+    witness = next((k for k, s in enumerate(stable) if s is None), None)
+    return ConvergenceReport(tuple(stable), converged, limit, witness)
+
+
+def reference_apply_operator(D, x):
+    """D(x) over x's whole horizon less the largest derivative order, by
+    ``reference_binomial_convolution``."""
+    h = x.horizon - D.max_order
+    out = list(counts_upto(D.constant, h)) if D.constant is not None else [0] * (h + 1)
+    for a, order in D.terms:
+        row = reference_binomial_convolution(counts_upto(a, h), x.coeffs[order:], 0, h + 1)
+        out = [u + v for u, v in zip(out, row)]
+    return CountSeq(tuple(out))
+
+
 def stepwise_adamek_chain(D, N: int, max_iter=None) -> ChainReport:
-    """The fixpoint chain by whole steps: every iterate is the public
-    ``apply_operator`` of the last over its full horizon, and all of them
-    are kept until the chain ends."""
+    """The fixpoint chain by whole steps from the oracles: every iterate
+    is ``reference_apply_operator`` of the last over its full horizon, all
+    of them are kept until the chain ends, and convergence is read by
+    ``reference_detect_convergence``."""
     D.validate()
     if max_iter is None:
         max_iter = default_max_iter(N)
     t = CountSeq((1,) * (N + D.max_order * (max_iter + 1) + 1))
     iterates = [t]
     for _ in range(max_iter):
-        t = apply_operator(D, t)
+        t = reference_apply_operator(D, t)
         iterates.append(t)
     truncated = tuple(s.truncate(N) for s in iterates)
-    convergence = detect_convergence(truncated, N)
-    contact = fixpoint_check(D, iterates[-1], N) if convergence.converged else None
+    convergence = reference_detect_convergence(truncated, N)
+    contact = None
+    if convergence.converged:
+        image = reference_apply_operator(D, iterates[-1])
+        contact = contact_order(iterates[-1].truncate(N), image.truncate(N))
     return ChainReport(D, N, truncated, convergence, contact)
+
+
+def reference_solve_text(report: ChainReport) -> str:
+    """``solve``'s text output: every iterate rendered in full and the
+    lines joined, with the final newline."""
+    lines = [f"iterate {i}: {s.render()}" for i, s in enumerate(report.iterates)]
+    if report.converged:
+        lines.append(f"Converged: {report.limit.render()}")
+        lines.append(f"fixpoint contact: {report.fixpoint_contact}")
+    else:
+        lines.append(f"Diverged at degree {report.witness}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_solve_json(report: ChainReport, op: str) -> str:
+    """``solve --json``'s document, by ``json.dumps``, with the final
+    newline."""
+    contact = report.fixpoint_contact
+    doc = {
+        "command": "solve",
+        "inputs": {"op": op},
+        "horizon": report.horizon,
+        "result": {
+            "iterates": [list(s.coeffs) for s in report.iterates],
+            "converged": report.converged,
+            "limit": list(report.limit.coeffs) if report.limit else None,
+            "witness": report.witness,
+            "fixpoint_contact": None if contact is None else str(contact),
+        },
+        "diagnostics": [],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # --- the recursive-descent front end ------------------------------------------

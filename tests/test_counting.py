@@ -42,11 +42,13 @@ from espece import (
 from espece import caches, species
 from espece.cli import main
 from espece.counting import EgfSeq, egf_of_counts, seq_hadamard
-from espece.errors import BudgetExceeded, HorizonExhausted, InnerNotPositive
-from espece.species import _substitute_counts
+from espece.errors import BudgetExceeded, DegreeMismatch, HorizonExhausted, InnerNotPositive
+from espece.species import _substitute_counts, binomial_convolution, nonzero_entries
 from helpers import (
     GOLDEN_EXPRS,
     integer_partition_substitution_count,
+    reference_binomial_convolution,
+    reference_detect_convergence,
     substitution_count_oracle,
 )
 
@@ -328,6 +330,89 @@ def test_binomial_convolution_properties():
         assert seq_cauchy(a, b) == seq_cauchy(b, a)
     for a, b, c in itertools.islice(itertools.product(seqs, repeat=3), 20):
         assert seq_cauchy(seq_cauchy(a, b), c) == seq_cauchy(a, seq_cauchy(b, c))
+
+
+def _sparse_sequence(rng, length):
+    """Entries 0 in runs, 1, small or large, so that both branches of the
+    convolution and the k = 0, k = 1 and a_k = 1 columns all occur."""
+    out = []
+    while len(out) < length:
+        kind = rng.randrange(4)
+        if kind == 0:
+            out += [0] * rng.randrange(1, 6)
+        elif kind == 1:
+            out.append(1)
+        elif kind == 2:
+            out.append(rng.randrange(2, 9))
+        else:
+            out.append(rng.randrange(10**30))
+    return tuple(out[:length])
+
+
+def test_binomial_convolution_matches_the_per_degree_oracle():
+    rng = random.Random(25)
+    length = 24
+    seqs = [_sparse_sequence(rng, length) for _ in range(40)]
+    seqs += [(0,) * length, (1,) * length, (0,) * (length - 1) + (3,), (5,) + (0,) * (length - 1)]
+    for a in seqs:
+        entries = nonzero_entries(a)
+        assert entries == [(k, v) for k, v in enumerate(a) if v]
+        last_k = entries[-1][0] if entries else 0
+        b = rng.choice(seqs)
+        ranges = [(0, length), (0, 0), (length, length), (3, 3), (7, 8), (0, 1)]
+        ranges += [(min(last_k + 1, length), length), (length - 1, length)]
+        for _ in range(6):
+            start = rng.randrange(length + 1)
+            ranges.append((start, rng.randrange(start, length + 1)))
+        for start, stop in ranges:
+            expected = reference_binomial_convolution(a, b, start, stop)
+            assert binomial_convolution(a, b, start, stop) == expected, (a, b, start, stop)
+            # nonzero entries read once, past stop too, as the fixpoint chain passes them
+            assert binomial_convolution(a, b, start, stop, entries) == expected, (a, b, start, stop)
+
+
+def _runs_of_iterates(rng):
+    """Iterate runs that repeat one object, repeat equal but distinct
+    tuples, and change a few degrees at a time."""
+    for _ in range(60):
+        width = rng.randrange(1, 8)
+        row = tuple(rng.randrange(3) for _ in range(width))
+        seqs = [CountSeq(row)]
+        for _ in range(rng.randrange(8)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                seqs.append(seqs[-1])
+            elif kind == 1:
+                seqs.append(CountSeq(tuple(list(seqs[-1].coeffs))))
+            else:
+                row = list(seqs[-1].coeffs)
+                for _ in range(rng.randrange(1, 3)):
+                    row[rng.randrange(width)] = rng.randrange(3)
+                seqs.append(CountSeq(tuple(row)))
+        yield seqs
+
+
+def test_detect_convergence_matches_the_walk_back_oracle():
+    rng = random.Random(2025)
+    for seqs in _runs_of_iterates(rng):
+        for N in range(seqs[0].horizon + 1):
+            report = detect_convergence(seqs, N)
+            assert report == reference_detect_convergence(seqs, N), ([s.coeffs for s in seqs], N)
+            assert report.converged == (report.witness is None)
+
+
+def test_detect_convergence_errors_are_pinned():
+    with pytest.raises(ValueError, match="need at least one sequence"):
+        detect_convergence([], 0)
+    with pytest.raises(ValueError, match="need at least one sequence"):
+        detect_convergence(iter(()), 3)
+    short = [CountSeq((1, 1, 1)), CountSeq((1, 1)), CountSeq((1,))]
+    with pytest.raises(DegreeMismatch, match=r"^horizon 1 < 2$"):
+        detect_convergence(short, 2)
+    for N in range(4):
+        report = detect_convergence([CountSeq((1, 2, 3, 4))], N)
+        assert report.stable_from == (None,) * (N + 1)
+        assert (report.converged, report.limit, report.witness) == (False, None, 0)
 
 
 def test_seq_ops_match_expression_ops():

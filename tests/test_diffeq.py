@@ -3,7 +3,12 @@ import random
 import tracemalloc
 
 import pytest
-from helpers import stepwise_adamek_chain
+from helpers import (
+    reference_parse_operator,
+    reference_solve_json,
+    reference_solve_text,
+    stepwise_adamek_chain,
+)
 
 from espece import (
     AT_LEAST_HORIZON,
@@ -26,7 +31,8 @@ from espece import (
     seq_sum,
 )
 from espece.cli import main
-from espece.errors import HorizonExhausted, InvalidExpr
+from espece import caches, diffeq
+from espece.errors import BudgetExceeded, HorizonExhausted, InvalidExpr
 
 ONES = CountSeq((1,) * 9)
 
@@ -236,8 +242,60 @@ def test_long_chain_memory_is_bounded():
 def test_long_chain_cli_text_matches_stepwise_route():
     D = DiffOperator(((One(), 1),))
     report = stepwise_adamek_chain(D, 5, 3000)
-    lines = [f"iterate {i}: {s.render()}" for i, s in enumerate(report.iterates)]
-    lines += [f"Converged: {report.limit.render()}", f"fixpoint contact: {report.fixpoint_contact}"]
     out = io.StringIO()
     assert main(["solve", "--op", "1:1", "--upto", "5", "--max-iter", "3000"], out) == 0
-    assert out.getvalue() == "\n".join(lines) + "\n"
+    assert out.getvalue() == reference_solve_text(report)
+
+
+SWEEP_COEFFS = ("X", "E", "L", "C", "P", "1", "X*X", "(E+X)")
+
+
+def test_solve_output_matches_the_oracle_chain_on_a_seeded_operator_sweep():
+    # every COEFF:ORDER term appears; each request's text and --json are
+    # compared byte for byte with the full-horizon oracle chain's
+    rng = random.Random(25)
+    terms = [f"{a}:{order}" for a in SWEEP_COEFFS for order in range(3)]
+    ops = list(terms)
+    for width in (2, 3):
+        rng.shuffle(terms)
+        ops += [" + ".join(terms[i : i + width]) for i in range(0, len(terms), width)]
+    for op in ops:
+        N = rng.randrange(31)
+        max_iter = rng.choice((None, 0, 1, 3))
+        argv = ["solve", "--op", op, "--upto", str(N)]
+        if max_iter is not None:
+            argv += ["--max-iter", str(max_iter)]
+        report = stepwise_adamek_chain(reference_parse_operator(op), N, max_iter)
+        for flags, expected in (
+            ([], reference_solve_text(report)),
+            (["--json"], reference_solve_json(report, op)),
+        ):
+            out = io.StringIO()
+            assert main(argv + flags, out) == 0
+            assert out.getvalue() == expected, argv + flags
+
+
+def test_chain_cap_refuses_before_allocating(monkeypatch, capsys):
+    # the starting horizon N + m * (max_iter + 1), and max_iter itself, are
+    # capped; a refusal is one stderr line, the same each time
+    requests = (
+        (["solve", "--op", "X:99999999", "--upto", "2"], 899999993, 8),
+        (["solve", "--op", "X:1", "--upto", "3", "--max-iter", "99999999"], 100000003, 99999999),
+        (["solve", "--op", "1:0 + X:0", "--upto", "3", "--max-iter", "1000001"], 3, 1000001),
+        (["solve", "--op", "1:0 + X:0", "--upto", "1000001"], 1000001, 2000006),
+    )
+    for argv, h, max_iter in requests:
+        for _ in range(2):
+            assert main(argv, io.StringIO()) == 1
+            message = f"the chain needs horizon {h} and {max_iter} iterations; the cap is {10**6}"
+            assert capsys.readouterr().err == f"error: {message}\n"
+    # the bound itself is accepted; the tables are emptied so that no
+    # remembered chain answers in place of the check
+    caches.clear()
+    monkeypatch.setattr(diffeq, "CHAIN_CAP", 16)
+    assert adamek_chain(DiffOperator(((X(), 1),), One()), 5, 10).horizon == 5  # h = 16
+    assert adamek_chain(DiffOperator(((X(), 0),), One()), 5, 16).horizon == 5
+    with pytest.raises(BudgetExceeded):
+        adamek_chain(DiffOperator(((X(), 1),), One()), 6, 10)  # h = 17
+    with pytest.raises(BudgetExceeded):
+        adamek_chain(DiffOperator(((X(), 0),), One()), 5, 17)  # h = 5, 17 iterations
