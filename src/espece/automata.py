@@ -52,9 +52,16 @@ ENUM_FACTOR_DEGREE_CAP = 6
 class _Dynamics(Record):
     """A dynamics T: ``apply(e)`` is T(e), and ``image(f, k)`` is T(f)'s
     component at degree k for f: E1 -> E2, index arithmetic over f's
-    component at degree at most k + ``shift``."""
+    component at degree at most k + ``shift``; ``terminal(B, N, start)``
+    is ``terminal_counts`` from the ``start``-th factor on."""
 
     shift = 0
+
+    def terminal(self, B, N, start):
+        raise NotSupported(
+            "terminal machines for the pointing and derivative-of-adjoint "
+            "dynamics are deliberately not computed"
+        )
 
 
 def _blocks(f: NatTrans, n: int, k: int) -> Tuple[int, ...]:
@@ -83,6 +90,29 @@ class TensorBy(_Dynamics):
             out += product_sums(range(off, off + rows * width, width), f.component(k - len(U)))
         return tuple(out)
 
+    def terminal(self, B, N, start):
+        if cardinality(self.a, 0) != 0:
+            problem = "tensor dynamics needs a species empty at degree 0"
+            raise InvalidExpr((Diagnostic("DynamicsNotPositive", "terminal", problem),))
+        hom_rows = {}
+
+        def factor_seq(n):
+            if n not in hom_rows:
+                if n == 0:
+                    hom_rows[n] = CountSeq(counts_upto(B, N))
+                else:
+                    hom_rows[n] = hom_day_counts(_cauchy_power(self.a, n), B, N)
+            return hom_rows[n]
+
+        return tuple(
+            _certified_product(
+                lambda n, k=k: factor_seq(n)[k],
+                start,
+                lambda k=k: f"terminal(tensor,{B!r}) degree {k}",
+            )
+            for k in range(N + 1)
+        )
+
 
 class DeriveDyn(_Dynamics):
     shift = 1  # the derivative consumes a degree
@@ -93,6 +123,31 @@ class DeriveDyn(_Dynamics):
     def image(self, f, k):
         return f.component(k + 1)
 
+    def terminal(self, B, N, start):
+        # The assignment adjoint fixes degree 0 at one structure and
+        # raises lower counts to powers; after k iterations every degree
+        # <= k is pinned at one, so the product is exactly finite.
+        # Entries past PRODUCT_BOUND saturate at PRODUCT_BOUND + 1 (0 and 1
+        # stay exact), so the running product below crosses the bound at
+        # the same factor as with the exact powers, which grow as towers.
+        rows = [[min(c, PRODUCT_BOUND + 1) for c in counts_upto(B, N)]]
+        for _ in range(N + 1):
+            prev = rows[-1]
+            rows.append([1] + [_saturated_power(prev[j - 1], j) for j in range(1, N + 1)])
+        out = []
+        for k in range(N + 1):
+            total = 1
+            for n in range(start, k + 2):
+                total *= rows[n][k]
+                if total == 0:
+                    break
+                if total > PRODUCT_BOUND:
+                    raise DivergentProduct(
+                        f"terminal(derive,{B!r}) degree {k} exceeds {PRODUCT_BOUND}"
+                    )
+            out.append(total)
+        return tuple(out)
+
 
 class AdjLDyn(_Dynamics):
     def apply(self, e):
@@ -100,6 +155,16 @@ class AdjLDyn(_Dynamics):
 
     def image(self, f, k):
         return _blocks(f, k, k - 1)
+
+    def terminal(self, B, N, start):
+        return tuple(
+            _certified_product(
+                lambda n, k=k: _card(B, k + n),
+                start,
+                lambda k=k: f"terminal(adjL,{B!r}) degree {k}",
+            )
+            for k in range(N + 1)
+        )
 
 
 class PointingDyn(_Dynamics):
@@ -318,76 +383,5 @@ def terminal_counts(dyn, B: SpeciesExpr, N: int, moore: bool = False) -> CountSe
     machines include the zeroth factor as well.
     """
     require_valid(B)
-    if isinstance(dyn, (PointingDyn, DeriveLDyn)):
-        raise NotSupported(
-            "terminal machines for the pointing and derivative-of-adjoint "
-            "dynamics are deliberately not computed"
-        )
-    start = 0 if moore else 1
-    if isinstance(dyn, AdjLDyn):
-        out = []
-        for k in range(N + 1):
-            out.append(
-                _certified_product(
-                    lambda n, k=k: _card(B, k + n),
-                    start,
-                    lambda k=k: f"terminal(adjL,{B!r}) degree {k}",
-                )
-            )
-        return CountSeq(tuple(out))
-    if isinstance(dyn, DeriveDyn):
-        # The assignment adjoint fixes degree 0 at one structure and
-        # raises lower counts to powers; after k iterations every degree
-        # <= k is pinned at one, so the product is exactly finite.
-        # Entries past PRODUCT_BOUND saturate at PRODUCT_BOUND + 1 (0 and 1
-        # stay exact), so the running product below crosses the bound at
-        # the same factor as with the exact powers, which grow as towers.
-        rows = [[min(c, PRODUCT_BOUND + 1) for c in counts_upto(B, N)]]
-        for _ in range(N + 1):
-            prev = rows[-1]
-            rows.append([1] + [_saturated_power(prev[j - 1], j) for j in range(1, N + 1)])
-        out = []
-        for k in range(N + 1):
-            total = 1
-            for n in range(start, k + 2):
-                total *= rows[n][k]
-                if total == 0:
-                    break
-                if total > PRODUCT_BOUND:
-                    raise DivergentProduct(
-                        f"terminal(derive,{B!r}) degree {k} exceeds {PRODUCT_BOUND}"
-                    )
-            out.append(total)
-        return CountSeq(tuple(out))
-    if isinstance(dyn, TensorBy):
-        if cardinality(dyn.a, 0) != 0:
-            raise InvalidExpr(
-                (
-                    Diagnostic(
-                        "DynamicsNotPositive",
-                        "terminal",
-                        "tensor dynamics needs a species empty at degree 0",
-                    ),
-                )
-            )
-        hom_rows = {}
+    return CountSeq(dyn.terminal(B, N, 0 if moore else 1))
 
-        def factor_seq(n):
-            if n not in hom_rows:
-                if n == 0:
-                    hom_rows[n] = CountSeq(counts_upto(B, N))
-                else:
-                    hom_rows[n] = hom_day_counts(_cauchy_power(dyn.a, n), B, N)
-            return hom_rows[n]
-
-        out = []
-        for k in range(N + 1):
-            out.append(
-                _certified_product(
-                    lambda n, k=k: factor_seq(n)[k],
-                    start,
-                    lambda k=k: f"terminal(tensor,{B!r}) degree {k}",
-                )
-            )
-        return CountSeq(tuple(out))
-    raise TypeError(f"not a dynamics: {dyn!r}")

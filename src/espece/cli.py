@@ -349,18 +349,20 @@ def _dumps(doc, sort_keys=False) -> str:
     return "".join(out)
 
 
-def _emit(args, inputs, horizon, result_json, text, out):
+def _emit(args, result, text, out):
     """Write the JSON envelope or, without --json, ``text()``: the text is
     rendered only when it is printed, and ``text()`` gives it whole or as
     an iterable of lines, each written as it is made.  The newline is
     written on its own, so a large document or text is not copied to
-    append it."""
+    append it.  The envelope's inputs are the command's inputs in _SPECS,
+    and its horizon is --upto where the command takes it."""
     if args.json:
+        values, inputs = vars(args), _SPECS[args.command][-1]
         doc = {
             "command": args.command,
-            "inputs": inputs,
-            "horizon": horizon,
-            "result": result_json,
+            "inputs": {dest: values[dest] for dest in inputs},
+            "horizon": values.get("upto"),
+            "result": result,
             "diagnostics": [],
         }
         out.write(_dumps(doc, sort_keys=True))
@@ -372,39 +374,32 @@ def _emit(args, inputs, horizon, result_json, text, out):
             out.write("\n")
 
 
-def _cmd_coeffs(args, out):
-    e = parse_expr(args.expr)
-    seq = counting.count_seq(e, args.upto)
-    _emit(args, {"expr": args.expr}, args.upto, list(seq.coeffs), seq.render, out)
+# Each handler returns its answer: the result the envelope holds, and the
+# function that renders its text.
 
 
-def _cmd_egf(args, out):
-    e = parse_expr(args.expr)
-    seq = counting.egf(e, args.upto)
-    _emit(
-        args,
-        {"expr": args.expr},
-        args.upto,
-        [str(c) for c in seq.coeffs],
-        seq.render,
-        out,
-    )
+def _cmd_coeffs(args):
+    seq = counting.count_seq(parse_expr(args.expr), args.upto)
+    return list(seq.coeffs), seq.render
 
 
-def _cmd_enumerate(args, out):
-    e = parse_expr(args.expr)
-    encs = enumerate_degree(e, args.degree, cap=args.limit).points
+def _cmd_egf(args):
+    seq = counting.egf(parse_expr(args.expr), args.upto)
+    return [str(c) for c in seq.coeffs], seq.render
+
+
+def _cmd_enumerate(args):
+    encs = enumerate_degree(parse_expr(args.expr), args.degree, cap=args.limit).points
 
     def text():
         head = f"{len(encs)} structure(s) at degree {args.degree}"
         return "\n".join([head] + [_dumps(s) for s in encs])
 
-    _emit(args, {"expr": args.expr, "degree": args.degree}, None, encs, text, out)
+    return encs, text
 
 
-def _cmd_orbits(args, out):
-    e = parse_expr(args.expr)
-    parts = orbits(enumerate_degree(e, args.degree, cap=args.limit))
+def _cmd_orbits(args):
+    parts = orbits(enumerate_degree(parse_expr(args.expr), args.degree, cap=args.limit))
     # orbit-stabilizer: |Stab(x)| = n!/|orbit of x|; S_n's cap applies
     # only when there is a point to stabilize
     order = symmetric_order(args.degree) if parts else 0
@@ -424,37 +419,24 @@ def _cmd_orbits(args, out):
             for r in rows
         )
 
-    _emit(args, {"expr": args.expr, "degree": args.degree}, None, rows, text, out)
+    return rows, text
 
 
-def _cmd_iso(args, out):
-    f, g = parse_expr(args.left), parse_expr(args.right)
-    res = iso_check(f, g, args.upto)
+def _cmd_iso(args):
+    res = iso_check(parse_expr(args.left), parse_expr(args.right), args.upto)
     verdict = "true" if res.isomorphic else f"false (witness degree {res.witness_degree})"
-    _emit(
-        args,
-        {"left": args.left, "right": args.right},
-        args.upto,
-        {"isomorphic": res.isomorphic, "witness_degree": res.witness_degree},
-        lambda: f"isomorphic up to degree {args.upto}: {verdict}",
-        out,
-    )
+    result = {"isomorphic": res.isomorphic, "witness_degree": res.witness_degree}
+    return result, lambda: f"isomorphic up to degree {args.upto}: {verdict}"
 
 
-def _cmd_natcount(args, out):
+def _cmd_natcount(args):
     f, g = parse_expr(args.left), parse_expr(args.right)
     per_degree, cumulative = transforms.count_nat(f, g, args.upto)
-    _emit(
-        args,
-        {"left": args.left, "right": args.right},
-        args.upto,
-        {"per_degree": list(per_degree), "cumulative": cumulative},
-        lambda: ",".join(str(v) for v in per_degree) + f"; cumulative {cumulative}",
-        out,
-    )
+    result = {"per_degree": list(per_degree), "cumulative": cumulative}
+    return result, lambda: ",".join(str(v) for v in per_degree) + f"; cumulative {cumulative}"
 
 
-def _cmd_natenum(args, out):
+def _cmd_natenum(args):
     f, g = parse_expr(args.left), parse_expr(args.right)
     nats = transforms.enumerate_nat(f, g, args.upto, args.limit)
     payload = [transforms.nat_to_json(t) for t in nats]
@@ -463,10 +445,10 @@ def _cmd_natenum(args, out):
         head = f"{len(nats)} transformation(s)"
         return "\n".join([head] + [_dumps(p, sort_keys=True) for p in payload])
 
-    _emit(args, {"left": args.left, "right": args.right}, args.upto, payload, text, out)
+    return payload, text
 
 
-def _cmd_suite(args, out):
+def _cmd_suite(args):
     names = (args.name,) if args.name else None
     report = transforms.canonical_iso_suite(args.upto, names=names)
     payload = []
@@ -482,34 +464,25 @@ def _cmd_suite(args, out):
             # the stabilizer-class signatures of the two failing actions
             row["detail"] = [repr(side) for side in e.detail]
         payload.append(row)
-    _emit(args, {"name": args.name}, args.upto, payload, lambda: "\n".join(report.lines()), out)
+    return payload, lambda: "\n".join(report.lines())
 
 
-def _cmd_monoid(args, out):
+def _cmd_monoid(args):
     N = args.upto
     if args.which == "lin":
-        mu = transforms.lin_concat_mu(N)
-        report = transforms.check_monoid(Lin(), mu, ("lin", ()), N)
+        report = transforms.check_monoid(Lin(), transforms.lin_concat_mu(N), ("lin", ()), N)
     else:
-        mu = transforms.exp_mu(N)
-        report = transforms.check_monoid(Exp(), mu, ("set", ()), N)
+        report = transforms.check_monoid(Exp(), transforms.exp_mu(N), ("set", ()), N)
 
     def text():
         if report.ok:
             return "monoid laws: pass"
         return "monoid laws: FAIL " + ", ".join(f"{law}@{deg}" for law, deg in report.failures)
 
-    _emit(
-        args,
-        {"which": args.which},
-        N,
-        {"ok": report.ok, "failures": [list(f) for f in report.failures]},
-        text,
-        out,
-    )
+    return {"ok": report.ok, "failures": [list(f) for f in report.failures]}, text
 
 
-def _cmd_algtensor(args, out):
+def _cmd_algtensor(args):
     N = args.upto
     a = transforms.exp_algebra(N)
     # tensor_partial_algebras raises InvalidAlgebra when xi is not natural
@@ -528,14 +501,7 @@ def _cmd_algtensor(args, out):
             f"associativity={'pass' if assoc_ok else 'fail'}"
         )
 
-    _emit(
-        args,
-        {},
-        N,
-        {"naturality": True, "unit": unit_ok, "associativity": assoc_ok, "ok": ok},
-        text,
-        out,
-    )
+    return {"naturality": True, "unit": unit_ok, "associativity": assoc_ok, "ok": ok}, text
 
 
 _DYNAMICS = {
@@ -556,34 +522,18 @@ def _parse_dynamics(args):
     return _DYNAMICS[args.dyn]()
 
 
-def _cmd_terminal(args, out):
+def _cmd_terminal(args):
     dyn = _parse_dynamics(args)
-    B = parse_expr(args.output)
-    seq = automata.terminal_counts(dyn, B, args.upto, moore=args.moore)
-    _emit(
-        args,
-        {"dyn": args.dyn, "by": args.by, "output": args.output, "moore": args.moore},
-        args.upto,
-        list(seq.coeffs),
-        seq.render,
-        out,
-    )
+    seq = automata.terminal_counts(dyn, parse_expr(args.output), args.upto, moore=args.moore)
+    return list(seq.coeffs), seq.render
 
 
-def _cmd_homday(args, out):
-    f, g = parse_expr(args.left), parse_expr(args.right)
-    seq = automata.hom_day_counts(f, g, args.upto)
-    _emit(
-        args,
-        {"left": args.left, "right": args.right},
-        args.upto,
-        list(seq.coeffs),
-        seq.render,
-        out,
-    )
+def _cmd_homday(args):
+    seq = automata.hom_day_counts(parse_expr(args.left), parse_expr(args.right), args.upto)
+    return list(seq.coeffs), seq.render
 
 
-def _cmd_solve(args, out):
+def _cmd_solve(args):
     D = parse_operator(args.op)
     report = diffeq.adamek_chain(D, args.upto, args.max_iter)
 
@@ -610,18 +560,17 @@ def _cmd_solve(args, out):
         else:
             yield f"Diverged at degree {report.witness}"
 
-    payload = None  # built only for --json: the text reads the report
+    result = None  # built only for --json: the text reads the report
     if args.json:
-        payload = {
+        contact = report.fixpoint_contact
+        result = {
             "iterates": [list(s.coeffs) for s in report.iterates],
             "converged": report.converged,
             "limit": list(report.limit.coeffs) if report.limit else None,
             "witness": report.witness,
-            "fixpoint_contact": str(report.fixpoint_contact)
-            if report.fixpoint_contact is not None
-            else None,
+            "fixpoint_contact": None if contact is None else str(contact),
         }
-    _emit(args, {"op": args.op}, args.upto, payload, text, out)
+    return result, text
 
 
 def _parse_counts(text: str):
@@ -640,26 +589,18 @@ def _parse_counts(text: str):
     return tuple(vals)
 
 
-def _cmd_fixcheck(args, out):
+def _cmd_fixcheck(args):
     if args.expr is not None and args.seq is not None:
         raise ParseError("fixcheck takes --expr or --seq, not both", 0)
     D = parse_operator(args.op)
     if args.expr is not None:
-        e = parse_expr(args.expr)
-        x = counting.count_seq(e, args.upto + D.max_order)
+        x = counting.count_seq(parse_expr(args.expr), args.upto + D.max_order)
     elif args.seq is not None:
         x = counting.CountSeq(_parse_counts(args.seq))
     else:
         raise ParseError("fixcheck needs --expr or --seq", 0)
     order = diffeq.fixpoint_check(D, x, args.upto)
-    _emit(
-        args,
-        {"op": args.op, "expr": args.expr, "seq": args.seq},
-        args.upto,
-        {"contact_order": str(order)},
-        lambda: f"contact order: {order}",
-        out,
-    )
+    return {"contact_order": str(order)}, lambda: f"contact order: {order}"
 
 
 def _nat(text: str) -> int:
@@ -690,6 +631,9 @@ _ARGUMENTS = {
 }
 _UPTO = " --upto --json"
 _AT_DEGREE = "expr --degree --json --limit"
+# Arguments that shape how an answer is computed or written, not what is
+# asked: the JSON envelope lists every other argument as an input.
+_NOT_INPUTS = ("--json", "--upto", "--limit", "--max-iter")
 
 # name -> (handler, summary, its positionals in order, then its options)
 _COMMANDS = {
@@ -753,14 +697,15 @@ def _spec(name: str):
     _ARGUMENTS: the defaults by attribute, with "command"; each flag's
     attribute and type, _Help for -h and --help; the positionals in order
     with their types; and every argument that must be given, in its
-    _COMMANDS order, with its attribute."""
+    _COMMANDS order, with its attribute; and the attributes of its inputs."""
     words = _COMMANDS[name][2].split()
     defaults = {"command": name, **{_dest(w): _ARGUMENTS[w][1] for w in words}}
     flags = {w: (_dest(w), _ARGUMENTS[w][0]) for w in words if w[0] == "-"}
     flags.update(dict.fromkeys(("-h", "--help"), (None, _Help)))
     positionals = [(w, _ARGUMENTS[w][0]) for w in words if w[0] != "-"]
     required = [(w, _dest(w)) for w in words if _ARGUMENTS[w][1] is _REQUIRED]
-    return defaults, flags, positionals, required
+    inputs = [_dest(w) for w in words if w not in _NOT_INPUTS]
+    return defaults, flags, positionals, required, inputs
 
 
 _SPECS = {name: _spec(name) for name in _COMMANDS}
@@ -783,7 +728,7 @@ def _parse_args(argv):
     if spec is None:
         got = f"{name!r} is not a command" if argv else "a command is required"
         raise _Usage(f"{got}; choose from {', '.join(_COMMANDS)}")
-    defaults, flags, todo, required = spec
+    defaults, flags, todo, required, _ = spec
     values = dict(defaults)
     positionals, rest = [], iter(argv[1:])
     for arg in rest:
@@ -862,7 +807,8 @@ def _main(argv, out) -> int:
     out = out if out is not None else sys.stdout
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-        _COMMANDS[args.command][0](args, out)
+        result, text = _COMMANDS[args.command][0](args)
+        _emit(args, result, text, out)
         return 0
     except _Help as exc:
         print(exc, file=out)

@@ -20,82 +20,68 @@ from .species import SpeciesExpr, binomial_convolution, counts_upto
 
 AT_LEAST_HORIZON = "at-least-horizon"
 NO_CONTACT = "none"
-_NO_ENTRY = "a counting sequence needs at least the degree-0 entry"
 
 
-class CountSeq(Record):
-    """Exact nonnegative counts f_0..f_N; values beyond N are unknown.
+class _Sequence(Record):
+    """Exact coefficients c_0..c_N; values beyond N are unknown.  A
+    sequence needs at least its degree-0 entry; ``_EMPTY`` says so."""
 
-    ``CountSeq(coeffs)`` checks every entry; the engine builds the
-    sequences it computes with ``CountSeq.computed``.
-    """
-
-    coeffs: Tuple[int, ...]
+    coeffs: tuple
 
     def __init__(self, coeffs):
         if len(coeffs) == 0:
-            raise ValueError(_NO_ENTRY)
-        # plain nonnegative ints pass in C; the loop decides everything else
-        plain = set(map(type, coeffs)) <= {int} and min(coeffs) >= 0
-        if not plain and any((not isinstance(c, int)) or c < 0 for c in coeffs):
-            raise ValueError(f"counts must be nonnegative integers: {coeffs}")
+            raise ValueError(self._EMPTY)
         self.__dict__["coeffs"] = coeffs
 
     @classmethod
-    def computed(cls, coeffs) -> "CountSeq":
+    def computed(cls, coeffs):
         """A sequence the engine computed from counts or from checked
-        sequences, nonnegative ints by construction: its entries are not
-        checked again."""
-        if len(coeffs) == 0:
-            raise ValueError(_NO_ENTRY)
+        sequences, valid by construction: only its degree-0 entry is
+        checked."""
         seq = object.__new__(cls)
-        seq.__dict__["coeffs"] = coeffs
+        _Sequence.__init__(seq, coeffs)
         return seq
 
     @property
     def horizon(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> int:
+    def __getitem__(self, n: int):
         if n < 0 or n > self.horizon:
             raise HorizonExhausted(f"degree {n} beyond horizon {self.horizon}")
         return self.coeffs[n]
 
-    def truncate(self, N: int) -> "CountSeq":
+    def truncate(self, N: int):
         if N > self.horizon:
             raise HorizonExhausted(f"cannot extend horizon {self.horizon} to {N}")
-        return CountSeq.computed(self.coeffs[: N + 1])
+        return self.computed(self.coeffs[: N + 1])
 
     def render(self) -> str:
         return ", ".join(map(str, self.coeffs))
 
 
-class EgfSeq(Record):
-    """Exact exponential generating coefficients g_n = f_n/n!."""
+class CountSeq(_Sequence):
+    """Exact nonnegative counts f_0..f_N, a tuple of ints.
 
-    coeffs: Tuple[Fraction, ...]
+    ``CountSeq(coeffs)`` checks every entry; the engine builds the
+    sequences it computes with ``CountSeq.computed``.
+    """
+
+    _EMPTY = "a counting sequence needs at least the degree-0 entry"
 
     def __init__(self, coeffs):
-        if len(coeffs) == 0:
-            raise ValueError("an EGF sequence needs at least the degree-0 entry")
-        self.__dict__["coeffs"] = coeffs
+        super().__init__(coeffs)
+        # plain nonnegative ints pass in C; the loop decides everything else
+        plain = set(map(type, coeffs)) <= {int} and min(coeffs) >= 0
+        if not plain and any((not isinstance(c, int)) or c < 0 for c in coeffs):
+            raise ValueError(f"counts must be nonnegative integers: {coeffs}")
 
-    @property
-    def horizon(self) -> int:
-        return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
-        if n < 0 or n > self.horizon:
-            raise HorizonExhausted(f"degree {n} beyond horizon {self.horizon}")
-        return self.coeffs[n]
+class EgfSeq(_Sequence):
+    """Exact exponential generating coefficients g_n = f_n/n!, a tuple of
+    Fractions."""
 
-    def truncate(self, N: int) -> "EgfSeq":
-        if N > self.horizon:
-            raise HorizonExhausted(f"cannot extend horizon {self.horizon} to {N}")
-        return EgfSeq(self.coeffs[: N + 1])
-
-    def render(self) -> str:
-        return ", ".join(map(str, self.coeffs))
+    _EMPTY = "an EGF sequence needs at least the degree-0 entry"
 
 
 def count_seq(e: SpeciesExpr, N: int) -> CountSeq:

@@ -10,10 +10,11 @@ strictly stronger than equality of counting sequences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Tuple
 
-from . import caches, groups
+from . import caches
 from .errors import BudgetExceeded, InvalidAlgebra, InvalidExpr, ShapeMismatch, TooManyMaps
 from .groups import (
     action_signature,
@@ -164,18 +165,13 @@ def iso_check(f: SpeciesExpr, g: SpeciesExpr, N: int) -> IsoResult:
     """Degreewise S_k-set isomorphism up to horizon N.
 
     Equal generator arrays are the same action, which settles degree k
-    without listing a structure.  Above ``groups.MAX_DEGREE`` only equal
-    structures settle it, so two different species whose arrays agree
-    there still meet the cap on S_k in ``actions_isomorphic``.
+    without listing a structure or building S_k; only actions whose
+    arrays differ meet the cap on S_k in ``actions_isomorphic``.
     """
     for k in range(N + 1):
         a = enumerate_degree(f, k)
         b = enumerate_degree(g, k)
-        if k > groups.MAX_DEGREE:
-            same = a.points == b.points
-        else:
-            same = a.generator_images() == b.generator_images()
-        if same:
+        if a.generator_images() == b.generator_images():
             continue
         if not actions_isomorphic(a, b):
             return IsoResult(False, k, (action_signature(a), action_signature(b)))
@@ -184,20 +180,6 @@ def iso_check(f: SpeciesExpr, g: SpeciesExpr, N: int) -> IsoResult:
 
 # ---------------------------------------------------------------------------
 # The named canonical isomorphisms
-
-
-SUITE_NAMES = (
-    "leibniz",
-    "chain_rule",
-    "perm_decomp",
-    "der_cyc",
-    "der_perm",
-    "napier",
-    "commutation",
-    "der_R",
-    "R_der",
-    "lin_free",
-)
 
 
 class SuiteEntry(Record):
@@ -257,13 +239,58 @@ def _feasible_horizon(exprs, N):
 
 
 def _iso_case(name, args, lhs, rhs, N):
+    """lhs and rhs isomorphic, degreewise up to the feasible horizon."""
     h = _feasible_horizon((lhs, rhs), N)
     res = iso_check(lhs, rhs, h)
     return SuiteEntry(name, args, h, res.isomorphic, res.witness_degree, res.detail)
 
 
-def _positive(family):
-    return tuple(e for e in family if cardinality(e, 0) == 0)
+def _count_case(name, args, lhs, expected, N):
+    """lhs has expected(k) structures at each degree k <= N."""
+    witness = next((k for k in range(N + 1) if cardinality(lhs, k) != expected(k)), None)
+    return SuiteEntry(name, args, N, witness is None, witness)
+
+
+# Each suite name, in the suite's order: how its cases are checked, and
+# the cases over a family at horizon N, as (args, left side, right side).
+_SUITE = {
+    "leibniz": (_iso_case, lambda family, N: [
+        (
+            f"{type(f).__name__},{type(g).__name__}",
+            Derive(Cauchy(f, g)),
+            Sum(Cauchy(Derive(f), g), Cauchy(f, Derive(g))),
+        )
+        for f in family for g in family
+    ]),
+    "chain_rule": (_iso_case, lambda family, N: [
+        (
+            f"{type(f).__name__},{type(g).__name__}",
+            Derive(Substitute(f, g)),
+            Cauchy(Substitute(Derive(f), g), Derive(g)),
+        )
+        for f in family for g in family if cardinality(g, 0) == 0
+    ]),
+    "perm_decomp": (_iso_case, lambda family, N: [("Perm", Perm(), Substitute(Exp(), Cyc()))]),
+    "der_cyc": (_iso_case, lambda family, N: [("Cyc", Derive(Cyc()), Lin())]),
+    "der_perm": (_iso_case, lambda family, N: [("Perm", Derive(Perm()), Cauchy(Perm(), Lin()))]),
+    "napier": (_iso_case, lambda family, N: [("Exp", Derive(Exp()), Exp())]),
+    "commutation": (_iso_case, lambda family, N: [
+        (type(f).__name__, DeriveL(f), Sum(f, Pointing(f))) for f in family
+    ]),
+    "der_R": (_iso_case, lambda family, N: [
+        (type(f).__name__, Derive(AdjR(f)), Hadamard(AdjR(Derive(f)), f)) for f in family
+    ]),
+    # Counting-level identity: the right adjoint applied after the
+    # derivative has counts (f_n)^n; no fixed expression computes the
+    # degree-indexed power, so this one is numeric.
+    "R_der": (_count_case, lambda family, N: [
+        (type(f).__name__, AdjR(Derive(f)), lambda k, f=f: cardinality(f, k) ** k) for f in family
+    ]),
+    "lin_free": (_iso_case, lambda family, N: [
+        ("Lin", Lin(), functools.reduce(Sum, map(Representable, range(N + 1))))
+    ]),
+}  # fmt: skip
+SUITE_NAMES = tuple(_SUITE)
 
 
 @caches.memo
@@ -275,82 +302,13 @@ def canonical_iso_suite(N: int = 5, names=None, family=None) -> SuiteReport:
     """
     names = tuple(names) if names else SUITE_NAMES
     family = tuple(family) if family else DEFAULT_FAMILY
-    unknown = [n for n in names if n not in SUITE_NAMES]
+    unknown = [n for n in names if n not in _SUITE]
     if unknown:
         raise ValueError(f"unknown suite names: {unknown}")
     entries = []
     for name in names:
-        if name == "leibniz":
-            for f, g in itertools.product(family, family):
-                entries.append(
-                    _iso_case(
-                        name,
-                        f"{type(f).__name__},{type(g).__name__}",
-                        Derive(Cauchy(f, g)),
-                        Sum(Cauchy(Derive(f), g), Cauchy(f, Derive(g))),
-                        N,
-                    )
-                )
-        elif name == "chain_rule":
-            for f in family:
-                for g in _positive(family):
-                    entries.append(
-                        _iso_case(
-                            name,
-                            f"{type(f).__name__},{type(g).__name__}",
-                            Derive(Substitute(f, g)),
-                            Cauchy(Substitute(Derive(f), g), Derive(g)),
-                            N,
-                        )
-                    )
-        elif name == "perm_decomp":
-            entries.append(_iso_case(name, "Perm", Perm(), Substitute(Exp(), Cyc()), N))
-        elif name == "der_cyc":
-            entries.append(_iso_case(name, "Cyc", Derive(Cyc()), Lin(), N))
-        elif name == "der_perm":
-            entries.append(_iso_case(name, "Perm", Derive(Perm()), Cauchy(Perm(), Lin()), N))
-        elif name == "napier":
-            entries.append(_iso_case(name, "Exp", Derive(Exp()), Exp(), N))
-        elif name == "commutation":
-            for f in family:
-                entries.append(
-                    _iso_case(
-                        name,
-                        type(f).__name__,
-                        DeriveL(f),
-                        Sum(f, Pointing(f)),
-                        N,
-                    )
-                )
-        elif name == "der_R":
-            for f in family:
-                entries.append(
-                    _iso_case(
-                        name,
-                        type(f).__name__,
-                        Derive(AdjR(f)),
-                        Hadamard(AdjR(Derive(f)), f),
-                        N,
-                    )
-                )
-        elif name == "R_der":
-            # Counting-level identity: the right adjoint applied after the
-            # derivative has counts (f_n)^n; no fixed expression computes
-            # the degree-indexed power, so this one is numeric.
-            for f in family:
-                ok, witness = True, None
-                for k in range(N + 1):
-                    expected = cardinality(f, k) ** k if k >= 1 else 1
-                    if cardinality(AdjR(Derive(f)), k) != expected:
-                        ok, witness = False, k
-                        break
-                entries.append(SuiteEntry(name, type(f).__name__, N, ok, witness))
-        elif name == "lin_free":
-            tower = None
-            for k in range(N + 1):
-                rep = Representable(k)
-                tower = rep if tower is None else Sum(tower, rep)
-            entries.append(_iso_case(name, "Lin", Lin(), tower, N))
+        check, cases = _SUITE[name]
+        entries += [check(name, args, lhs, rhs, N) for args, lhs, rhs in cases(family, N)]
     return SuiteReport(tuple(entries))
 
 

@@ -12,7 +12,6 @@ from espece import (
     DeriveDyn,
     Exp,
     Lin,
-    One,
     Perm,
     PointingDyn,
     Subsets,
@@ -149,7 +148,7 @@ def test_cauchy_layouts_are_kept():
     "argv, code, err, table",
     [
         (
-            ("iso", "E", "E*1", "--upto", "9"),
+            ("iso", "X*E", "E*X", "--upto", "9"),
             1,
             "error: S_9 exceeds the configured cap 8\n",
             "transforms.iso_check",
@@ -183,7 +182,7 @@ def test_failing_request_is_not_remembered(argv, code, err, table, capsys):
 @pytest.mark.parametrize(
     "query, args, error",
     [
-        (iso_check, (Exp(), Cauchy(Exp(), One()), 9), DegreeTooLarge),
+        (iso_check, (Cauchy(X(), Exp()), Cauchy(Exp(), X()), 9), DegreeTooLarge),
         (parse_expr, ("E o (",), ParseError),
         (terminal_counts, (PointingDyn(), Exp(), 4), NotSupported),
     ],
@@ -201,6 +200,49 @@ def test_failing_query_raises_afresh(query, args, error):
     assert depth[0] == depth[1]
     name = f"{query.__module__.rpartition('.')[2]}.{query.__name__}"
     assert caches.report()[name] == (0, 0)
+
+
+_OP = parse_operator("1:0 + X:0")
+
+
+@pytest.mark.parametrize(
+    "table, forms",
+    [
+        (
+            "diffeq.adamek_chain",
+            (
+                lambda: adamek_chain(_OP, 8),
+                lambda: adamek_chain(_OP, 8, None),
+                lambda: adamek_chain(_OP, N=8, max_iter=None),
+            ),
+        ),
+        (
+            "automata.terminal_counts",
+            (
+                lambda: terminal_counts(DeriveDyn(), Exp(), 4),
+                lambda: terminal_counts(DeriveDyn(), Exp(), 4, moore=False),
+                lambda: terminal_counts(DeriveDyn(), Exp(), 4, False),
+            ),
+        ),
+        (
+            "transforms.canonical_iso_suite",
+            (
+                lambda: canonical_iso_suite(3),
+                lambda: canonical_iso_suite(3, names=None),
+                lambda: canonical_iso_suite(3, None, None),
+            ),
+        ),
+    ],
+)
+def test_every_form_of_a_call_is_one_entry(table, forms):
+    """A call that omits a defaulted argument, names one or passes every
+    one positionally is one call: one table entry, one answer."""
+    species.clear_caches()
+    answers = [form() for form in forms]
+    assert all(answer is answers[0] for answer in answers)
+    assert caches.report()[table][0] == 1
+    assert caches.held == _measured()
+    species.clear_caches()
 
 
 def test_unhashable_arguments_are_computed_unremembered():

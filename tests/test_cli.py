@@ -632,15 +632,23 @@ def test_symmetric_group_degree_cap(capsys):
     code, out = run("orbits", "P", "--degree", "9")
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == "error: S_9 exceeds the configured cap 8\n"
-    # above the cap iso settles a degree only on equal structures: E and E*1
-    # have equal arrays but different structures at degree 9
-    for argv in (("iso", "E", "E*1", "--upto", "9"), ("algtensor", "--upto", "9")):
-        assert run(*argv) == (1, "")
-        assert capsys.readouterr().err == "error: S_9 exceeds the configured cap 8\n"
-    assert run("iso", "dL(E)", "D(adjL(E))", "--upto", "9") == (
+    # X*E and E*X order their pairs differently, so their arrays differ at
+    # degree 9 and iso needs S_9
+    assert run("iso", "X*E", "E*X", "--upto", "9") == (1, "")
+    assert capsys.readouterr().err == "error: S_9 exceeds the configured cap 8\n"
+    # equal generator arrays settle a degree at any degree, without S_9
+    for argv in (
+        ("dL(E)", "D(adjL(E))"),
+        ("L", "1 + X*L"),
+        ("D(C)", "L"),
+        ("E", "E*1"),
+    ):
+        assert run("iso", *argv, "--upto", "9") == (0, "isomorphic up to degree 9: true\n")
+    assert run("algtensor", "--upto", "9") == (
         0,
-        "isomorphic up to degree 9: true\n",
+        "tensor algebra on E*E: naturality=pass, unit=pass, associativity=pass\n",
     )
+    assert capsys.readouterr().err == ""
 
 
 # --- machine-readable output --------------------------------------------------
@@ -679,6 +687,46 @@ def test_json_envelope_and_determinism():
         _validate_schema(doc)
 
 
+# One request per command, with the envelope's inputs and horizon: every
+# argument but --json, --upto, --limit and --max-iter is an input, and the
+# horizon is --upto where the command takes it.
+ENVELOPES = (
+    (("coeffs", "L", "--upto", "3"), {"expr": "L"}, 3),
+    (("egf", "E"), {"expr": "E"}, 5),
+    (("enumerate", "C", "--degree", "3", "--limit", "9"), {"expr": "C", "degree": 3}, None),
+    (("orbits", "P", "--degree", "3"), {"expr": "P", "degree": 3}, None),
+    (("iso", "S", "L", "--upto", "4"), {"left": "S", "right": "L"}, 4),
+    (("natcount", "L", "S", "--upto", "4"), {"left": "L", "right": "S"}, 4),
+    (("natenum", "C", "D(C)", "--upto", "2", "--limit", "5"), {"left": "C", "right": "D(C)"}, 2),
+    (("suite", "--name", "der_R", "--upto", "3"), {"name": "der_R"}, 3),
+    (("suite", "--upto", "2"), {"name": None}, 2),
+    (("monoid", "exp"), {"which": "exp"}, 5),
+    (("algtensor", "--upto", "4"), {}, 4),
+    (
+        ("terminal", "--dyn", "tensor", "--by", "X", "E", "--moore", "--upto", "3"),
+        {"dyn": "tensor", "by": "X", "output": "E", "moore": True},
+        3,
+    ),
+    (
+        ("terminal", "--dyn", "adjL", "E+ + X"),
+        {"dyn": "adjL", "by": None, "output": "E+ + X", "moore": False},
+        5,
+    ),
+    (("homday", "X", "L"), {"left": "X", "right": "L"}, 5),
+    (("solve", "--op", "1:0 + X:0", "--max-iter", "3", "--upto", "4"), {"op": "1:0 + X:0"}, 4),
+    (
+        ("fixcheck", "--op", "1:0 + X:0", "--seq", "1,1,2,6", "--upto", "2"),
+        {"op": "1:0 + X:0", "expr": None, "seq": "1,1,2,6"},
+        2,
+    ),
+    (
+        ("fixcheck", "--op", "1:0 + X:0", "--expr", "L", "--upto", "3"),
+        {"op": "1:0 + X:0", "expr": "L", "seq": None},
+        3,
+    ),
+)
+
+
 def test_json_result_values():
     _, out = run("coeffs", "E o C", "--upto", "4", "--json")
     doc = json.loads(out)
@@ -686,6 +734,12 @@ def test_json_result_values():
     assert doc["result"] == [1, 1, 2, 6, 24]
     assert doc["horizon"] == 4
     assert doc["inputs"] == {"expr": "E o C"}
+    assert {argv[0] for argv, _, _ in ENVELOPES} == set(cli._COMMANDS)
+    for argv, inputs, horizon in ENVELOPES:
+        code, out = run(*argv, "--json")
+        doc = json.loads(out)
+        assert code == 0, argv
+        assert (doc["command"], doc["inputs"], doc["horizon"]) == (argv[0], inputs, horizon)
 
 
 def test_seed_flag_is_rejected(capsys):

@@ -230,6 +230,29 @@ def test_suite_all_names_small_horizon():
     }
 
 
+def test_suite_cases_in_order():
+    """Each name's cases, in the suite's order: the default family is X,
+    E, L, C and P, and the chain rule substitutes only X and C, the
+    members empty at degree 0."""
+    family = ("X", "Exp", "Lin", "Cyc", "Subsets")
+    rep = canonical_iso_suite(5)
+    assert transforms.SUITE_NAMES == tuple(dict.fromkeys(e.name for e in rep.entries))
+    assert [(e.name, e.args) for e in rep.entries] == [
+        *[("leibniz", f"{f},{g}") for f in family for g in family],
+        *[("chain_rule", f"{f},{g}") for f in family for g in ("X", "Cyc")],
+        ("perm_decomp", "Perm"),
+        ("der_cyc", "Cyc"),
+        ("der_perm", "Perm"),
+        ("napier", "Exp"),
+        *[("commutation", f) for f in family],
+        *[("der_R", f) for f in family],
+        *[("R_der", f) for f in family],
+        ("lin_free", "Lin"),
+    ]
+    # R_der is numeric: checked at N itself, not at a clamped horizon
+    assert {e.horizon for e in rep.entries if e.name == "R_der"} == {5}
+
+
 def _stepwise_horizon(exprs, N):
     """The reference scan: every side at one degree, then the next."""
     for k in range(N + 1):
