@@ -10,6 +10,7 @@ counting shadow, cross-checkable against internal-hom counts.
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 from . import caches
@@ -92,17 +93,21 @@ class TensorBy(_Dynamics):
 
     def terminal(self, B, N, start):
         if cardinality(self.a, 0) != 0:
-            problem = "tensor dynamics needs a species empty at degree 0"
-            raise InvalidExpr((Diagnostic("DynamicsNotPositive", "terminal", problem),))
-        hom_rows = {}
+            raise InvalidExpr(
+                (
+                    Diagnostic(
+                        "DynamicsNotPositive",
+                        "terminal",
+                        "tensor dynamics needs a species empty at degree 0",
+                    ),
+                )
+            )
 
+        @functools.cache  # each factor's counts once per call
         def factor_seq(n):
-            if n not in hom_rows:
-                if n == 0:
-                    hom_rows[n] = CountSeq(counts_upto(B, N))
-                else:
-                    hom_rows[n] = hom_day_counts(_cauchy_power(self.a, n), B, N)
-            return hom_rows[n]
+            if n == 0:
+                return CountSeq(counts_upto(B, N))
+            return hom_day_counts(_cauchy_power(self.a, n), B, N)
 
         return tuple(
             _certified_product(

@@ -37,6 +37,7 @@ _RULES: dict = {}  # id(table) -> the slots of one value
 held = 0  # stored slots of all tables, counted by ``add``
 _answers: dict = {}  # id -> every answer a ``memo`` table holds, counted there once
 _computing = 0  # remembered queries now computing
+_KEYWORDS = object()  # parts a call's positional arguments from its keywords
 _SCALARS = frozenset((int, bool, type(None)))  # not opened: a sequence of them is its length
 
 
@@ -125,37 +126,20 @@ def _slots(value) -> int:
     return out
 
 
-def _bound(names, defaults, args, kwargs):
-    """``args`` and ``kwargs`` bound to the parameters ``names``, with
-    ``defaults`` applied: one value per parameter, or None when they do
-    not fit and the call itself is left to raise."""
-    rest = names[len(args) :]
-    if len(args) > len(names) or not kwargs.keys() <= set(rest):
-        return None
-    try:
-        return (*args, *[kwargs[n] if n in kwargs else defaults[n] for n in rest])
-    except KeyError:  # a parameter without a default is not given
-        return None
-
-
 def memo(fn):
     """``fn`` remembered by its arguments, in a table of its own.
 
-    A call is keyed by its arguments with the defaults applied, so every
-    form of one call shares one entry.  A call with an unhashable argument
-    is computed and not remembered, and so is a call that raises: the next
-    one computes and raises afresh.  Only an outermost call checks the
-    cap, before it computes.
+    A call with an unhashable argument is computed and not remembered,
+    and so is a call that raises: the next one computes and raises
+    afresh.  Only an outermost call checks the cap, before it computes.
     """
     name = f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}"
     table = register(name, {}, itemgetter(1))  # key -> (answer, its slots)
-    names = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-    defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
 
     @wraps(fn)
     def remembered(*args, **kwargs):
         global _computing
-        key = _bound(names, defaults, args, kwargs) if kwargs or len(args) != len(names) else args
+        key = (*args, _KEYWORDS, *kwargs.items()) if kwargs else args
         try:
             hit = table.get(key)
         except TypeError:  # an unhashable argument

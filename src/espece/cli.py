@@ -379,17 +379,20 @@ def _emit(args, result, text, out):
 
 
 def _cmd_coeffs(args):
-    seq = counting.count_seq(parse_expr(args.expr), args.upto)
+    e = parse_expr(args.expr)
+    seq = counting.count_seq(e, args.upto)
     return list(seq.coeffs), seq.render
 
 
 def _cmd_egf(args):
-    seq = counting.egf(parse_expr(args.expr), args.upto)
+    e = parse_expr(args.expr)
+    seq = counting.egf(e, args.upto)
     return [str(c) for c in seq.coeffs], seq.render
 
 
 def _cmd_enumerate(args):
-    encs = enumerate_degree(parse_expr(args.expr), args.degree, cap=args.limit).points
+    e = parse_expr(args.expr)
+    encs = enumerate_degree(e, args.degree, cap=args.limit).points
 
     def text():
         head = f"{len(encs)} structure(s) at degree {args.degree}"
@@ -399,7 +402,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_orbits(args):
-    parts = orbits(enumerate_degree(parse_expr(args.expr), args.degree, cap=args.limit))
+    e = parse_expr(args.expr)
+    parts = orbits(enumerate_degree(e, args.degree, cap=args.limit))
     # orbit-stabilizer: |Stab(x)| = n!/|orbit of x|; S_n's cap applies
     # only when there is a point to stabilize
     order = symmetric_order(args.degree) if parts else 0
@@ -423,7 +427,8 @@ def _cmd_orbits(args):
 
 
 def _cmd_iso(args):
-    res = iso_check(parse_expr(args.left), parse_expr(args.right), args.upto)
+    f, g = parse_expr(args.left), parse_expr(args.right)
+    res = iso_check(f, g, args.upto)
     verdict = "true" if res.isomorphic else f"false (witness degree {res.witness_degree})"
     result = {"isomorphic": res.isomorphic, "witness_degree": res.witness_degree}
     return result, lambda: f"isomorphic up to degree {args.upto}: {verdict}"
@@ -470,9 +475,11 @@ def _cmd_suite(args):
 def _cmd_monoid(args):
     N = args.upto
     if args.which == "lin":
-        report = transforms.check_monoid(Lin(), transforms.lin_concat_mu(N), ("lin", ()), N)
+        mu = transforms.lin_concat_mu(N)
+        report = transforms.check_monoid(Lin(), mu, ("lin", ()), N)
     else:
-        report = transforms.check_monoid(Exp(), transforms.exp_mu(N), ("set", ()), N)
+        mu = transforms.exp_mu(N)
+        report = transforms.check_monoid(Exp(), mu, ("set", ()), N)
 
     def text():
         if report.ok:
@@ -524,12 +531,14 @@ def _parse_dynamics(args):
 
 def _cmd_terminal(args):
     dyn = _parse_dynamics(args)
-    seq = automata.terminal_counts(dyn, parse_expr(args.output), args.upto, moore=args.moore)
+    B = parse_expr(args.output)
+    seq = automata.terminal_counts(dyn, B, args.upto, moore=args.moore)
     return list(seq.coeffs), seq.render
 
 
 def _cmd_homday(args):
-    seq = automata.hom_day_counts(parse_expr(args.left), parse_expr(args.right), args.upto)
+    f, g = parse_expr(args.left), parse_expr(args.right)
+    seq = automata.hom_day_counts(f, g, args.upto)
     return list(seq.coeffs), seq.render
 
 
@@ -594,7 +603,8 @@ def _cmd_fixcheck(args):
         raise ParseError("fixcheck takes --expr or --seq, not both", 0)
     D = parse_operator(args.op)
     if args.expr is not None:
-        x = counting.count_seq(parse_expr(args.expr), args.upto + D.max_order)
+        e = parse_expr(args.expr)
+        x = counting.count_seq(e, args.upto + D.max_order)
     elif args.seq is not None:
         x = counting.CountSeq(_parse_counts(args.seq))
     else:

@@ -251,45 +251,55 @@ def _count_case(name, args, lhs, expected, N):
     return SuiteEntry(name, args, N, witness is None, witness)
 
 
+def _names(*exprs):
+    return ",".join(type(e).__name__ for e in exprs)
+
+
+def _leibniz(family, N):
+    for f, g in itertools.product(family, family):
+        yield _names(f, g), Derive(Cauchy(f, g)), Sum(Cauchy(Derive(f), g), Cauchy(f, Derive(g)))
+
+
+def _chain_rule(family, N):
+    for f, g in itertools.product(family, family):
+        if cardinality(g, 0) == 0:
+            rhs = Cauchy(Substitute(Derive(f), g), Derive(g))
+            yield _names(f, g), Derive(Substitute(f, g)), rhs
+
+
+def _R_der(family, N):
+    # Counting-level identity: the right adjoint applied after the
+    # derivative has counts (f_n)^n; no fixed expression computes the
+    # degree-indexed power, so this one is numeric.
+    for f in family:
+        yield _names(f), AdjR(Derive(f)), lambda k, f=f: cardinality(f, k) ** k
+
+
 # Each suite name, in the suite's order: how its cases are checked, and
 # the cases over a family at horizon N, as (args, left side, right side).
 _SUITE = {
-    "leibniz": (_iso_case, lambda family, N: [
-        (
-            f"{type(f).__name__},{type(g).__name__}",
-            Derive(Cauchy(f, g)),
-            Sum(Cauchy(Derive(f), g), Cauchy(f, Derive(g))),
-        )
-        for f in family for g in family
-    ]),
-    "chain_rule": (_iso_case, lambda family, N: [
-        (
-            f"{type(f).__name__},{type(g).__name__}",
-            Derive(Substitute(f, g)),
-            Cauchy(Substitute(Derive(f), g), Derive(g)),
-        )
-        for f in family for g in family if cardinality(g, 0) == 0
-    ]),
+    "leibniz": (_iso_case, _leibniz),
+    "chain_rule": (_iso_case, _chain_rule),
     "perm_decomp": (_iso_case, lambda family, N: [("Perm", Perm(), Substitute(Exp(), Cyc()))]),
     "der_cyc": (_iso_case, lambda family, N: [("Cyc", Derive(Cyc()), Lin())]),
     "der_perm": (_iso_case, lambda family, N: [("Perm", Derive(Perm()), Cauchy(Perm(), Lin()))]),
     "napier": (_iso_case, lambda family, N: [("Exp", Derive(Exp()), Exp())]),
-    "commutation": (_iso_case, lambda family, N: [
-        (type(f).__name__, DeriveL(f), Sum(f, Pointing(f))) for f in family
-    ]),
-    "der_R": (_iso_case, lambda family, N: [
-        (type(f).__name__, Derive(AdjR(f)), Hadamard(AdjR(Derive(f)), f)) for f in family
-    ]),
-    # Counting-level identity: the right adjoint applied after the
-    # derivative has counts (f_n)^n; no fixed expression computes the
-    # degree-indexed power, so this one is numeric.
-    "R_der": (_count_case, lambda family, N: [
-        (type(f).__name__, AdjR(Derive(f)), lambda k, f=f: cardinality(f, k) ** k) for f in family
-    ]),
-    "lin_free": (_iso_case, lambda family, N: [
-        ("Lin", Lin(), functools.reduce(Sum, map(Representable, range(N + 1))))
-    ]),
-}  # fmt: skip
+    "commutation": (
+        _iso_case,
+        lambda family, N: [(_names(f), DeriveL(f), Sum(f, Pointing(f))) for f in family],
+    ),
+    "der_R": (
+        _iso_case,
+        lambda family, N: [
+            (_names(f), Derive(AdjR(f)), Hadamard(AdjR(Derive(f)), f)) for f in family
+        ],
+    ),
+    "R_der": (_count_case, _R_der),
+    "lin_free": (
+        _iso_case,
+        lambda family, N: [("Lin", Lin(), functools.reduce(Sum, map(Representable, range(N + 1))))],
+    ),
+}
 SUITE_NAMES = tuple(_SUITE)
 
 

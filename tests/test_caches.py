@@ -202,49 +202,6 @@ def test_failing_query_raises_afresh(query, args, error):
     assert caches.report()[name] == (0, 0)
 
 
-_OP = parse_operator("1:0 + X:0")
-
-
-@pytest.mark.parametrize(
-    "table, forms",
-    [
-        (
-            "diffeq.adamek_chain",
-            (
-                lambda: adamek_chain(_OP, 8),
-                lambda: adamek_chain(_OP, 8, None),
-                lambda: adamek_chain(_OP, N=8, max_iter=None),
-            ),
-        ),
-        (
-            "automata.terminal_counts",
-            (
-                lambda: terminal_counts(DeriveDyn(), Exp(), 4),
-                lambda: terminal_counts(DeriveDyn(), Exp(), 4, moore=False),
-                lambda: terminal_counts(DeriveDyn(), Exp(), 4, False),
-            ),
-        ),
-        (
-            "transforms.canonical_iso_suite",
-            (
-                lambda: canonical_iso_suite(3),
-                lambda: canonical_iso_suite(3, names=None),
-                lambda: canonical_iso_suite(3, None, None),
-            ),
-        ),
-    ],
-)
-def test_every_form_of_a_call_is_one_entry(table, forms):
-    """A call that omits a defaulted argument, names one or passes every
-    one positionally is one call: one table entry, one answer."""
-    species.clear_caches()
-    answers = [form() for form in forms]
-    assert all(answer is answers[0] for answer in answers)
-    assert caches.report()[table][0] == 1
-    assert caches.held == _measured()
-    species.clear_caches()
-
-
 def test_unhashable_arguments_are_computed_unremembered():
     species.clear_caches()
     report = canonical_iso_suite(3, names=["napier", "der_cyc"])
